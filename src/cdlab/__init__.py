@@ -1,7 +1,7 @@
 """Christoffel-Darboux kernels, Toeplitz compressions and their limit
 theorems on finite quadrature measures in the plane."""
 
-from ._backend import available_backends, backend_name
+from ._backend import backend_name
 from .basis import (
     OrthonormalBasis,
     WeightedSpace,
@@ -62,7 +62,7 @@ __all__ = [
     "MeasureSpec", "NotHermitianError", "NumericalFailure", "OrthonormalBasis",
     "QuadratureMeasure", "RankDeficientError", "RateFit", "SpectralBounds",
     "SpectralMeasure", "ToeplitzMatrix", "WeightedSpace", "algebra_defect",
-    "arc_indices", "arcsine", "available_backends", "backend_name",
+    "arc_indices", "arcsine", "backend_name",
     "bergman_mass", "bm_constant", "circle_lebesgue", "classical_toeplitz",
     "compose", "default_eval_grid", "defect_kernel_bound", "diagonal_density",
     "equilibrium_for", "evaluate_basis", "evaluate_basis_horner", "fit_rate",

@@ -1,24 +1,15 @@
-"""Numba/numpy twin implementations of the hot inner loops.
+"""The hot inner loops: basis recurrence evaluation and pairwise kernel-mass
+reductions, in vectorized numpy.
 
-The env var CDLAB_BACKEND picks the path: "numba" (default when numba
-imports), "numpy" (pure-vectorized fallback), or "auto".  Both paths are
-deterministic for a fixed input: the numba loops run sequentially and the
-numpy reductions use fixed-shape pairwise summation.  `benchmarks/
-bench_backends.py` times the two side by side.
+Callers use them as module attributes (`_backend.pair_mass(...)`), so the
+benchmark's tracer can wrap each loop in one place.  Every reduction has a
+fixed shape for a fixed input, so the results are deterministic.
 """
-
-import os
-import warnings
 
 import numpy as np
 
-_ENV_VAR = "CDLAB_BACKEND"
 
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-def eval_recurrence_numpy(z, scale, const_norm, hess):
+def eval_recurrence(z, scale, const_norm, hess):
     """Evaluate the orthonormal-polynomial columns at the points z.
 
     Runs the Hessenberg recurrence q_{j+1} = (z*q_j - sum_i H[i,j]*q_i) /
@@ -35,14 +26,14 @@ def eval_recurrence_numpy(z, scale, const_norm, hess):
     return out
 
 
-def pair_mass_numpy(kern, w, idx_a, idx_b):
+def pair_mass(kern, w, idx_a, idx_b):
     """sum_{a in A, b in B} |K[a,b]|^2 * w[a] * w[b]."""
     sub = kern[np.ix_(idx_a, idx_b)]
     abs2 = sub.real * sub.real + sub.imag * sub.imag
     return float(w[idx_a] @ abs2 @ w[idx_b])
 
 
-def defect_pair_sum_numpy(kern, w, f, g):
+def defect_pair_sum(kern, w, f, g):
     """sum_{a,b} f[a]^2 (g[a]-g[b])^2 |K[a,b]|^2 w[a] w[b].
 
     Row-wise accumulation keeps every summand nonnegative (no cancellation),
@@ -58,145 +49,12 @@ def defect_pair_sum_numpy(kern, w, f, g):
     return acc
 
 
-def row_weighted_sumsq_numpy(kern, w):
+def row_weighted_sumsq(kern, w):
     """Vector of sum_b |K[a,b]|^2 * w[b]."""
     abs2 = kern.real * kern.real + kern.imag * kern.imag
     return abs2 @ w
 
 
-_NUMPY_IMPLS = {
-    "eval_recurrence": eval_recurrence_numpy,
-    "pair_mass": pair_mass_numpy,
-    "defect_pair_sum": defect_pair_sum_numpy,
-    "row_weighted_sumsq": row_weighted_sumsq_numpy,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-_requested = os.environ.get(_ENV_VAR, "auto").strip().lower()
-if _requested not in {"auto", "numba", "numpy"}:
-    warnings.warn(
-        f"{_ENV_VAR}={_requested!r} not recognized, falling back to 'auto'",
-        stacklevel=1,
-    )
-    _requested = "auto"
-
-HAS_NUMBA = False
-_NUMBA_IMPLS = None
-
-if _requested != "numpy":
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise RuntimeError(
-                f"{_ENV_VAR}=numba requested but numba is not installed"
-            ) from None
-
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _eval_recurrence_nb(z, scale, const_norm, hess_t, out):
-        # hess_t is the transposed Hessenberg: row j is contiguous over i
-        npts = z.shape[0]
-        n = hess_t.shape[0]
-        for a in range(npts):
-            out[a, 0] = 1.0 / const_norm
-        for j in range(n - 1):
-            hn = hess_t[j, j + 1]
-            for a in range(npts):
-                acc = 0.0 + 0.0j
-                for i in range(j + 1):
-                    acc += hess_t[j, i] * out[a, i]
-                out[a, j + 1] = (z[a] * out[a, j] - acc) / hn
-        for a in range(npts):
-            s = scale[a]
-            for i in range(n):
-                out[a, i] *= s
-
-    def eval_recurrence_numba(z, scale, const_norm, hess):
-        out = np.empty((z.shape[0], hess.shape[0]), dtype=np.complex128)
-        hess_t = np.ascontiguousarray(hess.T)
-        _eval_recurrence_nb(z, scale, complex(const_norm), hess_t, out)
-        return out
-
-    @njit(cache=True, nogil=True)
-    def pair_mass_numba(kern, w, idx_a, idx_b):
-        acc = 0.0
-        for p in range(idx_a.shape[0]):
-            a = idx_a[p]
-            row = 0.0
-            for q in range(idx_b.shape[0]):
-                x = kern[a, idx_b[q]]
-                row += (x.real * x.real + x.imag * x.imag) * w[idx_b[q]]
-            acc += row * w[a]
-        return acc
-
-    @njit(cache=True, nogil=True)
-    def defect_pair_sum_numba(kern, w, f, g):
-        m = kern.shape[0]
-        acc = 0.0
-        for a in range(m):
-            row = 0.0
-            ga = g[a]
-            for b in range(m):
-                d = ga - g[b]
-                x = kern[a, b]
-                row += d * d * (x.real * x.real + x.imag * x.imag) * w[b]
-            acc += (f[a] * f[a] * w[a]) * row
-        return acc
-
-    @njit(cache=True, nogil=True)
-    def row_weighted_sumsq_numba(kern, w):
-        m = kern.shape[0]
-        out = np.empty(m)
-        for a in range(m):
-            s = 0.0
-            for b in range(m):
-                x = kern[a, b]
-                s += (x.real * x.real + x.imag * x.imag) * w[b]
-            out[a] = s
-        return out
-
-    _NUMBA_IMPLS = {
-        "eval_recurrence": eval_recurrence_numba,
-        "pair_mass": pair_mass_numba,
-        "defect_pair_sum": defect_pair_sum_numba,
-        "row_weighted_sumsq": row_weighted_sumsq_numba,
-    }
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-BACKEND = "numba" if (HAS_NUMBA and _requested != "numpy") else "numpy"
-_ACTIVE = _NUMBA_IMPLS if BACKEND == "numba" else _NUMPY_IMPLS
-
-eval_recurrence = _ACTIVE["eval_recurrence"]
-pair_mass = _ACTIVE["pair_mass"]
-defect_pair_sum = _ACTIVE["defect_pair_sum"]
-row_weighted_sumsq = _ACTIVE["row_weighted_sumsq"]
-
-
 def backend_name():
-    """Name of the compute path selected at import time."""
-    return BACKEND
-
-
-def available_backends():
-    names = ["numpy"]
-    if HAS_NUMBA:
-        names.append("numba")
-    return names
-
-
-def implementations(name):
-    """Both implementations of a kernel, keyed by backend (for benchmarks)."""
-    impls = {"numpy": _NUMPY_IMPLS[name]}
-    if HAS_NUMBA:
-        impls["numba"] = _NUMBA_IMPLS[name]
-    return impls
+    """Name of the compute path (recorded by the benchmark)."""
+    return "numpy"

@@ -6,14 +6,16 @@ that node evaluations stay accurate at degrees far beyond what the monomial
 coefficient representation can support.  A Cholesky factorization of the
 monomial Gram matrix is available as an alternative route for cross checks.
 
-Both routes populate the same data: the lower-triangular monomial
-coefficient matrix C (orthonormal polynomial i is sum_j C[i,j] z^j, with
-C[i,i] > 0), the Hessenberg recurrence coefficients used for stable
-evaluation, and the cached orthonormal evaluations on the defining nodes.
+Both routes populate the same data: the Hessenberg recurrence coefficients
+used for stable evaluation and the cached orthonormal evaluations on the
+defining nodes.  The lower-triangular monomial coefficient matrix C
+(orthonormal polynomial i is sum_j C[i,j] z^j, with C[i,i] > 0) and its
+condition estimate are diagnostics, computed on first access.
 """
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 import json
 
 import numpy as np
@@ -65,16 +67,17 @@ class OrthonormalBasis:
     """Orthonormal basis of a WeightedSpace w.r.t. a quadrature measure."""
 
     space: WeightedSpace
-    coeffs: np.ndarray          # (n, n) lower-triangular, C[i,i] > 0
-    gram_condition: float       # estimated condition number of the Gram matrix
     hessenberg: np.ndarray = field(repr=False, default=None)
     const_norm: float = field(repr=False, default=1.0)
     node_values: np.ndarray = field(repr=False, default=None)  # (m, n), orthonormal cols
     nodes: np.ndarray = field(repr=False, default=None)
     node_weights: np.ndarray = field(repr=False, default=None)
+    # monomial coefficients given by the Cholesky route or a serialized
+    # basis; None derives them from the recurrence on first access
+    given_coeffs: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        for name in ("coeffs", "hessenberg", "node_values", "nodes", "node_weights"):
+        for name in ("hessenberg", "node_values", "nodes", "node_weights", "given_coeffs"):
             arr = getattr(self, name)
             if arr is not None:
                 arr.setflags(write=False)
@@ -82,6 +85,30 @@ class OrthonormalBasis:
     @property
     def dimension(self):
         return self.space.dimension
+
+    @cached_property
+    def coeffs(self):
+        """(n, n) lower-triangular monomial coefficients, C[i,i] > 0.
+
+        They overflow at high degree or on small supports, where the
+        recurrence itself stays accurate.
+        """
+        if self.given_coeffs is not None:
+            return self.given_coeffs
+        coeffs = _coeffs_from_recurrence(self.hessenberg, self.const_norm, self.dimension)
+        coeffs.setflags(write=False)
+        return coeffs
+
+    @cached_property
+    def gram_condition(self):
+        """Condition number of the monomial Gram matrix, from the SVD of
+        the coefficients; inf once the coefficients are not finite."""
+        coeffs = self.coeffs
+        if not np.all(np.isfinite(coeffs)):
+            return np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            sing = np.linalg.svd(coeffs, compute_uv=False)
+            return float((sing[0] / sing[-1]) ** 2) if sing[-1] > 0 else np.inf
 
     @property
     def basis_id(self):
@@ -125,10 +152,8 @@ class OrthonormalBasis:
                           dtype=complex).reshape(n, n)
         hess = np.array([complex(re, im) for re, im in doc["hessenberg"]],
                         dtype=complex).reshape(n, n)
-        return cls(space=space, coeffs=coeffs,
-                   gram_condition=float(doc["gram_condition"]),
-                   hessenberg=hess, const_norm=float(doc["const_norm"]),
-                   node_values=None, nodes=None, node_weights=None)
+        return cls(space=space, hessenberg=hess, const_norm=float(doc["const_norm"]),
+                   given_coeffs=coeffs)
 
     @classmethod
     def from_json(cls, text):
@@ -238,23 +263,19 @@ def orthonormalize(mu, space, method="auto"):
     if method == "arnoldi":
         row_scale = np.sqrt(mu.weights) * scale
         q, hess, h0 = _arnoldi(mu.nodes, row_scale, n)
-        coeffs = _coeffs_from_recurrence(hess, h0, n)
+        coeffs = None
     elif method == "cholesky":
         q, hess, coeffs, h0 = _cholesky_route(mu, space, scale)
     else:
         raise ValueError(f"unknown method {method!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        sing = np.linalg.svd(coeffs, compute_uv=False)
-        cond = float((sing[0] / sing[-1]) ** 2) if sing[-1] > 0 else np.inf
     return OrthonormalBasis(
         space=space,
-        coeffs=coeffs,
-        gram_condition=cond,
         hessenberg=np.ascontiguousarray(hess),
         const_norm=h0,
         node_values=q,
         nodes=np.asarray(mu.nodes),
         node_weights=np.asarray(mu.weights),
+        given_coeffs=coeffs,
     )
 
 

@@ -2,15 +2,14 @@
 
 Each run writes a CSV with one row per k: the measured quantity, the
 closed-form limit (taken from the equilibrium module where one exists), the
-absolute gap, and wall time.  Independent k values may run in parallel
-(CDLAB_THREADS); rows are always written in ascending k.
+absolute gap, and wall time.  The report is written only once every row
+is computed, and replaces any previous file in one step.
 """
 
 import csv
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +74,8 @@ class ExperimentConfig:
             raise ValueError("k_values must be positive")
         if sorted(ks) != ks:
             raise ValueError("k_values must be ascending")
+        if self.experiment == "offdiag" and len(ks) < 3:
+            raise ValueError("offdiag needs at least 3 k values to fit a rate")
         self.k_values = ks
         if self.p < 1:
             raise ValueError("p must be >= 1")
@@ -92,7 +93,7 @@ class ExperimentConfig:
         ms = doc.pop("measure_spec", {})
         if isinstance(ms, str):
             ms = {"kind": ms}
-        return cls(
+        cfg = cls(
             experiment=doc.pop("experiment"),
             k_values=doc.pop("k_values"),
             measure_spec=MeasureSpec(**ms),
@@ -101,6 +102,9 @@ class ExperimentConfig:
             regions=doc.pop("regions", {}),
             output_path=doc.pop("output_path", "report.csv"),
         )
+        if doc:
+            raise ValueError(f"unknown config keys: {', '.join(sorted(doc))}")
+        return cfg
 
     @classmethod
     def from_json_file(cls, path):
@@ -197,7 +201,10 @@ def _compute_row(cfg, k):
         table = kernel.kernel_table(bs, mu)
         idx_a = resolve_region(regions["a"], mu)
         idx_b = resolve_region(regions["b"], mu)
-        return kernel.bergman_mass(table, mu, idx_a, idx_b), 0.0
+        mass = kernel.bergman_mass(table, mu, idx_a, idx_b)
+        if not mass > 0:
+            raise ValueError(f"off-diagonal mass {mass!r} is not positive, no rate to fit")
+        return mass, 0.0
 
     if exp == "heatmap":
         bs = _basis_for(mu, k)
@@ -232,22 +239,14 @@ def _compute_row(cfg, k):
     raise ValueError(f"unknown experiment {exp!r}")
 
 
-def _thread_count():
-    raw = os.environ.get("CDLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run(cfg):
     """Execute the configured k-sweep and write the report CSV.
 
     Returns the list of row dicts.  Raises NumericalFailure with the
-    offending k when a row cannot be computed.
+    offending k when a row cannot be computed; no report is written then.
     """
-
-    def one(k):
+    rows = []
+    for k in cfg.k_values:
         t0 = time.perf_counter()
         try:
             quantity, limit = _compute_row(cfg, k)
@@ -255,32 +254,27 @@ def run(cfg):
             raise
         except Exception as exc:
             raise NumericalFailure(k, exc) from exc
-        seconds = time.perf_counter() - t0
-        return {
+        rows.append({
             "k": k,
             "n_k": k,
             "quantity": quantity,
             "limit": limit,
             "gap": abs(quantity - limit),
-            "seconds": seconds,
-        }
+            "seconds": time.perf_counter() - t0,
+        })
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, cfg.k_values))
-    else:
-        rows = [one(k) for k in cfg.k_values]
-    rows.sort(key=lambda r: r["k"])
+    footer = []
+    if cfg.experiment == "offdiag":
+        fit = fit_rate([(r["k"], r["quantity"]) for r in rows])
+        footer = [f"# fitted_slope,{fit.slope!r}\n", f"# fit_residual,{fit.residual!r}\n"]
 
-    with open(cfg.output_path, "w", newline="") as fh:
+    tmp_path = f"{cfg.output_path}.tmp"
+    with open(tmp_path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["k", "n_k", "quantity", "limit", "gap", "seconds"])
         for r in rows:
             out.writerow([r["k"], r["n_k"], repr(r["quantity"]), repr(r["limit"]),
                           repr(r["gap"]), f"{r['seconds']:.6f}"])
-        if cfg.experiment == "offdiag":
-            fit = fit_rate([(r["k"], r["quantity"]) for r in rows])
-            fh.write(f"# fitted_slope,{fit.slope!r}\n")
-            fh.write(f"# fit_residual,{fit.residual!r}\n")
+        fh.writelines(footer)
+    os.replace(tmp_path, cfg.output_path)
     return rows

@@ -146,6 +146,17 @@ class TestHighDegreeStability:
         assert bs.gram_condition > 1e8
         assert ortho_residual(bs, mu) <= 1e-12
 
+    def test_small_support_degree_100_builds(self):
+        # the monomial coefficients overflow on a support of width 2e-3, but
+        # the recurrence does not need them: the build must succeed
+        ref = interval_lebesgue(512)
+        mu = from_points(1e-3 * ref.nodes, ref.weights)
+        bs = orthonormalize(mu, WeightedSpace(100))
+        q = bs.node_values
+        assert np.max(np.abs(q.conj().T @ q - np.eye(101))) <= 1e-13
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert bs.gram_condition == np.inf
+
     def test_recurrence_matches_legendre_coefficients(self):
         mu = interval_lebesgue(512)
         bs = orthonormalize(mu, WeightedSpace(63, tensor_power=64))

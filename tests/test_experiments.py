@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cdlab
 from cdlab import ExperimentConfig, MeasureSpec, NumericalFailure, fit_rate, run
 from cdlab.cli import main
 from cdlab.experiments import resolve_region
@@ -241,6 +245,34 @@ class TestCli:
         assert code == 3
         assert "k=64" in capsys.readouterr().err
 
+    def test_config_typo_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "typo.csv"
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps({"experiment": "szego", "k_values": [8],
+                                        "symbol_spec": {"f": "x2"},
+                                        "output_path": str(out)}))
+        assert main(["szego", "--config", str(cfg_path)]) == 2
+        assert "symbol_spec" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_offdiag_two_k_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "off2.csv"
+        assert main(["offdiag", "--k", "8,16", "--out", str(out)]) == 2
+        assert "at least 3 k values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_offdiag_empty_region_is_numerical_failure(self, tmp_path, capsys):
+        # no node falls in the tiny arc, so the mass is 0 and has no log rate;
+        # the failed run must leave the previous report as it was
+        out = tmp_path / "off0.csv"
+        out.write_text("previous\n")
+        code = main(["offdiag", "--k", "8,16,32", "--region-a", "arc:0.001,0.002",
+                     "--out", str(out)])
+        assert code == 3
+        assert "k=8" in capsys.readouterr().err
+        assert out.read_text() == "previous\n"
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_bad_symbol_is_config_error(self, tmp_path, capsys):
         code = main(["szego", "--k", "8", "--symbol-f", "nope",
                      "--out", str(tmp_path / "y.csv")])
@@ -248,16 +280,14 @@ class TestCli:
         assert "unknown symbol" in capsys.readouterr().err
 
 
-class TestThreads:
-    def test_parallel_rows_match_serial(self, tmp_path, monkeypatch):
-        out_serial, out_par = tmp_path / "s.csv", tmp_path / "p.csv"
-        run(ExperimentConfig(experiment="szego", k_values=[8, 16, 32],
-                             output_path=str(out_serial)))
-        monkeypatch.setenv("CDLAB_THREADS", "3")
-        run(ExperimentConfig(experiment="szego", k_values=[8, 16, 32],
-                             output_path=str(out_par)))
-        rows_s, _ = read_report(out_serial)
-        rows_p, _ = read_report(out_par)
-        for a, b in zip(rows_s, rows_p):
-            assert a["quantity"] == b["quantity"]
-            assert a["k"] == b["k"]
+class TestEnvironment:
+    def test_removed_switches_are_ignored(self):
+        # cdlab has one compute path; the former backend and thread switches
+        # must neither select anything nor fail the import
+        env = dict(os.environ, CDLAB_BACKEND="numba", CDLAB_THREADS="3",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cdlab.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import cdlab; print(cdlab.backend_name())"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "numpy"
