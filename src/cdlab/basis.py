@@ -10,7 +10,8 @@ Both routes populate the same data: the Hessenberg recurrence coefficients
 used for stable evaluation and the cached orthonormal evaluations on the
 defining nodes.  The lower-triangular monomial coefficient matrix C
 (orthonormal polynomial i is sum_j C[i,j] z^j, with C[i,i] > 0) and its
-condition estimate are diagnostics, computed on first access.
+condition estimate are diagnostics, derived from the recurrence on first
+access.  A basis is serialized as its recurrence only.
 """
 
 import hashlib
@@ -72,12 +73,9 @@ class OrthonormalBasis:
     node_values: np.ndarray = field(repr=False, default=None)  # (m, n), orthonormal cols
     nodes: np.ndarray = field(repr=False, default=None)
     node_weights: np.ndarray = field(repr=False, default=None)
-    # monomial coefficients given by the Cholesky route or a serialized
-    # basis; None derives them from the recurrence on first access
-    given_coeffs: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        for name in ("hessenberg", "node_values", "nodes", "node_weights", "given_coeffs"):
+        for name in ("hessenberg", "node_values", "nodes", "node_weights"):
             arr = getattr(self, name)
             if arr is not None:
                 arr.setflags(write=False)
@@ -93,8 +91,6 @@ class OrthonormalBasis:
         They overflow at high degree or on small supports, where the
         recurrence itself stays accurate.
         """
-        if self.given_coeffs is not None:
-            return self.given_coeffs
         coeffs = _coeffs_from_recurrence(self.hessenberg, self.const_norm, self.dimension)
         coeffs.setflags(write=False)
         return coeffs
@@ -126,15 +122,11 @@ class OrthonormalBasis:
         return self.nodes.shape == pts.shape and np.array_equal(self.nodes, pts)
 
     def to_dict(self):
-        n = self.dimension
+        """The recurrence only; coeffs and gram_condition derive from it."""
         return {
             "degree_bound": self.space.degree_bound,
             "tensor_power": self.space.tensor_power,
-            "gram_condition": float(self.gram_condition),
-            "coeffs": [[self.coeffs[i, j].real, self.coeffs[i, j].imag]
-                       for i in range(n) for j in range(n)],
-            "hessenberg": [[self.hessenberg[i, j].real, self.hessenberg[i, j].imag]
-                           for i in range(n) for j in range(n)],
+            "hessenberg": [[v.real, v.imag] for v in self.hessenberg.ravel().tolist()],
             "const_norm": float(self.const_norm),
         }
 
@@ -148,12 +140,9 @@ class OrthonormalBasis:
         n = int(doc["degree_bound"]) + 1
         space = WeightedSpace(int(doc["degree_bound"]),
                               tensor_power=int(doc["tensor_power"]))
-        coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]],
-                          dtype=complex).reshape(n, n)
         hess = np.array([complex(re, im) for re, im in doc["hessenberg"]],
                         dtype=complex).reshape(n, n)
-        return cls(space=space, hessenberg=hess, const_norm=float(doc["const_norm"]),
-                   given_coeffs=coeffs)
+        return cls(space=space, hessenberg=hess, const_norm=float(doc["const_norm"]))
 
     @classmethod
     def from_json(cls, text):
@@ -244,28 +233,25 @@ def _cholesky_route(mu, space, scale):
     for j in range(n - 1):
         hess[: j + 1, j] = full[: j + 1, j]
         hess[j + 1, j] = abs(full[j + 1, j])
-    return q, hess, coeffs, float(1.0 / coeffs[0, 0].real)
+    return q, hess, float(1.0 / coeffs[0, 0].real)
 
 
-def orthonormalize(mu, space, method="auto"):
+def orthonormalize(mu, space, method="arnoldi"):
     """Orthonormal basis of `space` w.r.t. the weighted measure.
 
-    method: "auto" uses the Arnoldi orthogonal factorization; "cholesky"
-    forces the normal-equations route, which is accurate only while the
-    monomial Gram matrix is well conditioned.  Raises RankDeficientError
-    when the measure cannot support the space (the finite-node analogue of
-    a pluripolar support).
+    method: "arnoldi" uses the orthogonal factorization; "cholesky" the
+    normal-equations route, which is accurate only while the monomial Gram
+    matrix is well conditioned.  Raises RankDeficientError when the measure
+    cannot support the space (the finite-node analogue of a pluripolar
+    support).
     """
     n = space.dimension
     scale = space.weight_scale(mu.nodes)
-    if method == "auto":
-        method = "arnoldi"
     if method == "arnoldi":
         row_scale = np.sqrt(mu.weights) * scale
         q, hess, h0 = _arnoldi(mu.nodes, row_scale, n)
-        coeffs = None
     elif method == "cholesky":
-        q, hess, coeffs, h0 = _cholesky_route(mu, space, scale)
+        q, hess, h0 = _cholesky_route(mu, space, scale)
     else:
         raise ValueError(f"unknown method {method!r}")
     return OrthonormalBasis(
@@ -275,7 +261,6 @@ def orthonormalize(mu, space, method="auto"):
         node_values=q,
         nodes=np.asarray(mu.nodes),
         node_weights=np.asarray(mu.weights),
-        given_coeffs=coeffs,
     )
 
 

@@ -1,7 +1,7 @@
 """Command line front end: `cdlab <experiment> --config cfg.json` or flags.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (the
-offending k is reported on stderr).
+Exit codes: 0 success, 2 configuration error or an output that cannot be
+written, 3 numerical failure (the offending k is reported on stderr).
 """
 
 import argparse
@@ -39,7 +39,10 @@ def _build_parser():
 
 def _config_from_args(args):
     if args.config:
-        return ExperimentConfig.from_json_file(args.config)
+        cfg = ExperimentConfig.from_json_file(args.config)
+        if cfg.experiment != args.experiment:
+            raise ValueError(f"config is for {cfg.experiment!r}, not {args.experiment!r}")
+        return cfg
     symbol_specs = {}
     if args.symbol_f:
         symbol_specs["f"] = args.symbol_f
@@ -75,6 +78,9 @@ def main(argv=None):
     except NumericalFailure as exc:
         print(str(exc), file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {cfg.output_path} ({len(rows)} rows)")
     return 0
 

@@ -2,11 +2,12 @@
 
 Each run writes a CSV with one row per k: the measured quantity, the
 closed-form limit (taken from the equilibrium module where one exists), the
-absolute gap, and wall time.  The report is written only once every row
-is computed, and replaces any previous file in one step.
+absolute gap, and wall time.  Every file of a run is written to
+`<path>.tmp` and renamed into place only once all of them are complete, so
+a failed run leaves no new file and any previous one as it was.
 """
 
-import csv
+import contextlib
 import json
 import os
 import time
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import equilibrium, kernel, measure, operator, symbols
+from ._csvio import write_csv
 from .basis import WeightedSpace, orthonormalize
 
 EXPERIMENTS = ("szego", "algebra", "offdiag", "heatmap", "bm", "symbol_distance")
@@ -161,25 +163,26 @@ def _symbol(cfg, key, default):
 
 
 def _heatmap_side_paths(output_path, k):
-    stem, dot, ext = output_path.rpartition(".")
-    if not dot:
-        stem, ext = output_path, "csv"
-    return f"{stem}_heatmap_k{k}.{ext}", f"{stem}_density_k{k}.{ext}"
+    stem, ext = os.path.splitext(output_path)
+    ext = ext or ".csv"
+    return f"{stem}_heatmap_k{k}{ext}", f"{stem}_density_k{k}{ext}"
 
 
-def _basis_for(mu, k):
-    return orthonormalize(mu, WeightedSpace(degree_bound=k - 1, tensor_power=k))
+def _stage(staged, path):
+    """Temp path to write `path` to; run() renames it when the run succeeds."""
+    staged[path] = f"{path}.tmp"
+    return staged[path]
 
 
-def _compute_row(cfg, k):
+def _compute_row(cfg, k, staged):
     """(quantity, limit) for one k of the configured experiment."""
     mu = cfg.measure_spec.build(k)
+    bs = orthonormalize(mu, WeightedSpace(degree_bound=k - 1, tensor_power=k))
     exp = cfg.experiment
 
     if exp == "szego":
         _, f = _symbol(cfg, "f", "cos")
         _, g = symbols.resolve_spectral(cfg.symbol_specs.get("g", "square"))
-        bs = _basis_for(mu, k)
         t = operator.toeplitz(bs, mu, f)
         quantity = operator.spectral_statistic(t, g)
         nu = equilibrium.equilibrium_for(mu)
@@ -189,7 +192,6 @@ def _compute_row(cfg, k):
     if exp == "algebra":
         _, f = _symbol(cfg, "f", "cos")
         _, g = _symbol(cfg, "g", "sin")
-        bs = _basis_for(mu, k)
         return operator.algebra_defect(bs, mu, f, g, cfg.p), 0.0
 
     if exp == "offdiag":
@@ -197,7 +199,6 @@ def _compute_row(cfg, k):
         regions.update(cfg.regions)
         if "a" not in regions or "b" not in regions:
             raise ValueError("offdiag needs regions 'a' and 'b'")
-        bs = _basis_for(mu, k)
         table = kernel.kernel_table(bs, mu)
         idx_a = resolve_region(regions["a"], mu)
         idx_b = resolve_region(regions["b"], mu)
@@ -207,29 +208,21 @@ def _compute_row(cfg, k):
         return mass, 0.0
 
     if exp == "heatmap":
-        bs = _basis_for(mu, k)
         table = kernel.kernel_table(bs, mu)
         hm_path, dens_path = _heatmap_side_paths(cfg.output_path, k)
-        kernel.write_heatmap_csv(table, hm_path)
-        kernel.write_density_csv(table, mu, dens_path)
+        kernel.write_heatmap_csv(table, _stage(staged, hm_path))
+        kernel.write_density_csv(table, mu, _stage(staged, dens_path))
         all_idx = np.arange(len(mu))
-        quantity = kernel.bergman_mass(table, mu, all_idx, all_idx)
-        try:
-            limit = equilibrium.integrate(equilibrium.equilibrium_for(mu),
-                                          lambda pts: np.ones(np.shape(pts)))
-        except ValueError:
-            limit = 1.0
-        return quantity, limit
+        # every equilibrium measure is a probability measure
+        return kernel.bergman_mass(table, mu, all_idx, all_idx), 1.0
 
     if exp == "bm":
-        bs = _basis_for(mu, k)
         grid = kernel.default_eval_grid(mu)
         return float(np.log(kernel.bm_constant(bs, grid)) / k), 0.0
 
     if exp == "symbol_distance":
         _, f = _symbol(cfg, "f", "cos")
         _, g = _symbol(cfg, "g", "one")
-        bs = _basis_for(mu, k)
         quantity = operator.symbol_distance(bs, mu, f, g)
         nu = equilibrium.equilibrium_for(mu)
         limit = equilibrium.integrate(
@@ -243,38 +236,43 @@ def run(cfg):
     """Execute the configured k-sweep and write the report CSV.
 
     Returns the list of row dicts.  Raises NumericalFailure with the
-    offending k when a row cannot be computed; no report is written then.
+    offending k when a row cannot be computed, and OSError when a file
+    cannot be written; no file is written or replaced then.
     """
-    rows = []
-    for k in cfg.k_values:
-        t0 = time.perf_counter()
-        try:
-            quantity, limit = _compute_row(cfg, k)
-        except NumericalFailure:
-            raise
-        except Exception as exc:
-            raise NumericalFailure(k, exc) from exc
-        rows.append({
-            "k": k,
-            "n_k": k,
-            "quantity": quantity,
-            "limit": limit,
-            "gap": abs(quantity - limit),
-            "seconds": time.perf_counter() - t0,
-        })
+    staged = {}   # output path -> temp path it is written to
+    try:
+        rows = []
+        for k in cfg.k_values:
+            t0 = time.perf_counter()
+            try:
+                quantity, limit = _compute_row(cfg, k, staged)
+            except (NumericalFailure, OSError):
+                raise
+            except Exception as exc:
+                raise NumericalFailure(k, exc) from exc
+            rows.append({
+                "k": k,
+                "n_k": k,
+                "quantity": quantity,
+                "limit": limit,
+                "gap": abs(quantity - limit),
+                "seconds": time.perf_counter() - t0,
+            })
 
-    footer = []
-    if cfg.experiment == "offdiag":
-        fit = fit_rate([(r["k"], r["quantity"]) for r in rows])
-        footer = [f"# fitted_slope,{fit.slope!r}\n", f"# fit_residual,{fit.residual!r}\n"]
-
-    tmp_path = f"{cfg.output_path}.tmp"
-    with open(tmp_path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["k", "n_k", "quantity", "limit", "gap", "seconds"])
-        for r in rows:
-            out.writerow([r["k"], r["n_k"], repr(r["quantity"]), repr(r["limit"]),
-                          repr(r["gap"]), f"{r['seconds']:.6f}"])
-        fh.writelines(footer)
-    os.replace(tmp_path, cfg.output_path)
+        footer = ()
+        if cfg.experiment == "offdiag":
+            fit = fit_rate([(r["k"], r["quantity"]) for r in rows])
+            footer = (f"# fitted_slope,{fit.slope!r}\n", f"# fit_residual,{fit.residual!r}\n")
+        write_csv(_stage(staged, cfg.output_path),
+                  ["k", "n_k", "quantity", "limit", "gap", "seconds"],
+                  ([r["k"], r["n_k"], r["quantity"], r["limit"], r["gap"],
+                    f"{r['seconds']:.6f}"] for r in rows),
+                  footer)
+        for path, tmp_path in staged.items():
+            os.replace(tmp_path, path)
+    except BaseException:
+        for tmp_path in staged.values():
+            with contextlib.suppress(OSError):
+                os.remove(tmp_path)
+        raise
     return rows

@@ -2,12 +2,13 @@
 product-space masses, diagonal densities, and sup/L2 growth constants.
 """
 
-import csv
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from . import _backend
+from ._csvio import write_csv
 from .basis import evaluate_basis
 
 # dense m x m storage; cap keeps the table under ~256 MiB of complex128
@@ -129,25 +130,21 @@ def interval_indices(mu, lo, hi):
 
 
 def write_heatmap_csv(table, path):
-    """Rows (a, b, re, im, |K|^2) for the full table."""
-    k = table.values
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["a", "b", "re", "im", "abs2"])
-        for a in range(k.shape[0]):
-            for b in range(k.shape[1]):
-                v = k[a, b]
-                out.writerow([a, b, repr(float(v.real)), repr(float(v.imag)),
-                              repr(float(v.real * v.real + v.imag * v.imag))])
-    return path
+    """Rows (a, b, re, im, |K|^2) for the full table.
+
+    Rows are built one table row at a time, so the file is streamed
+    without holding m^2 Python rows.
+    """
+    cols = range(table.values.shape[1])
+    rows = chain.from_iterable(
+        zip(repeat(a), cols, r.real.tolist(), r.imag.tolist(),
+            (r.real * r.real + r.imag * r.imag).tolist())
+        for a, r in enumerate(table.values))
+    return write_csv(path, ["a", "b", "re", "im", "abs2"], rows)
 
 
 def write_density_csv(table, mu, path):
     """Rows (re(x), im(x), weight, density) of the diagonal density."""
-    dens = diagonal_density(table, mu)
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["re", "im", "weight", "density"])
-        for z, w, d in zip(mu.nodes, mu.weights, dens):
-            out.writerow([repr(z.real), repr(z.imag), repr(float(w)), repr(float(d))])
-    return path
+    rows = zip(mu.nodes.real.tolist(), mu.nodes.imag.tolist(), mu.weights.tolist(),
+               diagonal_density(table, mu).tolist())
+    return write_csv(path, ["re", "im", "weight", "density"], rows)

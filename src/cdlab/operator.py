@@ -3,12 +3,12 @@ assembly in an orthonormal basis, the classical Fourier and Legendre matrix
 families, Schatten norms, spectra, and functional calculus.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _backend
+from ._csvio import write_csv
 from .basis import evaluate_basis
 from .errors import NotHermitianError
 from .measure import _gauss_legendre
@@ -247,23 +247,13 @@ def spectral_radius_bounds(a, f, mu):
 
 def write_matrix_csv(tm, path, measure_tag=""):
     """Entry rows (i, j, re, im) tagged with k, symbol and measure."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["i", "j", "re", "im", "k", "symbol", "measure"])
-        for i in range(tm.dimension):
-            for j in range(tm.dimension):
-                v = tm.entries[i, j]
-                out.writerow([i, j, repr(float(v.real)), repr(float(v.imag)),
-                              tm.k, tm.symbol_desc, measure_tag])
-    return path
+    rows = ((i, j, v.real, v.imag, tm.k, tm.symbol_desc, measure_tag)
+            for i, r in enumerate(tm.entries) for j, v in enumerate(r.tolist()))
+    return write_csv(path, ["i", "j", "re", "im", "k", "symbol", "measure"], rows)
 
 
 def write_spectrum_csv(tm, path, measure_tag=""):
     """Eigenvalue rows (index, eigenvalue) tagged with k, symbol and measure."""
-    lam = spectrum(tm).eigenvalues
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["index", "eigenvalue", "k", "symbol", "measure"])
-        for i, v in enumerate(lam):
-            out.writerow([i, repr(float(v)), tm.k, tm.symbol_desc, measure_tag])
-    return path
+    lam = spectrum(tm).eigenvalues.tolist()
+    rows = ((i, v, tm.k, tm.symbol_desc, measure_tag) for i, v in enumerate(lam))
+    return write_csv(path, ["index", "eigenvalue", "k", "symbol", "measure"], rows)

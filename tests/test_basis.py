@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,13 @@ class TestHighDegreeStability:
         assert np.max(np.abs(q.conj().T @ q - np.eye(101))) <= 1e-13
         with np.errstate(over="ignore", invalid="ignore"):
             assert bs.gram_condition == np.inf
+        # the saved recurrence stays finite, so the document is standard JSON
+        assert set(bs.to_dict()) == {"degree_bound", "tensor_power", "const_norm", "hessenberg"}
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        json.loads(bs.to_json(), parse_constant=reject)
 
     def test_recurrence_matches_legendre_coefficients(self):
         mu = interval_lebesgue(512)
@@ -183,6 +192,27 @@ class TestJson:
         pts = np.linspace(-0.8, 0.8, 9).astype(complex)
         np.testing.assert_allclose(evaluate_basis(back, pts),
                                    evaluate_basis(bs, pts), atol=1e-14)
+
+    def test_document_with_coeffs_still_loads(self):
+        # earlier versions also saved the monomial coefficients and the
+        # Gram condition; loading reads the recurrence and ignores both
+        doc = (
+            '{"degree_bound": 2, "tensor_power": 3, "gram_condition": 14.129224708315988, '
+            '"coeffs": [[0.7071067811865475, 0.0], [0.0, 0.0], [0.0, 0.0], '
+            '[1.274756208291111e-17, 0.0], [1.224744871391589, 0.0], [0.0, 0.0], '
+            '[-0.7905694150420949, 0.0], [8.228515941976646e-18, 0.0], [2.3717082451262845, 0.0]], '
+            '"hessenberg": [[-1.0408340855860843e-17, 0.0], [0.5773502691896257, 0.0], [0.0, 0.0], '
+            '[0.5773502691896257, 0.0], [6.938893903907228e-18, 0.0], [0.0, 0.0], '
+            '[0.0, 0.0], [0.5163977794943222, 0.0], [0.0, 0.0]], '
+            '"const_norm": 1.4142135623730951}')
+        back = OrthonormalBasis.from_json(doc)
+        bs = orthonormalize(interval_lebesgue(16), WeightedSpace(2, tensor_power=3))
+        pts = np.linspace(-0.9, 0.9, 7).astype(complex)
+        np.testing.assert_array_equal(evaluate_basis(back, pts), evaluate_basis(bs, pts))
+        np.testing.assert_allclose(back.coeffs, np.array(
+            [complex(re, im) for re, im in json.loads(doc)["coeffs"]]).reshape(3, 3),
+            atol=1e-15)
+        assert back.gram_condition == pytest.approx(14.129224708315988, rel=1e-12)
 
 
 class TestWeightedSpaceValidation:

@@ -155,15 +155,17 @@ class TestRunOffdiag:
 
 
 class TestRunHeatmap:
-    def test_side_files_written(self, tmp_path):
-        out = tmp_path / "hm.csv"
+    # side files take the report's extension, or .csv when it has none
+    @pytest.mark.parametrize("out", ["hm.csv", "hm", "./hm"])
+    def test_side_files_written(self, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
         cfg = ExperimentConfig(experiment="heatmap", k_values=[4],
                                measure_spec=MeasureSpec(kind="circle", min_nodes=16),
-                               output_path=str(out))
+                               output_path=out)
         rows = run(cfg)
         assert abs(rows[0]["quantity"] - 1.0) <= 1e-10
-        assert (tmp_path / "hm_heatmap_k4.csv").exists()
-        assert (tmp_path / "hm_density_k4.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["hm_density_k4.csv", "hm_heatmap_k4.csv", out.removeprefix("./")])
 
 
 class TestRunBm:
@@ -261,17 +263,37 @@ class TestCli:
         assert "at least 3 k values" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_offdiag_empty_region_is_numerical_failure(self, tmp_path, capsys):
-        # no node falls in the tiny arc, so the mass is 0 and has no log rate;
+    @pytest.mark.parametrize("argv,bad_k", [
+        # no node falls in the tiny arc, so the mass is 0 and has no log rate
+        (["offdiag", "--k", "8,16,32", "--region-a", "arc:0.001,0.002"], 8),
+        # k=4 writes its side files before k=64 runs out of nodes
+        (["heatmap", "--k", "4,64", "--nodes-per-k", "0", "--min-nodes", "16"], 64),
+    ], ids=["offdiag-empty-region", "heatmap-late-k"])
+    def test_failed_run_leaves_no_new_file(self, tmp_path, capsys, argv, bad_k):
         # the failed run must leave the previous report as it was
-        out = tmp_path / "off0.csv"
+        out = tmp_path / "prev.csv"
         out.write_text("previous\n")
-        code = main(["offdiag", "--k", "8,16,32", "--region-a", "arc:0.001,0.002",
-                     "--out", str(out)])
-        assert code == 3
-        assert "k=8" in capsys.readouterr().err
+        assert main([*argv, "--out", str(out)]) == 3
+        assert f"k={bad_k}" in capsys.readouterr().err
         assert out.read_text() == "previous\n"
         assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("experiment", ["szego", "heatmap"])
+    def test_unwritable_output_is_exit_2(self, tmp_path, capsys, experiment):
+        out = tmp_path / "missing" / "x.csv"
+        code = main([experiment, "--k", "4", "--min-nodes", "16", "--out", str(out)])
+        assert code == 2
+        assert "output error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_for_other_experiment_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "bm.csv"
+        cfg_path = tmp_path / "bm.json"
+        cfg_path.write_text(json.dumps({"experiment": "bm", "k_values": [8],
+                                        "output_path": str(out)}))
+        assert main(["szego", "--config", str(cfg_path)]) == 2
+        assert "'bm'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_symbol_is_config_error(self, tmp_path, capsys):
         code = main(["szego", "--k", "8", "--symbol-f", "nope",

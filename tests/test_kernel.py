@@ -248,5 +248,7 @@ class TestExports:
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["re", "im", "weight", "density"]
-        dens = [float(r[3]) for r in rows[1:]]
-        assert sum(dens) == pytest.approx(1.0)
+        values = [[float(v) for v in r] for r in rows[1:]]
+        np.testing.assert_array_equal(values, np.column_stack(
+            [mu.nodes.real, mu.nodes.imag, mu.weights, diagonal_density(table, mu)]))
+        assert sum(r[3] for r in values) == pytest.approx(1.0)
