@@ -15,12 +15,18 @@ def eval_recurrence(z, scale, const_norm, hess):
     Runs the Hessenberg recurrence q_{j+1} = (z*q_j - sum_i H[i,j]*q_i) /
     H[j+1,j] starting from the constant 1/const_norm, then scales row a by
     scale[a] (the metric weight factor).  Returns a (len(z), n) complex array.
+
+    Each sum starts at the first nonzero H[i,j]: a tridiagonal H costs O(n)
+    per point, a full one O(n^2).
     """
     n = hess.shape[0]
-    out = np.empty((z.shape[0], n), dtype=np.complex128)
+    out = np.empty((z.shape[0], n), dtype=np.complex128, order="F")
     out[:, 0] = 1.0 / const_norm
+    upper = np.triu(hess != 0)
+    first = np.where(upper.any(axis=0), upper.argmax(axis=0), np.arange(1, n + 1))
     for j in range(n - 1):
-        v = z * out[:, j] - out[:, : j + 1] @ hess[: j + 1, j]
+        lo = first[j]
+        v = z * out[:, j] - out[:, lo : j + 1] @ hess[lo : j + 1, j]
         out[:, j + 1] = v / hess[j + 1, j]
     out *= scale[:, None]
     return out

@@ -3,8 +3,19 @@
 The basis is produced by an orthogonal factorization of the row-weighted
 Vandermonde matrix, organized as an Arnoldi (column-by-column) process so
 that node evaluations stay accurate at degrees far beyond what the monomial
-coefficient representation can support.  A Cholesky factorization of the
-monomial Gram matrix is available as an alternative route for cross checks.
+coefficient representation can support.  The Arnoldi method takes one of
+three routes, chosen from the nodes:
+
+- real nodes: Lanczos/Stieltjes, the three-term recurrence, O(m n);
+- nodes tagged "circle": the Szego recurrence (Gragg's isometric
+  Arnoldi), O(m n);
+- any other nodes: full Arnoldi, O(m n^2).
+
+A structured result is certified: it is kept only if its node values are
+orthonormal to max |Q*Q - I| <= 1e-13, and full Arnoldi decides
+otherwise, or when the structured recurrence breaks down.  A Cholesky
+factorization of the monomial Gram matrix is available as an alternative
+route for cross checks.
 
 Both routes populate the same data: the Hessenberg recurrence coefficients
 used for stable evaluation and the cached orthonormal evaluations on the
@@ -159,7 +170,19 @@ def gram_matrix(mu, space):
     return 0.5 * (g + g.conj().T)
 
 
-def _arnoldi(z, row_scale, n):
+def _start(row_scale, n):
+    """Column-major Q with its first column, the normalized constant, the
+    zero Hessenberg matrix, and the constant's norm h0."""
+    q = np.empty((row_scale.shape[0], n), dtype=np.complex128, order="F")
+    v = row_scale.astype(np.complex128)
+    h0 = np.linalg.norm(v)
+    if h0 == 0.0:
+        raise RankDeficientError("measure has no mass under the metric weight")
+    q[:, 0] = v / h0
+    return q, np.zeros((n, n), dtype=np.complex128), h0
+
+
+def _arnoldi(z, row_scale, n, window=None):
     """Modified Gram-Schmidt Arnoldi on {1, z, z^2, ...} in the weighted
     discrete inner product.  row_scale = sqrt(w) * exp(-k phi).
 
@@ -167,23 +190,22 @@ def _arnoldi(z, row_scale, n):
     row_scale), H holds the recurrence coefficients, h0 the norm of the
     constant.  Breakdown of the subdiagonal below the relative threshold
     signals a measure that cannot support the requested degree.
+
+    window=None projects each new column on all earlier ones (O(m n^2)).
+    window=w projects on the last w only: on real nodes H is tridiagonal,
+    so window=2 is the Lanczos/Stieltjes procedure, O(m n).
     """
-    m = z.shape[0]
-    q = np.empty((m, n), dtype=np.complex128)
-    hess = np.zeros((n, n), dtype=np.complex128)
-    v = row_scale.astype(np.complex128)
-    h0 = np.linalg.norm(v)
-    if h0 == 0.0:
-        raise RankDeficientError("measure has no mass under the metric weight")
-    q[:, 0] = v / h0
+    q, hess, h0 = _start(row_scale, n)
     pivot_max = h0
     for j in range(n - 1):
+        lo = 0 if window is None else max(j + 1 - window, 0)
         v = z * q[:, j]
-        # two Gram-Schmidt passes keep the columns orthonormal to ~eps
+        # two Gram-Schmidt passes keep the columns orthonormal to ~eps;
+        # Q*v is taken as conj(v* Q), which conjugates v instead of Q
         for _ in range(2):
-            proj = q[:, : j + 1].conj().T @ v
-            v -= q[:, : j + 1] @ proj
-            hess[: j + 1, j] += proj
+            proj = (v.conj() @ q[:, lo : j + 1]).conj()
+            v -= q[:, lo : j + 1] @ proj
+            hess[lo : j + 1, j] += proj
         hn = np.linalg.norm(v)
         if hn < _RANK_TOL * pivot_max:
             raise RankDeficientError(
@@ -193,6 +215,88 @@ def _arnoldi(z, row_scale, n):
         hess[j + 1, j] = hn
         q[:, j + 1] = v / hn
     return q, hess, float(h0)
+
+
+def _szego(z, row_scale, n):
+    """Gragg's isometric Arnoldi: the Szego recurrence on unit-circle nodes.
+
+    Multiplication by z is an isometry there, so z*phi_j is already
+    orthogonal to z*P_{j-1}, and one projection, on the reversed
+    polynomial phi_j^*, finishes the step:
+        c = <phi_j^*, z phi_j> = conj(alpha_j),   v = z phi_j - c phi_j^*.
+    With s_j the coordinates of phi_j^* in phi_0..phi_j, the Hessenberg
+    column is H[:j+1, j] = c * s_j.  Same returns and breakdown test as
+    _arnoldi; O(m n) for Q and O(n^2) for H.
+    """
+    q, hess, h0 = _start(row_scale, n)
+    rev = q[:, 0].copy()            # phi_0^* = phi_0, a positive constant
+    s = np.zeros(n, dtype=np.complex128)
+    s[0] = 1.0
+    pivot_max = h0
+    for j in range(n - 1):
+        zq = z * q[:, j]
+        c = np.vdot(rev, zq)
+        v = zq - c * rev
+        hn = np.linalg.norm(v)
+        if hn < _RANK_TOL * pivot_max:
+            raise RankDeficientError(
+                f"Gram matrix numerically rank-deficient at degree {j + 1}"
+            )
+        pivot_max = max(pivot_max, hn)
+        hess[: j + 1, j] = c * s[: j + 1]
+        hess[j + 1, j] = hn
+        q[:, j + 1] = v / hn
+        # phi_{j+1}^* = (phi_j^* - conj(c) z phi_j) / rho_j; with
+        # z phi_j = hn phi_{j+1} + c phi_j^* and rho_j^2 = 1 - |c|^2 = hn^2
+        # this is hn phi_j^* - conj(c) phi_{j+1}
+        s[: j + 1] *= hn
+        s[j + 1] = -np.conj(c)
+        rev = hn * rev - np.conj(c) * q[:, j + 1]
+    return q, hess, float(h0)
+
+
+def _orthonormality_defect(q, real):
+    """max |Q*Q - I| for a column-major Q.
+
+    Q*Q is Hermitian, so only its upper triangle is formed, 128 columns at
+    a time: no conjugate copy of the whole of Q is made.  When real is set
+    the imaginary parts of Q are zero, and Q*Q is the real Gram matrix of
+    the rows of Q^T viewed as floats, at half the flops.
+    """
+    n = q.shape[1]
+    rows = q.T.view(np.float64)     # (n, 2m): re/im of column i interleaved
+    worst = 0.0
+    for lo in range(0, n, 128):
+        hi = min(lo + 128, n)
+        if real:
+            gram = rows[:hi] @ rows[lo:hi].T
+        else:
+            gram = q[:, :hi].T @ q[:, lo:hi].conj()     # conj of (Q*Q)[:hi, lo:hi]
+        gram[lo:hi] -= np.eye(hi - lo)
+        worst = max(worst, float(np.max(np.abs(gram))))
+    return worst
+
+
+def _structured_arnoldi(mu, row_scale, n):
+    """The Arnoldi basis by the recurrence the nodes allow, certified.
+
+    Real nodes run Lanczos (window 2), nodes tagged circle run Szego.  A
+    structured result is kept only if its columns are orthonormal to
+    _RANK_TOL; otherwise, on breakdown, and for any other node set, full
+    Arnoldi decides.
+    """
+    z = mu.nodes
+    real = not np.any(z.imag)
+    if real or mu.support_tag == "circle":
+        try:
+            q, hess, h0 = (_arnoldi(z, row_scale, n, window=2) if real
+                           else _szego(z, row_scale, n))
+        except RankDeficientError:
+            pass
+        else:
+            if _orthonormality_defect(q, real) <= _RANK_TOL:
+                return q, hess, h0
+    return _arnoldi(z, row_scale, n)
 
 
 def _coeffs_from_recurrence(hess, h0, n):
@@ -239,7 +343,8 @@ def _cholesky_route(mu, space, scale):
 def orthonormalize(mu, space, method="arnoldi"):
     """Orthonormal basis of `space` w.r.t. the weighted measure.
 
-    method: "arnoldi" uses the orthogonal factorization; "cholesky" the
+    method: "arnoldi" uses the orthogonal factorization, by the cheapest
+    certified route the nodes allow (see the module docstring); "cholesky" the
     normal-equations route, which is accurate only while the monomial Gram
     matrix is well conditioned.  Raises RankDeficientError when the measure
     cannot support the space (the finite-node analogue of a pluripolar
@@ -249,7 +354,7 @@ def orthonormalize(mu, space, method="arnoldi"):
     scale = space.weight_scale(mu.nodes)
     if method == "arnoldi":
         row_scale = np.sqrt(mu.weights) * scale
-        q, hess, h0 = _arnoldi(mu.nodes, row_scale, n)
+        q, hess, h0 = _structured_arnoldi(mu, row_scale, n)
     elif method == "cholesky":
         q, hess, h0 = _cholesky_route(mu, space, scale)
     else:

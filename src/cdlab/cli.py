@@ -20,7 +20,7 @@ def _build_parser():
         sp = sub.add_parser(name, help=f"run the {name} sweep")
         sp.add_argument("--config", help="JSON config file (overrides the flags)")
         sp.add_argument("--k", default="16,32,64",
-                        help="comma-separated ascending k values")
+                        help="comma-separated strictly ascending k values")
         sp.add_argument("--measure", default="circle",
                         choices=["circle", "interval", "arcsine"])
         sp.add_argument("--nodes-per-k", type=int, default=4,

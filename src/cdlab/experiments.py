@@ -74,8 +74,8 @@ class ExperimentConfig:
             raise ValueError("k_values must be nonempty")
         if any(k < 1 for k in ks):
             raise ValueError("k_values must be positive")
-        if sorted(ks) != ks:
-            raise ValueError("k_values must be ascending")
+        if any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ValueError("k_values must be strictly ascending")
         if self.experiment == "offdiag" and len(ks) < 3:
             raise ValueError("offdiag needs at least 3 k values to fit a rate")
         self.k_values = ks

@@ -78,11 +78,14 @@ def toeplitz(basis, mu, f, symbol_desc=None):
     """
     fvals = _symbol_values(mu, f)
     if basis.defined_on(mu.nodes):
-        phi_w = basis.node_values  # sqrt(w) already folded in
-        raw = phi_w.conj().T @ (fvals[:, None] * phi_w)
+        phi, row_factor = basis.node_values, fvals  # sqrt(w) already folded in
     else:
-        phi = evaluate_basis(basis, mu.nodes)
-        raw = phi.conj().T @ ((fvals * mu.weights)[:, None] * phi)
+        phi, row_factor = evaluate_basis(basis, mu.nodes), fvals * mu.weights
+    # Phi* (F Phi) = conj(Phi^T conj(F Phi)): conjugating the scaled copy in
+    # place spares an m x n conjugate copy of Phi
+    scaled = row_factor[:, None] * phi
+    np.conjugate(scaled, out=scaled)
+    raw = np.conjugate(phi.T @ scaled)
     entries, asym = _symmetrize(raw)
     return ToeplitzMatrix(entries=entries, symbol_desc=_symbol_name(f, symbol_desc),
                           k=basis.space.tensor_power, basis_id=basis.basis_id,

@@ -5,6 +5,7 @@ import pytest
 
 from cdlab import (
     OrthonormalBasis,
+    QuadratureMeasure,
     RankDeficientError,
     WeightedSpace,
     arcsine,
@@ -16,7 +17,10 @@ from cdlab import (
     interval_lebesgue,
     kernel_table,
     orthonormalize,
+    scale_by,
 )
+from cdlab._backend import eval_recurrence
+from cdlab.basis import _arnoldi, _szego
 
 SQRT_HALF = 0.7071067811865476      # 1/sqrt(2), hand Gram-Schmidt on {1, x}
 SQRT_3_OVER_2 = 1.224744871391589   # sqrt(3/2)
@@ -26,6 +30,10 @@ def ortho_residual(basis, mu):
     phi = evaluate_basis(basis, mu.nodes)
     gram = (phi.conj().T * mu.weights) @ phi
     return np.max(np.abs(gram - np.eye(basis.dimension)))
+
+
+def node_defect(q):
+    return np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])))
 
 
 class TestGramMatrix:
@@ -172,6 +180,101 @@ class TestHighDegreeStability:
         sub = np.real(np.diag(bs.hessenberg, -1))
         i = np.arange(1, 64)
         np.testing.assert_allclose(sub, i / np.sqrt(4.0 * i * i - 1), atol=1e-13)
+
+
+# (measure for m nodes, metric weight); each runs a structured route
+STRUCTURED_CASES = {
+    "interval": (interval_lebesgue, None),
+    "arcsine": (arcsine, None),
+    "tilted-interval": (lambda m: scale_by(interval_lebesgue(m), lambda z: 2.0 * z.real), None),
+    "circle": (circle_lebesgue, None),
+    "tilted-circle": (lambda m: scale_by(circle_lebesgue(m), lambda z: np.cos(np.angle(z) - 0.4)),
+                      None),
+    "circle-metric-weight": (circle_lebesgue, lambda z: 0.25 * z.imag + 0.1 * z.real ** 2),
+}
+
+
+def structured_setup(case, d):
+    make_mu, weight = STRUCTURED_CASES[case]
+    mu = make_mu(4 * (d + 1))
+    space = WeightedSpace(d, metric_weight=weight)
+    return mu, space, np.sqrt(mu.weights) * space.weight_scale(mu.nodes)
+
+
+class TestStructuredRoutes:
+    @pytest.mark.parametrize("d", [15, 63, 255])
+    @pytest.mark.parametrize("case", sorted(STRUCTURED_CASES))
+    def test_matches_full_arnoldi(self, case, d):
+        mu, space, row_scale = structured_setup(case, d)
+        n = space.dimension
+        bs = orthonormalize(mu, space)
+        q, hess, h0 = _arnoldi(mu.nodes, row_scale, n, window=None)
+        np.testing.assert_allclose(bs.node_values, q, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bs.hessenberg, hess, rtol=0, atol=1e-12)
+        assert bs.const_norm == pytest.approx(h0, rel=1e-14)
+        # the structured route's result was kept, not the full fallback
+        if mu.support_tag == "circle":
+            _, route_hess, _ = _szego(mu.nodes, row_scale, n)
+        else:
+            _, route_hess, _ = _arnoldi(mu.nodes, row_scale, n, window=2)
+        np.testing.assert_array_equal(bs.hessenberg, route_hess)
+
+    @pytest.mark.parametrize("make_mu", [interval_lebesgue, arcsine])
+    def test_gauss_rule_bases_are_exactly_tridiagonal(self, make_mu):
+        bs = orthonormalize(make_mu(256), WeightedSpace(63, tensor_power=64))
+        assert np.all(np.triu(bs.hessenberg, 2) == 0)
+
+    def test_lanczos_loss_of_orthogonality_falls_back(self):
+        rng = np.random.default_rng(0)
+        mu = from_points(rng.uniform(-1.0, 1.0, 128), rng.uniform(0.5, 1.5, 128))
+        q, _, _ = _arnoldi(mu.nodes, np.sqrt(mu.weights), 115, window=2)
+        assert node_defect(q) > 1e-3
+        assert node_defect(orthonormalize(mu, WeightedSpace(114)).node_values) <= 1e-14
+
+    def test_szego_off_the_circle_falls_back(self):
+        # nodes 1e-13 off the circle pass the circle tag's check, but z is
+        # no longer an isometry and the Szego columns drift apart
+        ref = circle_lebesgue(64)
+        radial = 1.0 + 1e-13 * np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
+        mu = QuadratureMeasure(ref.nodes * radial, ref.weights, exactness=0,
+                               support_tag="circle")
+        q, _, _ = _szego(mu.nodes, np.sqrt(mu.weights), 41)
+        assert node_defect(q) > 1e-13
+        assert node_defect(orthonormalize(mu, WeightedSpace(40)).node_values) <= 1e-14
+
+    def test_circle_breakdown_is_rank_deficient(self):
+        # 8 roots of unity support degree 7 at most: z^8 == 1 on the nodes
+        mu = circle_lebesgue(8)
+        with pytest.raises(RankDeficientError):
+            _szego(mu.nodes, np.sqrt(mu.weights), 9)
+        with pytest.raises(RankDeficientError):
+            orthonormalize(mu, WeightedSpace(8))
+
+
+def eval_recurrence_reference(z, scale, const_norm, hess):
+    """The recurrence with every sum over the whole column of H."""
+    n = hess.shape[0]
+    out = np.empty((z.shape[0], n), dtype=np.complex128, order="F")
+    out[:, 0] = 1.0 / const_norm
+    for j in range(n - 1):
+        v = z * out[:, j] - out[:, : j + 1] @ hess[: j + 1, j]
+        out[:, j + 1] = v / hess[j + 1, j]
+    return out * scale[:, None]
+
+
+class TestBandedEvaluation:
+    @pytest.mark.parametrize("case", ["interval", "tilted-circle"])
+    def test_equals_full_evaluation(self, case):
+        mu, space, _ = structured_setup(case, 63)
+        bs = orthonormalize(mu, space)
+        if case == "interval":
+            pts = np.linspace(-1.0, 1.0, 301).astype(complex)
+        else:
+            pts = 1.05 * np.exp(2j * np.pi * np.arange(301) / 301)
+        scale = space.weight_scale(pts)
+        np.testing.assert_array_equal(
+            eval_recurrence(pts, scale, bs.const_norm, bs.hessenberg),
+            eval_recurrence_reference(pts, scale, bs.const_norm, bs.hessenberg))
 
 
 class TestJson:

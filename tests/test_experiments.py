@@ -263,6 +263,13 @@ class TestCli:
         assert "at least 3 k values" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_k_is_config_error(self, tmp_path, capsys):
+        # three copies of one k pass the three-k rule but fit a slope from one k
+        out = tmp_path / "off888.csv"
+        assert main(["offdiag", "--k", "8,8,8", "--out", str(out)]) == 2
+        assert "strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,bad_k", [
         # no node falls in the tiny arc, so the mass is 0 and has no log rate
         (["offdiag", "--k", "8,16,32", "--region-a", "arc:0.001,0.002"], 8),

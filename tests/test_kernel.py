@@ -11,6 +11,7 @@ from cdlab import (
     circle_lebesgue,
     default_eval_grid,
     diagonal_density,
+    evaluate_basis,
     from_points,
     interval_indices,
     interval_lebesgue,
@@ -201,6 +202,22 @@ class TestBmConstant:
             bs = orthonormalize(mu, WeightedSpace(k - 1, tensor_power=k))
             vals.append(np.log(bm_constant(bs, default_eval_grid(mu))) / k)
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("make_mu", [
+        lambda: circle_lebesgue(320),
+        lambda: scale_by(interval_lebesgue(320), lambda z: 2.0 * z.real),
+    ], ids=["circle", "tilted-interval"])
+    def test_blocks_give_the_whole_grid_maximum(self, make_mu):
+        # 2560 grid points: two full blocks of 1024 and a partial one, with
+        # the peak moved to the last point of the first block
+        mu = make_mu()
+        bs = orthonormalize(mu, WeightedSpace(39, tensor_power=40))
+        grid = default_eval_grid(mu)
+        phi = evaluate_basis(bs, grid)
+        diag = np.einsum("ai,ai->a", phi, phi.conj()).real
+        peak = int(np.argmax(diag))
+        grid[[peak, 1023]] = grid[[1023, peak]]
+        assert bm_constant(bs, grid) == diag[peak]
 
     def test_interval_peak_sits_at_endpoints(self):
         # sup of the diagonal kernel for Lebesgue dx is sum (2i+1)/2 = k^2/2
