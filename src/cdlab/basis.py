@@ -8,7 +8,8 @@ three routes, chosen from the nodes:
 
 - real nodes: Lanczos/Stieltjes, the three-term recurrence, O(m n);
 - nodes tagged "circle": the Szego recurrence (Gragg's isometric
-  Arnoldi), O(m n);
+  Arnoldi), O(m n), whose coefficients c_j are kept so that evaluation
+  off the nodes is O(n) per point;
 - any other nodes: full Arnoldi, O(m n^2).
 
 A structured result is certified: it is kept only if its node values are
@@ -84,9 +85,12 @@ class OrthonormalBasis:
     node_values: np.ndarray = field(repr=False, default=None)  # (m, n), orthonormal cols
     nodes: np.ndarray = field(repr=False, default=None)
     node_weights: np.ndarray = field(repr=False, default=None)
+    # c_j of the Szego route, or None: evaluate_basis then runs the Szego
+    # step instead of the full-column Hessenberg one
+    szego_c: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        for name in ("hessenberg", "node_values", "nodes", "node_weights"):
+        for name in ("hessenberg", "node_values", "nodes", "node_weights", "szego_c"):
             arr = getattr(self, name)
             if arr is not None:
                 arr.setflags(write=False)
@@ -225,11 +229,13 @@ def _szego(z, row_scale, n):
     polynomial phi_j^*, finishes the step:
         c = <phi_j^*, z phi_j> = conj(alpha_j),   v = z phi_j - c phi_j^*.
     With s_j the coordinates of phi_j^* in phi_0..phi_j, the Hessenberg
-    column is H[:j+1, j] = c * s_j.  Same returns and breakdown test as
-    _arnoldi; O(m n) for Q and O(n^2) for H.
+    column is H[:j+1, j] = c * s_j.  Returns (Q, H, h0, c) with the c_j,
+    and has the same breakdown test as _arnoldi; O(m n) for Q and O(n^2)
+    for H.
     """
     q, hess, h0 = _start(row_scale, n)
     rev = q[:, 0].copy()            # phi_0^* = phi_0, a positive constant
+    coef = np.zeros(n - 1, dtype=np.complex128)
     s = np.zeros(n, dtype=np.complex128)
     s[0] = 1.0
     pivot_max = h0
@@ -243,6 +249,7 @@ def _szego(z, row_scale, n):
                 f"Gram matrix numerically rank-deficient at degree {j + 1}"
             )
         pivot_max = max(pivot_max, hn)
+        coef[j] = c
         hess[: j + 1, j] = c * s[: j + 1]
         hess[j + 1, j] = hn
         q[:, j + 1] = v / hn
@@ -252,7 +259,7 @@ def _szego(z, row_scale, n):
         s[: j + 1] *= hn
         s[j + 1] = -np.conj(c)
         rev = hn * rev - np.conj(c) * q[:, j + 1]
-    return q, hess, float(h0)
+    return q, hess, float(h0), coef
 
 
 def _orthonormality_defect(q, real):
@@ -283,20 +290,21 @@ def _structured_arnoldi(mu, row_scale, n):
     Real nodes run Lanczos (window 2), nodes tagged circle run Szego.  A
     structured result is kept only if its columns are orthonormal to
     _RANK_TOL; otherwise, on breakdown, and for any other node set, full
-    Arnoldi decides.
+    Arnoldi decides.  Returns (Q, H, h0, c): c holds the Szego c_j when
+    that route was kept, and is None otherwise.
     """
     z = mu.nodes
     real = not np.any(z.imag)
     if real or mu.support_tag == "circle":
         try:
-            q, hess, h0 = (_arnoldi(z, row_scale, n, window=2) if real
-                           else _szego(z, row_scale, n))
+            q, hess, h0, coef = ((*_arnoldi(z, row_scale, n, window=2), None) if real
+                                 else _szego(z, row_scale, n))
         except RankDeficientError:
             pass
         else:
             if _orthonormality_defect(q, real) <= _RANK_TOL:
-                return q, hess, h0
-    return _arnoldi(z, row_scale, n)
+                return q, hess, h0, coef
+    return (*_arnoldi(z, row_scale, n), None)
 
 
 def _coeffs_from_recurrence(hess, h0, n):
@@ -352,9 +360,10 @@ def orthonormalize(mu, space, method="arnoldi"):
     """
     n = space.dimension
     scale = space.weight_scale(mu.nodes)
+    coef = None
     if method == "arnoldi":
         row_scale = np.sqrt(mu.weights) * scale
-        q, hess, h0 = _structured_arnoldi(mu, row_scale, n)
+        q, hess, h0, coef = _structured_arnoldi(mu, row_scale, n)
     elif method == "cholesky":
         q, hess, h0 = _cholesky_route(mu, space, scale)
     else:
@@ -366,6 +375,7 @@ def orthonormalize(mu, space, method="arnoldi"):
         node_values=q,
         nodes=np.asarray(mu.nodes),
         node_weights=np.asarray(mu.weights),
+        szego_c=coef,
     )
 
 
@@ -374,12 +384,16 @@ def evaluate_basis(basis, points):
     Phi[a, i] = p_i(x_a) * exp(-k * phi(x_a)).
 
     Evaluation runs the stored recurrence, which stays accurate at degrees
-    where the monomial coefficients of the basis are no longer usable.
+    where the monomial coefficients of the basis are no longer usable: the
+    Szego step on a basis the Szego route built, the banded Hessenberg one
+    otherwise.  That is O(n) per point unless H is full (full Arnoldi, or a
+    circle basis from the Cholesky route or from JSON): then O(n^2).
     """
     pts = np.ascontiguousarray(np.atleast_1d(np.asarray(points, dtype=complex)))
     scale = basis.space.weight_scale(pts)
     return _backend.eval_recurrence(
-        pts, np.ascontiguousarray(scale), basis.const_norm, basis.hessenberg
+        pts, np.ascontiguousarray(scale), basis.const_norm, basis.hessenberg,
+        basis.szego_c,
     )
 
 

@@ -7,7 +7,8 @@ written, 3 numerical failure (the offending k is reported on stderr).
 import argparse
 import sys
 
-from .experiments import EXPERIMENTS, ExperimentConfig, MeasureSpec, NumericalFailure, run
+from .experiments import (EXPERIMENTS, MEASURE_KINDS, ExperimentConfig, MeasureSpec,
+                          NumericalFailure, run)
 
 
 def _build_parser():
@@ -22,7 +23,7 @@ def _build_parser():
         sp.add_argument("--k", default="16,32,64",
                         help="comma-separated strictly ascending k values")
         sp.add_argument("--measure", default="circle",
-                        choices=["circle", "interval", "arcsine"])
+                        choices=MEASURE_KINDS)
         sp.add_argument("--nodes-per-k", type=int, default=4,
                         help="node count rule: max(nodes_per_k*k, min_nodes)")
         sp.add_argument("--min-nodes", type=int, default=256)

@@ -9,6 +9,7 @@ a failed run leaves no new file and any previous one as it was.
 
 import contextlib
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ from ._csvio import write_csv
 from .basis import WeightedSpace, orthonormalize
 
 EXPERIMENTS = ("szego", "algebra", "offdiag", "heatmap", "bm", "symbol_distance")
+MEASURE_KINDS = ("circle", "interval", "arcsine")
 
 _DEFAULT_REGIONS = {
     "circle": {"a": "arc:0,1.5707963267948966", "b": "arc:3.141592653589793,4.71238898038469"},
@@ -41,6 +43,14 @@ class MeasureSpec:
     kind: str = "circle"          # circle | interval | arcsine
     nodes_per_k: int = 4          # node count rule: max(nodes_per_k * k, min_nodes)
     min_nodes: int = 256
+
+    def __post_init__(self):
+        if self.kind not in MEASURE_KINDS:
+            raise ValueError(f"unknown measure kind {self.kind!r}")
+        for name, low in (("nodes_per_k", 0), ("min_nodes", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
     def node_count(self, k):
         return max(self.nodes_per_k * k, self.min_nodes)

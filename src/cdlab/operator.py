@@ -81,11 +81,16 @@ def toeplitz(basis, mu, f, symbol_desc=None):
         phi, row_factor = basis.node_values, fvals  # sqrt(w) already folded in
     else:
         phi, row_factor = evaluate_basis(basis, mu.nodes), fvals * mu.weights
-    # Phi* (F Phi) = conj(Phi^T conj(F Phi)): conjugating the scaled copy in
-    # place spares an m x n conjugate copy of Phi
-    scaled = row_factor[:, None] * phi
-    np.conjugate(scaled, out=scaled)
-    raw = np.conjugate(phi.T @ scaled)
+    if not np.any(phi.imag):
+        # real node values (real nodes, real weights): a real product
+        real = phi.real
+        raw = (real.T @ (row_factor[:, None] * real)).astype(np.complex128)
+    else:
+        # Phi* (F Phi) = conj(Phi^T conj(F Phi)): conjugating the scaled copy
+        # in place spares an m x n conjugate copy of Phi
+        scaled = row_factor[:, None] * phi
+        np.conjugate(scaled, out=scaled)
+        raw = np.conjugate(phi.T @ scaled)
     entries, asym = _symmetrize(raw)
     return ToeplitzMatrix(entries=entries, symbol_desc=_symbol_name(f, symbol_desc),
                           k=basis.space.tensor_power, basis_id=basis.basis_id,

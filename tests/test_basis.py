@@ -214,7 +214,7 @@ class TestStructuredRoutes:
         assert bs.const_norm == pytest.approx(h0, rel=1e-14)
         # the structured route's result was kept, not the full fallback
         if mu.support_tag == "circle":
-            _, route_hess, _ = _szego(mu.nodes, row_scale, n)
+            _, route_hess, _, _ = _szego(mu.nodes, row_scale, n)
         else:
             _, route_hess, _ = _arnoldi(mu.nodes, row_scale, n, window=2)
         np.testing.assert_array_equal(bs.hessenberg, route_hess)
@@ -238,7 +238,7 @@ class TestStructuredRoutes:
         radial = 1.0 + 1e-13 * np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
         mu = QuadratureMeasure(ref.nodes * radial, ref.weights, exactness=0,
                                support_tag="circle")
-        q, _, _ = _szego(mu.nodes, np.sqrt(mu.weights), 41)
+        q, _, _, _ = _szego(mu.nodes, np.sqrt(mu.weights), 41)
         assert node_defect(q) > 1e-13
         assert node_defect(orthonormalize(mu, WeightedSpace(40)).node_values) <= 1e-14
 
@@ -275,6 +275,64 @@ class TestBandedEvaluation:
         np.testing.assert_array_equal(
             eval_recurrence(pts, scale, bs.const_norm, bs.hessenberg),
             eval_recurrence_reference(pts, scale, bs.const_norm, bs.hessenberg))
+
+
+CIRCLE_CASES = ["circle", "circle-metric-weight", "tilted-circle"]
+
+
+def off_node_circle(radius, count=307):
+    return radius * np.exp(2j * np.pi * (np.arange(count) + 0.3) / count)
+
+
+def max_relative_gap(got, ref):
+    return float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))))
+
+
+class TestSzegoEvaluation:
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 1.1])
+    @pytest.mark.parametrize("d", [15, 63, 255])
+    @pytest.mark.parametrize("case", CIRCLE_CASES)
+    def test_equals_hessenberg_evaluation(self, case, d, radius):
+        mu, space, _ = structured_setup(case, d)
+        bs = orthonormalize(mu, space)
+        assert bs.szego_c.shape == (d,)
+        pts = off_node_circle(radius)
+        ref = eval_recurrence_reference(pts, space.weight_scale(pts), bs.const_norm,
+                                        bs.hessenberg)
+        assert max_relative_gap(evaluate_basis(bs, pts), ref) <= 1e-12
+
+    @pytest.mark.parametrize("case", CIRCLE_CASES)
+    def test_reproduces_node_values(self, case):
+        mu, space, _ = structured_setup(case, 63)
+        bs = orthonormalize(mu, space)
+        assert bs.szego_c is not None
+        np.testing.assert_allclose(evaluate_basis(bs, mu.nodes),
+                                   bs.node_values / np.sqrt(mu.weights)[:, None],
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["circle", "tilted-circle"])
+    def test_json_round_trip_evaluates_the_same(self, case):
+        # the JSON document holds H only, so the loaded basis runs the
+        # Hessenberg recurrence
+        mu, space, _ = structured_setup(case, 63)
+        bs = orthonormalize(mu, space)
+        back = OrthonormalBasis.from_json(bs.to_json())
+        assert back.szego_c is None
+        assert back.basis_id == bs.basis_id
+        pts = off_node_circle(1.1)
+        assert max_relative_gap(evaluate_basis(bs, pts), evaluate_basis(back, pts)) <= 1e-12
+
+    def test_other_routes_keep_no_szego_coefficients(self):
+        assert orthonormalize(interval_lebesgue(64), WeightedSpace(15)).szego_c is None
+        assert orthonormalize(circle_lebesgue(64), WeightedSpace(15),
+                              method="cholesky").szego_c is None
+        # nodes 1e-13 off the circle: the certificate rejects Szego, full
+        # Arnoldi builds the basis
+        ref = circle_lebesgue(64)
+        radial = 1.0 + 1e-13 * np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
+        mu = QuadratureMeasure(ref.nodes * radial, ref.weights, exactness=0,
+                               support_tag="circle")
+        assert orthonormalize(mu, WeightedSpace(40)).szego_c is None
 
 
 class TestJson:

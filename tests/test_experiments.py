@@ -98,6 +98,14 @@ class TestConfig:
         assert spec.node_count(16) == 256
         assert spec.node_count(128) == 512
 
+    @pytest.mark.parametrize("fields", [
+        {"kind": "circel"}, {"nodes_per_k": -1}, {"min_nodes": 0},
+        {"nodes_per_k": 2.5}, {"min_nodes": "16"},
+    ], ids=["kind", "nodes_per_k", "min_nodes", "fractional-nodes_per_k", "string-min_nodes"])
+    def test_bad_measure_spec_rejected(self, fields):
+        with pytest.raises(ValueError):
+            MeasureSpec(**fields)
+
 
 class TestRegions:
     def test_arc_selector(self):
@@ -246,6 +254,24 @@ class TestCli:
                      "--min-nodes", "16", "--out", str(out)])
         assert code == 3
         assert "k=64" in capsys.readouterr().err
+
+    def test_measure_typo_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "typo.csv"
+        cfg_path = tmp_path / "typo.json"
+        cfg_path.write_text(json.dumps({"experiment": "szego", "k_values": [8],
+                                        "measure_spec": {"kind": "circel"},
+                                        "output_path": str(out)}))
+        assert main(["szego", "--config", str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_node_count_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "zero.csv"
+        code = main(["szego", "--k", "8", "--nodes-per-k", "0", "--min-nodes", "0",
+                     "--out", str(out)])
+        assert code == 2
+        assert "min_nodes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_typo_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "typo.csv"

@@ -22,6 +22,7 @@ from cdlab import (
     write_density_csv,
     write_heatmap_csv,
 )
+from cdlab.kernel import _hermitian_part_inplace
 
 
 def circle_setup(k, m=None):
@@ -90,6 +91,33 @@ class TestTableInvariants:
         bs = orthonormalize(mu, WeightedSpace(3, tensor_power=4))
         with pytest.raises(ValueError, match="cap"):
             kernel_table(bs, mu, max_nodes=32)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestInPlaceSymmetrization:
+    # 1536 is three whole blocks of 512 rows, 1100 ends in a partial one
+    @pytest.mark.parametrize("m", [1536, 1100])
+    def test_table_equals_two_temporary_formula(self, m):
+        mu = scale_by(circle_lebesgue(m), lambda z: np.cos(np.angle(z) - 0.4))
+        bs = orthonormalize(mu, WeightedSpace(95))
+        phi = bs.node_values / np.sqrt(bs.node_weights)[:, None]
+        values = phi @ phi.conj().T
+        assert_same_bits(kernel_table(bs, mu).values, 0.5 * (values + values.conj().T))
+
+    @pytest.mark.parametrize("m", [1536, 1100])
+    def test_non_hermitian_input_equals_formula(self, m):
+        # an imaginary part shared by (a, b) and (b, a) gives the Hermitian
+        # part a zero imaginary part, whose sign the formula fixes
+        rng = np.random.default_rng(m)
+        values = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        values.imag[::3] = values.imag.T[::3]
+        want = 0.5 * (values + values.conj().T)
+        _hermitian_part_inplace(values)
+        assert_same_bits(values, want)
 
 
 class TestBergmanMass:

@@ -16,6 +16,7 @@ from cdlab import (
     legendre_toeplitz,
     operator_norm,
     orthonormalize,
+    scale_by,
     schatten_norm,
     spectral_radius_bounds,
     spectral_statistic,
@@ -101,6 +102,18 @@ class TestToeplitzAssembly:
         dens = diagonal_density(kernel_table(bs, mu), mu)
         rhs = float(sym_x2(mu.nodes) @ dens)
         assert abs(lhs - rhs) <= 1e-12
+
+    @pytest.mark.parametrize("tilt", [None, lambda z: 2.0 * z.real], ids=["plain", "tilted"])
+    def test_real_interval_product_matches_complex_product(self, tilt):
+        mu = interval_lebesgue(256)
+        if tilt is not None:
+            mu = scale_by(mu, tilt)
+        bs = orthonormalize(mu, WeightedSpace(63, tensor_power=64))
+        fvals = sym_x2(mu.nodes)
+        phi = bs.node_values
+        raw = phi.conj().T @ (fvals[:, None] * phi)
+        t = toeplitz(bs, mu, sym_x2)
+        np.testing.assert_allclose(t.entries, 0.5 * (raw + raw.conj().T), rtol=0, atol=1e-14)
 
     def test_nan_symbol_rejected(self):
         mu, bs = circle_basis(4)
