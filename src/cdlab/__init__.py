@@ -6,8 +6,6 @@ from .basis import (
     OrthonormalBasis,
     WeightedSpace,
     evaluate_basis,
-    evaluate_basis_horner,
-    gram_matrix,
     orthonormalize,
 )
 from .equilibrium import EquilibriumMeasure, equilibrium_for, integrate
@@ -65,8 +63,8 @@ __all__ = [
     "arc_indices", "arcsine", "backend_name",
     "bergman_mass", "bm_constant", "circle_lebesgue", "classical_toeplitz",
     "compose", "default_eval_grid", "defect_kernel_bound", "diagonal_density",
-    "equilibrium_for", "evaluate_basis", "evaluate_basis_horner", "fit_rate",
-    "from_points", "functional_calculus", "gram_matrix", "integrate",
+    "equilibrium_for", "evaluate_basis", "fit_rate",
+    "from_points", "functional_calculus", "integrate",
     "interval_indices", "interval_lebesgue", "kernel_table",
     "legendre_toeplitz", "operator_norm", "orthonormalize",
     "pushforward_residual", "run", "scale_by", "schatten_norm",

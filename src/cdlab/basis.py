@@ -2,9 +2,8 @@
 
 The basis is produced by an orthogonal factorization of the row-weighted
 Vandermonde matrix, organized as an Arnoldi (column-by-column) process so
-that node evaluations stay accurate at degrees far beyond what the monomial
-coefficient representation can support.  The Arnoldi method takes one of
-three routes, chosen from the nodes:
+that node evaluations stay accurate at high degree.  The Arnoldi method
+takes one of three routes, chosen from the nodes:
 
 - real nodes: Lanczos/Stieltjes, the three-term recurrence, O(m n);
 - nodes tagged "circle": the Szego recurrence (Gragg's isometric
@@ -14,21 +13,15 @@ three routes, chosen from the nodes:
 
 A structured result is certified: it is kept only if its node values are
 orthonormal to max |Q*Q - I| <= 1e-13, and full Arnoldi decides
-otherwise, or when the structured recurrence breaks down.  A Cholesky
-factorization of the monomial Gram matrix is available as an alternative
-route for cross checks.
+otherwise, or when the structured recurrence breaks down.
 
-Both routes populate the same data: the Hessenberg recurrence coefficients
-used for stable evaluation and the cached orthonormal evaluations on the
-defining nodes.  The lower-triangular monomial coefficient matrix C
-(orthonormal polynomial i is sum_j C[i,j] z^j, with C[i,i] > 0) and its
-condition estimate are diagnostics, derived from the recurrence on first
-access.  A basis is serialized as its recurrence only.
+A basis is its recurrence: the Hessenberg coefficients used for stable
+evaluation, plus the cached orthonormal evaluations on the defining
+nodes.  It is serialized as the recurrence only.
 """
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
 import json
 
 import numpy as np
@@ -99,28 +92,6 @@ class OrthonormalBasis:
     def dimension(self):
         return self.space.dimension
 
-    @cached_property
-    def coeffs(self):
-        """(n, n) lower-triangular monomial coefficients, C[i,i] > 0.
-
-        They overflow at high degree or on small supports, where the
-        recurrence itself stays accurate.
-        """
-        coeffs = _coeffs_from_recurrence(self.hessenberg, self.const_norm, self.dimension)
-        coeffs.setflags(write=False)
-        return coeffs
-
-    @cached_property
-    def gram_condition(self):
-        """Condition number of the monomial Gram matrix, from the SVD of
-        the coefficients; inf once the coefficients are not finite."""
-        coeffs = self.coeffs
-        if not np.all(np.isfinite(coeffs)):
-            return np.inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            sing = np.linalg.svd(coeffs, compute_uv=False)
-            return float((sing[0] / sing[-1]) ** 2) if sing[-1] > 0 else np.inf
-
     @property
     def basis_id(self):
         h = hashlib.sha1()
@@ -137,7 +108,7 @@ class OrthonormalBasis:
         return self.nodes.shape == pts.shape and np.array_equal(self.nodes, pts)
 
     def to_dict(self):
-        """The recurrence only; coeffs and gram_condition derive from it."""
+        """The recurrence only."""
         return {
             "degree_bound": self.space.degree_bound,
             "tensor_power": self.space.tensor_power,
@@ -151,7 +122,8 @@ class OrthonormalBasis:
     @classmethod
     def from_dict(cls, doc):
         # the metric weight is a callable and is not serialized: deserialized
-        # bases live in the default planar model (phi == 0)
+        # bases live in the default planar model (phi == 0).  Other keys,
+        # such as the monomial coefficients of older documents, are ignored
         n = int(doc["degree_bound"]) + 1
         space = WeightedSpace(int(doc["degree_bound"]),
                               tensor_power=int(doc["tensor_power"]))
@@ -162,16 +134,6 @@ class OrthonormalBasis:
     @classmethod
     def from_json(cls, text):
         return cls.from_dict(json.loads(text))
-
-
-def gram_matrix(mu, space):
-    """Monomial Gram matrix G[i,j] = sum_a z_a^j conj(z_a)^i e^{-2k phi} w_a."""
-    scale = space.weight_scale(mu.nodes)
-    n = space.dimension
-    vand = mu.nodes[:, None] ** np.arange(n)[None, :]
-    rows = (np.sqrt(mu.weights) * scale)[:, None] * vand
-    g = rows.conj().T @ rows
-    return 0.5 * (g + g.conj().T)
 
 
 def _start(row_scale, n):
@@ -307,67 +269,15 @@ def _structured_arnoldi(mu, row_scale, n):
     return (*_arnoldi(z, row_scale, n), None)
 
 
-def _coeffs_from_recurrence(hess, h0, n):
-    """Monomial coefficients of the recurrence polynomials (lower-triangular)."""
-    coeffs = np.zeros((n, n), dtype=np.complex128)
-    coeffs[0, 0] = 1.0 / h0
-    for j in range(n - 1):
-        nxt = np.zeros(n, dtype=np.complex128)
-        nxt[1 : j + 2] = coeffs[j, : j + 1]          # multiply by z
-        nxt[: j + 1] -= hess[: j + 1, j] @ coeffs[: j + 1, : j + 1]
-        coeffs[j + 1] = nxt / hess[j + 1, j]
-    return coeffs
+def orthonormalize(mu, space):
+    """Orthonormal basis of `space` w.r.t. the weighted measure, by the
+    cheapest certified route the nodes allow (see the module docstring).
 
-
-def _cholesky_route(mu, space, scale):
-    n = space.dimension
-    g = gram_matrix(mu, space)
-    dg = np.real(np.diag(g))
-    if np.min(dg) <= 0 or np.min(dg) < _RANK_TOL * np.max(dg):
-        raise RankDeficientError("Gram matrix diagonal below rank threshold")
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficientError("Gram matrix not positive definite") from exc
-    dl = np.real(np.diag(chol))
-    if np.min(dl) < _RANK_TOL * np.max(dl):
-        raise RankDeficientError("Cholesky pivot below rank threshold")
-    # conj(C) G C^T = I requires C = conj(L)^{-1} for complex nodes
-    coeffs = np.linalg.inv(np.conj(chol))
-    vand = mu.nodes[:, None] ** np.arange(n)[None, :]
-    rows = (np.sqrt(mu.weights) * scale)[:, None] * vand
-    q = rows @ coeffs.T
-    # recover the recurrence data from the node values: z * q_j lies in
-    # span{q_0..q_{j+1}} exactly, so the projections fill the Hessenberg
-    zq = mu.nodes[:, None] * q
-    full = q.conj().T @ zq
-    hess = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n - 1):
-        hess[: j + 1, j] = full[: j + 1, j]
-        hess[j + 1, j] = abs(full[j + 1, j])
-    return q, hess, float(1.0 / coeffs[0, 0].real)
-
-
-def orthonormalize(mu, space, method="arnoldi"):
-    """Orthonormal basis of `space` w.r.t. the weighted measure.
-
-    method: "arnoldi" uses the orthogonal factorization, by the cheapest
-    certified route the nodes allow (see the module docstring); "cholesky" the
-    normal-equations route, which is accurate only while the monomial Gram
-    matrix is well conditioned.  Raises RankDeficientError when the measure
-    cannot support the space (the finite-node analogue of a pluripolar
-    support).
+    Raises RankDeficientError when the measure cannot support the space
+    (the finite-node analogue of a pluripolar support).
     """
-    n = space.dimension
-    scale = space.weight_scale(mu.nodes)
-    coef = None
-    if method == "arnoldi":
-        row_scale = np.sqrt(mu.weights) * scale
-        q, hess, h0, coef = _structured_arnoldi(mu, row_scale, n)
-    elif method == "cholesky":
-        q, hess, h0 = _cholesky_route(mu, space, scale)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    row_scale = np.sqrt(mu.weights) * space.weight_scale(mu.nodes)
+    q, hess, h0, coef = _structured_arnoldi(mu, row_scale, space.dimension)
     return OrthonormalBasis(
         space=space,
         hessenberg=np.ascontiguousarray(hess),
@@ -383,11 +293,10 @@ def evaluate_basis(basis, points):
     """Matrix of basis values at the points, metric weight folded in:
     Phi[a, i] = p_i(x_a) * exp(-k * phi(x_a)).
 
-    Evaluation runs the stored recurrence, which stays accurate at degrees
-    where the monomial coefficients of the basis are no longer usable: the
-    Szego step on a basis the Szego route built, the banded Hessenberg one
-    otherwise.  That is O(n) per point unless H is full (full Arnoldi, or a
-    circle basis from the Cholesky route or from JSON): then O(n^2).
+    Evaluation runs the stored recurrence: the Szego step on a basis the
+    Szego route built, the banded Hessenberg one otherwise.  That is O(n)
+    per point unless H is full (full Arnoldi, or a circle basis loaded from
+    JSON): then O(n^2).
     """
     pts = np.ascontiguousarray(np.atleast_1d(np.asarray(points, dtype=complex)))
     scale = basis.space.weight_scale(pts)
@@ -395,22 +304,3 @@ def evaluate_basis(basis, points):
         pts, np.ascontiguousarray(scale), basis.const_norm, basis.hessenberg,
         basis.szego_c,
     )
-
-
-def evaluate_basis_horner(basis, points):
-    """Same values as evaluate_basis, via Horner on the monomial coefficients.
-
-    Only trustworthy while gram_condition is moderate; kept as the
-    independent cross-check of the recurrence route.
-    """
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    scale = basis.space.weight_scale(pts)
-    n = basis.dimension
-    out = np.empty((pts.shape[0], n), dtype=complex)
-    coeffs = basis.coeffs
-    for i in range(n):
-        acc = np.full(pts.shape[0], coeffs[i, i], dtype=complex)
-        for j in range(i - 1, -1, -1):
-            acc = acc * pts + coeffs[i, j]
-        out[:, i] = acc
-    return out * scale[:, None]

@@ -9,6 +9,7 @@ a failed run leaves no new file and any previous one as it was.
 
 import contextlib
 import json
+import math
 import numbers
 import os
 import time
@@ -79,18 +80,27 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        ks = [int(k) for k in self.k_values]
+        ks = list(self.k_values)
         if not ks:
             raise ValueError("k_values must be nonempty")
+        if not all(isinstance(k, numbers.Integral) for k in ks):
+            raise ValueError(f"k_values must be integers, got {ks!r}")
         if any(k < 1 for k in ks):
             raise ValueError("k_values must be positive")
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError("k_values must be strictly ascending")
         if self.experiment == "offdiag" and len(ks) < 3:
             raise ValueError("offdiag needs at least 3 k values to fit a rate")
-        self.k_values = ks
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        self.k_values = [int(k) for k in ks]
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise ValueError(f"p must be finite and >= 1, got {self.p!r}")
+        for name, keys in (("symbol_specs", {"f", "g"}), ("regions", {"a", "b"})):
+            spec = getattr(self, name)
+            if not (isinstance(spec, dict) and all(isinstance(v, str) for v in spec.values())):
+                raise ValueError(f"{name} must map names to strings, got {spec!r}")
+            unknown = set(spec) - keys
+            if unknown:
+                raise ValueError(f"unknown {name} keys: {', '.join(sorted(map(str, unknown)))}")
         for key, val in self.symbol_specs.items():
             if self.experiment == "szego" and key == "g":
                 symbols.resolve_spectral(val)

@@ -42,16 +42,16 @@ class KernelTable:
         return self.basis.dimension
 
 
-def kernel_table(basis, mu, max_nodes=MAX_NODES):
-    """Assemble K = Phi Phi^* on the measure's nodes.
+def kernel_table(basis, mu):
+    """Assemble K = Phi Phi^* on the measure's nodes, at most MAX_NODES.
 
     When the nodes are the basis's defining quadrature, the cached
     orthonormal factor is reused (exact reproducing identities); otherwise
     the basis is evaluated by its recurrence.
     """
     m = len(mu)
-    if m > max_nodes:
-        raise ValueError(f"node count {m} exceeds the dense-table cap {max_nodes}")
+    if m > MAX_NODES:
+        raise ValueError(f"node count {m} exceeds the dense-table cap {MAX_NODES}")
     if basis.defined_on(mu.nodes):
         phi = basis.node_values / np.sqrt(basis.node_weights)[:, None]
     else:
@@ -126,10 +126,20 @@ def bm_constant(basis, eval_grid):
     """
     pts = np.atleast_1d(np.asarray(eval_grid, dtype=complex))
     best = -np.inf
+    # the loop keeps each block until the next one is evaluated: freeing it
+    # first made bm_constant ~20% slower at k = 512, on fresh-page faults
     for lo in range(0, pts.shape[0], _BM_BLOCK):
         phi = evaluate_basis(basis, pts[lo : lo + _BM_BLOCK])
-        best = max(best, float(np.max(np.einsum("ai,ai->a", phi, phi.conj()).real)))
+        best = max(best, _diagonal_peak(phi))
     return best
+
+
+def _diagonal_peak(phi):
+    """max over the rows of sum_i |phi[a, i]|^2, summed from the real and
+    imaginary parts: no conjugate copy of the block is made."""
+    sq = phi.real ** 2
+    sq += phi.imag ** 2
+    return float(np.max(sq.sum(axis=1)))
 
 
 def default_eval_grid(mu, factor=8):

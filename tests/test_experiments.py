@@ -328,6 +328,31 @@ class TestCli:
         assert "'bm'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"symbol_specs": {"f": 3}}, "symbol_specs must map names to strings"),
+        ({"regions": {"a": 5}}, "regions must map names to strings"),
+        ({"symbol_specs": "cos"}, "symbol_specs must map names to strings"),
+        ({"symbol_specs": {"F": "x2"}}, "unknown symbol_specs keys: F"),
+        ({"regions": {"A": "arc:0,1"}}, "unknown regions keys: A"),
+        ({"k_values": [8.7]}, "k_values must be integers"),
+    ], ids=["symbol-int", "region-int", "symbols-str", "symbol-key-typo", "region-key-typo",
+            "fractional-k"])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, fields, message):
+        out = tmp_path / "bad.csv"
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"experiment": "szego", "k_values": [8],
+                                        "output_path": str(out), **fields}))
+        assert main(["szego", "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_nonfinite_p_is_config_error(self, tmp_path, capsys, p):
+        out = tmp_path / "p.csv"
+        assert main(["algebra", "--k", "8", "--p", p, "--out", str(out)]) == 2
+        assert "p must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_symbol_is_config_error(self, tmp_path, capsys):
         code = main(["szego", "--k", "8", "--symbol-f", "nope",
                      "--out", str(tmp_path / "y.csv")])

@@ -86,11 +86,12 @@ class TestTableInvariants:
         _, _, table = interval_setup(11)
         assert np.all(table.diag >= 0)
 
-    def test_node_cap_enforced(self):
+    def test_node_cap_enforced(self, monkeypatch):
         mu = circle_lebesgue(64)
         bs = orthonormalize(mu, WeightedSpace(3, tensor_power=4))
+        monkeypatch.setattr("cdlab.kernel.MAX_NODES", 32)
         with pytest.raises(ValueError, match="cap"):
-            kernel_table(bs, mu, max_nodes=32)
+            kernel_table(bs, mu)
 
 
 def assert_same_bits(got, want):
