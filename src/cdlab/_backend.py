@@ -8,6 +8,10 @@ fixed shape for a fixed input, so the results are deterministic.
 
 import numpy as np
 
+# rows of A per block of the kernel-mass reductions: at m = 8192 a block's
+# product with Q_B is at most 128 MiB, and the loop overhead stays small
+_MASS_BLOCK = 1024
+
 
 def eval_recurrence(z, scale, const_norm, hess, szego_c=None):
     """Evaluate the orthonormal-polynomial columns at the points z.
@@ -50,33 +54,52 @@ def eval_recurrence(z, scale, const_norm, hess, szego_c=None):
     return out
 
 
-def pair_mass(kern, w, idx_a, idx_b):
-    """sum_{a in A, b in B} |K[a,b]|^2 * w[a] * w[b]."""
-    sub = kern[np.ix_(idx_a, idx_b)]
-    abs2 = sub.real * sub.real + sub.imag * sub.imag
-    return float(w[idx_a] @ abs2 @ w[idx_b])
+def _abs2_blocks(q, idx_a, idx_b):
+    """Yield (lo, |(Q_A Q_B^*)[lo : lo + _MASS_BLOCK]|^2) over blocks of A
+    rows.  On the weighted node values Q = sqrt(w) Phi the entries are
+    |K(x_a, x_b)|^2 w_a w_b, each a sum of two squares: every summand of the
+    reductions below is nonnegative, and no m x m array is formed.
 
-
-def defect_pair_sum(kern, w, f, g):
-    """sum_{a,b} f[a]^2 (g[a]-g[b])^2 |K[a,b]|^2 w[a] w[b].
-
-    Row-wise accumulation keeps every summand nonnegative (no cancellation),
-    so a constant g gives an exact zero.
+    Each gathered block of A rows is conjugated in place, giving
+    conj(Q_A Q_B^*) with the same moduli, so Q_B is gathered once and never
+    conjugated.
     """
-    m = kern.shape[0]
+    qb_t = q[idx_b].T
+    for lo in range(0, idx_a.shape[0], _MASS_BLOCK):
+        qa = q[idx_a[lo : lo + _MASS_BLOCK]]
+        np.conjugate(qa, out=qa)
+        sq = (qa @ qb_t).view(np.float64)
+        np.square(sq, out=sq)
+        yield lo, sq[:, 0::2] + sq[:, 1::2]
+
+
+def pair_mass(q, idx_a, idx_b):
+    """sum_{a in A, b in B} |K[a,b]|^2 * w[a] * w[b], from the weighted node
+    values q."""
+    return float(sum(block.sum() for _, block in _abs2_blocks(q, idx_a, idx_b)))
+
+
+def defect_pair_sum(q, f, g):
+    """sum_{a,b} f[a]^2 (g[a]-g[b])^2 |K[a,b]|^2 w[a] w[b], from the weighted
+    node values q.
+
+    Every summand is nonnegative (no cancellation), so a constant g gives an
+    exact zero.
+    """
+    every = np.arange(q.shape[0])
     acc = 0.0
-    for a in range(m):
-        row = kern[a]
-        abs2 = row.real * row.real + row.imag * row.imag
-        d = g[a] - g
-        acc += (f[a] * f[a] * w[a]) * float((d * d * abs2) @ w)
+    for lo, block in _abs2_blocks(q, every, every):
+        hi = lo + block.shape[0]
+        d = g[lo:hi, None] - g
+        block *= np.square(d, out=d)
+        acc += float((f[lo:hi] * f[lo:hi]) @ block.sum(axis=1))
     return acc
 
 
-def row_weighted_sumsq(kern, w):
-    """Vector of sum_b |K[a,b]|^2 * w[b]."""
-    abs2 = kern.real * kern.real + kern.imag * kern.imag
-    return abs2 @ w
+def row_weighted_sumsq(q, w):
+    """Vector of sum_b |K[a,b]|^2 * w[b], from the weighted node values q."""
+    every = np.arange(q.shape[0])
+    return np.concatenate([block.sum(axis=1) for _, block in _abs2_blocks(q, every, every)]) / w
 
 
 def backend_name():

@@ -101,11 +101,13 @@ class OrthonormalBasis:
         h.update(self.hessenberg.tobytes())
         return h.hexdigest()[:16]
 
-    def defined_on(self, points):
+    def defined_on(self, mu):
+        """Whether mu is the measure the basis was built on: the same nodes
+        and the same weights."""
         if self.nodes is None:
             return False
-        pts = np.asarray(points, dtype=complex)
-        return self.nodes.shape == pts.shape and np.array_equal(self.nodes, pts)
+        return (np.array_equal(self.nodes, mu.nodes)
+                and np.array_equal(self.node_weights, mu.weights))
 
     def to_dict(self):
         """The recurrence only."""
@@ -304,3 +306,16 @@ def evaluate_basis(basis, points):
         pts, np.ascontiguousarray(scale), basis.const_norm, basis.hessenberg,
         basis.szego_c,
     )
+
+
+def weighted_rows(basis, mu):
+    """Q[a, i] = sqrt(w_a) * p_i(x_a) * exp(-k * phi(x_a)) on mu's nodes:
+    the cached (read-only) node values on the measure the basis was built
+    on, the recurrence on any other.  sqrt(w_a w_b) K(x_a, x_b) = (Q Q^*)[a, b]
+    and T(f) = Q^* F Q.
+    """
+    if basis.defined_on(mu):
+        return basis.node_values
+    rows = evaluate_basis(basis, mu.nodes)
+    rows *= np.sqrt(mu.weights)[:, None]
+    return rows

@@ -39,6 +39,11 @@ class NumericalFailure(RuntimeError):
         self.cause = cause
 
 
+def _is_integer(value):
+    """An integral number, but not a bool: JSON true is no count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class MeasureSpec:
     kind: str = "circle"          # circle | interval | arcsine
@@ -50,7 +55,7 @@ class MeasureSpec:
             raise ValueError(f"unknown measure kind {self.kind!r}")
         for name, low in (("nodes_per_k", 0), ("min_nodes", 1)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
+            if not _is_integer(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
     def node_count(self, k):
@@ -83,7 +88,7 @@ class ExperimentConfig:
         ks = list(self.k_values)
         if not ks:
             raise ValueError("k_values must be nonempty")
-        if not all(isinstance(k, numbers.Integral) for k in ks):
+        if not all(_is_integer(k) for k in ks):
             raise ValueError(f"k_values must be integers, got {ks!r}")
         if any(k < 1 for k in ks):
             raise ValueError("k_values must be positive")
@@ -219,10 +224,9 @@ def _compute_row(cfg, k, staged):
         regions.update(cfg.regions)
         if "a" not in regions or "b" not in regions:
             raise ValueError("offdiag needs regions 'a' and 'b'")
-        table = kernel.kernel_table(bs, mu)
         idx_a = resolve_region(regions["a"], mu)
         idx_b = resolve_region(regions["b"], mu)
-        mass = kernel.bergman_mass(table, mu, idx_a, idx_b)
+        mass = kernel.bergman_mass(bs, mu, idx_a, idx_b)
         if not mass > 0:
             raise ValueError(f"off-diagonal mass {mass!r} is not positive, no rate to fit")
         return mass, 0.0
@@ -234,7 +238,7 @@ def _compute_row(cfg, k, staged):
         kernel.write_density_csv(table, mu, _stage(staged, dens_path))
         all_idx = np.arange(len(mu))
         # every equilibrium measure is a probability measure
-        return kernel.bergman_mass(table, mu, all_idx, all_idx), 1.0
+        return kernel.bergman_mass(bs, mu, all_idx, all_idx), 1.0
 
     if exp == "bm":
         grid = kernel.default_eval_grid(mu)

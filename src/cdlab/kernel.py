@@ -1,5 +1,7 @@
-"""Reproducing (Christoffel-Darboux) kernel tables and derived quantities:
-product-space masses, diagonal densities, and sup/L2 growth constants.
+"""Reproducing (Christoffel-Darboux) kernels and derived quantities:
+product-space masses and pushforward residuals, read off the basis rows in
+O(m n) memory, sup/L2 growth constants, and the dense kernel table, its
+diagonal densities and CSV exports for the heatmap.
 """
 
 from dataclasses import dataclass
@@ -9,9 +11,10 @@ import numpy as np
 
 from . import _backend
 from ._csvio import write_csv
-from .basis import evaluate_basis
+from .basis import evaluate_basis, weighted_rows
 
-# dense m x m storage; cap keeps the table under ~256 MiB of complex128
+# dense m x m storage, for the heatmap export only; the cap keeps the table
+# under ~256 MiB of complex128
 MAX_NODES = 4096
 # grid points per evaluated block in bm_constant: the block's values stay
 # in cache, and the per-block loop overhead stays small on banded recurrences
@@ -22,7 +25,8 @@ _SYM_BLOCK = 512
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Kernel evaluations on a node grid, metric weight factored in.
+    """Kernel evaluations on a node grid, metric weight factored in: the
+    dense export behind the heatmap and density files.
 
     values[a, b] = B_k(x_a, x_b) * exp(-k phi(x_a) - k phi(x_b)), Hermitian;
     diag holds the (real, nonnegative) diagonal.
@@ -45,17 +49,13 @@ class KernelTable:
 def kernel_table(basis, mu):
     """Assemble K = Phi Phi^* on the measure's nodes, at most MAX_NODES.
 
-    When the nodes are the basis's defining quadrature, the cached
-    orthonormal factor is reused (exact reproducing identities); otherwise
-    the basis is evaluated by its recurrence.
+    Phi comes from weighted_rows: on the basis's defining measure that is
+    the cached orthonormal factor (exact reproducing identities).
     """
     m = len(mu)
     if m > MAX_NODES:
         raise ValueError(f"node count {m} exceeds the dense-table cap {MAX_NODES}")
-    if basis.defined_on(mu.nodes):
-        phi = basis.node_values / np.sqrt(basis.node_weights)[:, None]
-    else:
-        phi = evaluate_basis(basis, mu.nodes)
+    phi = weighted_rows(basis, mu) / np.sqrt(mu.weights)[:, None]
     values = phi @ phi.conj().T
     _hermitian_part_inplace(values)
     diag = np.einsum("ai,ai->a", phi, phi.conj()).real
@@ -90,15 +90,14 @@ def _half_sum(x, y):
     return s
 
 
-def bergman_mass(table, mu, idx_a, idx_b):
+def bergman_mass(basis, mu, idx_a, idx_b):
     """Mass of the normalized product measure on A x B:
-    (1/n_k) sum_{a in A, b in B} |K[a,b]|^2 w_a w_b.
+    (1/n_k) sum_{a in A, b in B} |K[a,b]|^2 w_a w_b = ||Q_A Q_B^*||_F^2 / n_k,
+    with Q the weighted basis rows on mu.
     """
     ia = np.asarray(idx_a, dtype=np.int64).ravel()
     ib = np.asarray(idx_b, dtype=np.int64).ravel()
-    if ia.size == 0 or ib.size == 0:
-        return 0.0
-    return float(_backend.pair_mass(table.values, mu.weights, ia, ib)) / table.dimension
+    return _backend.pair_mass(weighted_rows(basis, mu), ia, ib) / basis.dimension
 
 
 def diagonal_density(table, mu):
@@ -106,14 +105,16 @@ def diagonal_density(table, mu):
     return table.diag * mu.weights / table.dimension
 
 
-def pushforward_residual(table, mu):
-    """Max relative defect of sum_b |K[a,b]|^2 w_b = diag[a] over the nodes.
+def pushforward_residual(basis, mu):
+    """Max relative defect of sum_b |K[a,b]|^2 w_b = K[a,a] over the nodes.
 
     Certifies at quadrature level that the product measure pushes forward
     to the diagonal density.
     """
-    row = _backend.row_weighted_sumsq(table.values, mu.weights)
-    return float(np.max(np.abs(row - table.diag) / np.maximum(1.0, table.diag)))
+    q = weighted_rows(basis, mu)
+    diag = _row_sumsq(q) / mu.weights
+    row = _backend.row_weighted_sumsq(q, mu.weights)
+    return float(np.max(np.abs(row - diag) / np.maximum(1.0, diag)))
 
 
 def bm_constant(basis, eval_grid):
@@ -130,16 +131,16 @@ def bm_constant(basis, eval_grid):
     # first made bm_constant ~20% slower at k = 512, on fresh-page faults
     for lo in range(0, pts.shape[0], _BM_BLOCK):
         phi = evaluate_basis(basis, pts[lo : lo + _BM_BLOCK])
-        best = max(best, _diagonal_peak(phi))
+        best = max(best, float(np.max(_row_sumsq(phi))))
     return best
 
 
-def _diagonal_peak(phi):
-    """max over the rows of sum_i |phi[a, i]|^2, summed from the real and
-    imaginary parts: no conjugate copy of the block is made."""
+def _row_sumsq(phi):
+    """sum_i |phi[a, i]|^2 for every row a, summed from the real and
+    imaginary parts: no conjugate copy of phi is made."""
     sq = phi.real ** 2
     sq += phi.imag ** 2
-    return float(np.max(sq.sum(axis=1)))
+    return sq.sum(axis=1)
 
 
 def default_eval_grid(mu, factor=8):

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import _backend
 from ._csvio import write_csv
-from .basis import evaluate_basis
+from .basis import weighted_rows
 from .errors import NotHermitianError
 from .measure import _gauss_legendre
 
@@ -77,20 +77,17 @@ def toeplitz(basis, mu, f, symbol_desc=None):
     entries[i,j] = sum_a f(x_a) p_j(x_a) conj(p_i(x_a)) e^{-2k phi} w_a.
     """
     fvals = _symbol_values(mu, f)
-    if basis.defined_on(mu.nodes):
-        phi, row_factor = basis.node_values, fvals  # sqrt(w) already folded in
-    else:
-        phi, row_factor = evaluate_basis(basis, mu.nodes), fvals * mu.weights
-    if not np.any(phi.imag):
+    q = weighted_rows(basis, mu)    # sqrt(w) folded in: entries = Q* F Q
+    if not np.any(q.imag):
         # real node values (real nodes, real weights): a real product
-        real = phi.real
-        raw = (real.T @ (row_factor[:, None] * real)).astype(np.complex128)
+        real = q.real
+        raw = (real.T @ (fvals[:, None] * real)).astype(np.complex128)
     else:
-        # Phi* (F Phi) = conj(Phi^T conj(F Phi)): conjugating the scaled copy
-        # in place spares an m x n conjugate copy of Phi
-        scaled = row_factor[:, None] * phi
+        # Q* (F Q) = conj(Q^T conj(F Q)): conjugating the scaled copy
+        # in place spares an m x n conjugate copy of Q
+        scaled = fvals[:, None] * q
         np.conjugate(scaled, out=scaled)
-        raw = np.conjugate(phi.T @ scaled)
+        raw = np.conjugate(q.T @ scaled)
     entries, asym = _symmetrize(raw)
     return ToeplitzMatrix(entries=entries, symbol_desc=_symbol_name(f, symbol_desc),
                           k=basis.space.tensor_power, basis_id=basis.basis_id,
@@ -211,15 +208,16 @@ def algebra_defect(basis, mu, f, g, p):
     return schatten_norm(compose(t_f, t_g) - t_fg.entries, p)
 
 
-def defect_kernel_bound(table, mu, f, g):
+def defect_kernel_bound(basis, mu, f, g):
     """Upper bound for the p=2 algebra defect through the kernel mass of
     S(x,y) = (f(x) g(x) - f(x) g(y)) K(x,y):
-    sqrt((1/n_k) sum_{a,b} f(x_a)^2 (g(x_a)-g(x_b))^2 |K[a,b]|^2 w_a w_b).
+    sqrt((1/n_k) sum_{a,b} f(x_a)^2 (g(x_a)-g(x_b))^2 |K[a,b]|^2 w_a w_b),
+    summed from the weighted basis rows on mu.
     """
     fv = _symbol_values(mu, f)
     gv = _symbol_values(mu, g)
-    total = _backend.defect_pair_sum(table.values, mu.weights, fv, gv)
-    return float(np.sqrt(total / table.dimension))
+    total = _backend.defect_pair_sum(weighted_rows(basis, mu), fv, gv)
+    return float(np.sqrt(total / basis.dimension))
 
 
 def symbol_distance(basis, mu, f, g):

@@ -71,10 +71,10 @@ def _table(kind, k):
 def _warmup():
     mu = circle_lebesgue(16)
     bs = orthonormalize(mu, WeightedSpace(1, tensor_power=2))
-    table = kernel_table(bs, mu)
-    bergman_mass(table, mu, np.arange(2), np.arange(2))
-    pushforward_residual(table, mu)
-    defect_kernel_bound(table, mu, lambda z: np.real(z), lambda z: np.imag(z))
+    kernel_table(bs, mu)
+    bergman_mass(bs, mu, np.arange(2), np.arange(2))
+    pushforward_residual(bs, mu)
+    defect_kernel_bound(bs, mu, lambda z: np.real(z), lambda z: np.imag(z))
 
 
 def test_01_exact_circle_identities():
@@ -86,7 +86,7 @@ def test_01_exact_circle_identities():
     table = kernel_table(bs, mu)
     diag_err = float(np.max(np.abs(table.diag - k)))
     all_idx = np.arange(m)
-    mass_err = abs(bergman_mass(table, mu, all_idx, all_idx) - 1.0)
+    mass_err = abs(bergman_mass(bs, mu, all_idx, all_idx) - 1.0)
     elapsed = time.perf_counter() - t0
 
     k_odd, m_odd = 65, 130
@@ -108,10 +108,9 @@ def test_02_offdiagonal_rate():
     series = []
     for k in (16, 32, 64, 128, 256, 512):
         mu = _measure("circle", k)
-        table = _table("circle", k)
         ia = arc_indices(mu, 0.0, np.pi / 2)
         ib = arc_indices(mu, np.pi, 3 * np.pi / 2)
-        series.append((k, bergman_mass(table, mu, ia, ib)))
+        series.append((k, bergman_mass(_basis("circle", k), mu, ia, ib)))
     fit = fit_rate(series)
     elapsed = time.perf_counter() - t0
     ok = -1.1 <= fit.slope <= -0.9 and elapsed < 30.0
@@ -155,12 +154,11 @@ def test_05_kernel_bound_domination():
         for k in (16, 64, 256):
             mu = _measure(kind, k)
             bs = _basis(kind, k)
-            table = _table(kind, k)
             for fname in sorted(REGISTRY):
                 for gname in sorted(REGISTRY):
                     defect = algebra_defect(bs, mu, REGISTRY[fname],
                                             REGISTRY[gname], 2)
-                    bound = defect_kernel_bound(table, mu, REGISTRY[fname],
+                    bound = defect_kernel_bound(bs, mu, REGISTRY[fname],
                                                 REGISTRY[gname])
                     worst_slack = min(worst_slack, bound - defect)
                     checked += 1
@@ -264,7 +262,7 @@ def test_11_structural_suite():
 
     # reproducing residuals
     for kind in ("circle", "interval"):
-        res = pushforward_residual(_table(kind, 64), _measure(kind, 64))
+        res = pushforward_residual(_basis(kind, 64), _measure(kind, 64))
         if res > 1e-8:
             failures.append(f"reproducing {kind} {res:.1e}")
 

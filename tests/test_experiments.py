@@ -100,8 +100,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("fields", [
         {"kind": "circel"}, {"nodes_per_k": -1}, {"min_nodes": 0},
-        {"nodes_per_k": 2.5}, {"min_nodes": "16"},
-    ], ids=["kind", "nodes_per_k", "min_nodes", "fractional-nodes_per_k", "string-min_nodes"])
+        {"nodes_per_k": 2.5}, {"min_nodes": "16"}, {"nodes_per_k": True}, {"min_nodes": True},
+    ], ids=["kind", "nodes_per_k", "min_nodes", "fractional-nodes_per_k", "string-min_nodes",
+            "bool-nodes_per_k", "bool-min_nodes"])
     def test_bad_measure_spec_rejected(self, fields):
         with pytest.raises(ValueError):
             MeasureSpec(**fields)
@@ -160,6 +161,19 @@ class TestRunOffdiag:
         assert len(slopes) == 1
         slope = float(slopes[0].split(",")[1])
         assert -1.1 <= slope <= -0.9
+
+    def test_node_cap_limits_only_heatmap(self, tmp_path, monkeypatch):
+        # offdiag sums its masses from the basis rows; only the heatmap
+        # export builds the m x m table, so only it meets the cap
+        monkeypatch.setattr("cdlab.kernel.MAX_NODES", 32)
+        rows = run(ExperimentConfig(experiment="offdiag", k_values=[16, 32, 64],
+                                    output_path=str(tmp_path / "off.csv")))
+        assert len(rows) == 3 and all(r["quantity"] > 0 for r in rows)
+        cfg = ExperimentConfig(experiment="heatmap", k_values=[4],
+                               measure_spec=MeasureSpec(kind="circle", min_nodes=64),
+                               output_path=str(tmp_path / "hm.csv"))
+        with pytest.raises(NumericalFailure, match="cap"):
+            run(cfg)
 
 
 class TestRunHeatmap:
@@ -335,8 +349,11 @@ class TestCli:
         ({"symbol_specs": {"F": "x2"}}, "unknown symbol_specs keys: F"),
         ({"regions": {"A": "arc:0,1"}}, "unknown regions keys: A"),
         ({"k_values": [8.7]}, "k_values must be integers"),
+        ({"k_values": [True]}, "k_values must be integers"),
+        ({"measure_spec": {"nodes_per_k": True}}, "nodes_per_k must be an integer"),
+        ({"measure_spec": {"min_nodes": True}}, "min_nodes must be an integer"),
     ], ids=["symbol-int", "region-int", "symbols-str", "symbol-key-typo", "region-key-typo",
-            "fractional-k"])
+            "fractional-k", "bool-k", "bool-nodes_per_k", "bool-min_nodes"])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, fields, message):
         out = tmp_path / "bad.csv"
         cfg_path = tmp_path / "bad.json"

@@ -52,13 +52,12 @@ class TestRandomMeasures:
 
     def test_product_mass_at_most_one(self, kind, seed):
         rng, mu, bs = random_setup(kind, seed)
-        table = kernel_table(bs, mu)
         everything = np.arange(len(mu))
-        assert bergman_mass(table, mu, everything, everything) == pytest.approx(1.0, rel=1e-12)
+        assert bergman_mass(bs, mu, everything, everything) == pytest.approx(1.0, rel=1e-12)
         for _ in range(5):
             a = rng.choice(len(mu), size=20, replace=False)
             b = rng.choice(len(mu), size=30, replace=False)
-            assert 0.0 <= bergman_mass(table, mu, a, b) <= 1.0
+            assert 0.0 <= bergman_mass(bs, mu, a, b) <= 1.0
 
     def test_spectral_confinement(self, kind, seed):
         _, mu, bs = random_setup(kind, seed)

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cdlab import (
     bm_constant,
     circle_lebesgue,
     default_eval_grid,
+    defect_kernel_bound,
     diagonal_density,
     evaluate_basis,
     from_points,
@@ -22,7 +24,9 @@ from cdlab import (
     write_density_csv,
     write_heatmap_csv,
 )
+from cdlab import _backend
 from cdlab.kernel import _hermitian_part_inplace
+from cdlab.symbols import sym_one
 
 
 def circle_setup(k, m=None):
@@ -124,31 +128,150 @@ class TestInPlaceSymmetrization:
 class TestBergmanMass:
     @pytest.mark.parametrize("setup", [circle_setup, interval_setup])
     def test_total_mass_is_one(self, setup):
-        mu, _, table = setup(16)
+        mu, bs, _ = setup(16)
         idx = np.arange(len(mu))
-        assert abs(bergman_mass(table, mu, idx, idx) - 1.0) <= 1e-8
+        assert abs(bergman_mass(bs, mu, idx, idx) - 1.0) <= 1e-8
 
     def test_empty_region_gives_zero(self):
-        mu, _, table = circle_setup(8)
-        assert bergman_mass(table, mu, np.array([], dtype=int), np.arange(4)) == 0.0
+        mu, bs, _ = circle_setup(8)
+        assert bergman_mass(bs, mu, np.array([], dtype=int), np.arange(4)) == 0.0
 
     def test_interval_mass_decays(self):
         masses = {}
         for k in (16, 128):
-            mu, _, table = interval_setup(k)
+            mu, bs, _ = interval_setup(k)
             ia = interval_indices(mu, -0.9, -0.3)
             ib = interval_indices(mu, 0.3, 0.9)
-            masses[k] = bergman_mass(table, mu, ia, ib)
+            masses[k] = bergman_mass(bs, mu, ia, ib)
         assert masses[128] < masses[16]
         assert masses[128] > 0
 
     def test_circle_quarter_arc_mass_positive_and_small(self):
         k = 64
-        mu, _, table = circle_setup(k)
+        mu, bs, _ = circle_setup(k)
         ia = arc_indices(mu, 0.0, np.pi / 2)
         ib = arc_indices(mu, np.pi, 3 * np.pi / 2)
-        val = bergman_mass(table, mu, ia, ib)
+        val = bergman_mass(bs, mu, ia, ib)
         assert 0 < val < 0.01
+
+
+def _oracle_case(name):
+    """(basis, measure, Phi): Phi holds the basis values on the measure's
+    nodes, from the cached node values where the basis was built on that
+    measure and from the recurrence elsewhere."""
+    def own(mu, d):
+        bs = orthonormalize(mu, WeightedSpace(d, tensor_power=d + 1))
+        return bs, mu, bs.node_values / np.sqrt(mu.weights)[:, None]
+
+    if name == "circle":
+        return own(circle_lebesgue(256), 63)
+    if name == "interval":
+        return own(interval_lebesgue(256), 63)
+    if name == "tilted-circle":
+        return own(scale_by(circle_lebesgue(256), lambda z: np.cos(np.angle(z) - 0.4)), 47)
+    if name == "from-points":
+        rng = np.random.default_rng(11)
+        radius, angle = np.sqrt(rng.uniform(0.0, 1.0, 300)), rng.uniform(0.0, 2 * np.pi, 300)
+        nodes = radius * np.exp(1j * angle)
+        return own(from_points(nodes, rng.uniform(0.5, 1.5, 300) / 300), 20)
+    if name == "other-measure":
+        mu = circle_lebesgue(256)
+        bs = orthonormalize(mu, WeightedSpace(31, tensor_power=32))
+        mu2 = scale_by(mu, lambda z: 0.7 * np.sin(np.angle(z)))
+        return bs, mu2, evaluate_basis(bs, mu2.nodes)
+    # 2500 rows: two whole blocks of 1024 and a partial one
+    return own(circle_lebesgue(2500), 99)
+
+
+def _oracle_abs2(kern):
+    return kern.real * kern.real + kern.imag * kern.imag
+
+
+def _f(z):
+    return z.real + 0.5
+
+
+def _g(z):
+    return z.real ** 2 + z.imag
+
+
+class TestTableOracles:
+    """The masses from the basis rows against the dense m x m table route
+    they replace: K = Phi Phi^*, w[A] @ |K[A,B]|^2 @ w[B]."""
+
+    @pytest.fixture(scope="class", params=["circle", "interval", "tilted-circle",
+                                           "from-points", "other-measure", "circle-2500"])
+    def case(self, request):
+        bs, mu, phi = _oracle_case(request.param)
+        return bs, mu, phi, phi @ phi.conj().T
+
+    def test_bergman_mass(self, case):
+        bs, mu, _, kern = case
+        m, w = len(mu), mu.weights
+        rng = np.random.default_rng(m)
+        regions = [(np.arange(m), np.arange(0, m, 3)),
+                   (np.arange(m // 3), np.arange(m // 2, m)),
+                   (rng.choice(m, m // 2, replace=False), rng.choice(m, m // 3, replace=False))]
+        for ia, ib in regions:
+            want = float(w[ia] @ _oracle_abs2(kern[np.ix_(ia, ib)]) @ w[ib]) / bs.dimension
+            got = bergman_mass(bs, mu, ia, ib)
+            assert abs(got - want) <= 1e-13 * want
+
+    def test_pushforward_residual(self, case):
+        bs, mu, phi, kern = case
+        w = mu.weights
+        row = _oracle_abs2(kern) @ w
+        diag = np.einsum("ai,ai->a", phi, phi.conj()).real
+        want = float(np.max(np.abs(row - diag) / np.maximum(1.0, diag)))
+        assert abs(pushforward_residual(bs, mu) - want) <= 1e-13 * max(1.0, want)
+        q = phi * np.sqrt(w)[:, None]
+        got = _backend.row_weighted_sumsq(q, w)
+        assert np.max(np.abs(got - row) / row) <= 1e-13
+
+    def test_defect_kernel_bound(self, case):
+        bs, mu, _, kern = case
+        w, f, g = mu.weights, _f(mu.nodes), _g(mu.nodes)
+        acc = 0.0
+        for a in range(len(mu)):
+            d = g[a] - g
+            acc += (f[a] * f[a] * w[a]) * float((d * d * _oracle_abs2(kern[a])) @ w)
+        want = float(np.sqrt(acc / bs.dimension))
+        assert abs(defect_kernel_bound(bs, mu, _f, _g) - want) <= 1e-13 * want
+
+    def test_constant_symbol_gives_exact_zero(self, case):
+        bs, mu, _, _ = case
+        assert defect_kernel_bound(bs, mu, _f, sym_one) == 0.0
+
+    def test_empty_regions_give_zero(self, case):
+        bs, mu, _, _ = case
+        none, some = np.array([], dtype=int), np.arange(4)
+        assert bergman_mass(bs, mu, none, some) == 0.0
+        assert bergman_mass(bs, mu, some, none) == 0.0
+
+    @pytest.mark.parametrize("k", [16, 64, 256])
+    @pytest.mark.parametrize("setup", [circle_setup, interval_setup])
+    def test_default_regions_up_to_k_256(self, setup, k):
+        mu, bs, table = setup(k)
+        if mu.support_tag == "circle":
+            ia, ib = arc_indices(mu, 0.0, np.pi / 2), arc_indices(mu, np.pi, 3 * np.pi / 2)
+        else:
+            ia, ib = interval_indices(mu, -0.9, -0.3), interval_indices(mu, 0.3, 0.9)
+        w = mu.weights
+        want = float(w[ia] @ _oracle_abs2(table.values[np.ix_(ia, ib)]) @ w[ib]) / k
+        assert abs(bergman_mass(bs, mu, ia, ib) - want) <= 1e-13 * want
+
+    def test_quarter_arc_mass_allocates_no_table(self):
+        # the m x m table alone would be 256 MiB here
+        mu = circle_lebesgue(4096)
+        bs = orthonormalize(mu, WeightedSpace(255, tensor_power=256))
+        ia, ib = arc_indices(mu, 0.0, np.pi / 2), arc_indices(mu, np.pi, 3 * np.pi / 2)
+        tracemalloc.start()
+        try:
+            assert bergman_mass(bs, mu, ia, ib) > 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestDiagonalDensity:
@@ -192,20 +315,19 @@ class TestDiagonalDensity:
 
 class TestPushforward:
     def test_circle(self):
-        mu, _, table = circle_setup(16, m=64)
-        assert pushforward_residual(table, mu) <= 1e-10
+        mu, bs, _ = circle_setup(16, m=64)
+        assert pushforward_residual(bs, mu) <= 1e-10
 
     def test_interval_with_exact_quadrature(self):
-        mu, _, table = interval_setup(20, m=64)
-        assert pushforward_residual(table, mu) <= 1e-9
+        mu, bs, _ = interval_setup(20, m=64)
+        assert pushforward_residual(bs, mu) <= 1e-9
 
     def test_discrete_measure_is_algebraically_exact(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=7) + 1j * rng.normal(size=7)
         mu = from_points(pts, rng.uniform(0.5, 1.5, size=7))
         bs = orthonormalize(mu, WeightedSpace(4))
-        table = kernel_table(bs, mu)
-        assert pushforward_residual(table, mu) <= 1e-10
+        assert pushforward_residual(bs, mu) <= 1e-10
 
 
 class TestBmConstant:

@@ -115,6 +115,19 @@ class TestToeplitzAssembly:
         t = toeplitz(bs, mu, sym_x2)
         np.testing.assert_allclose(t.entries, 0.5 * (raw + raw.conj().T), rtol=0, atol=1e-14)
 
+    def test_same_nodes_other_weights_use_those_weights(self):
+        # a measure with the basis's nodes but other weights is not the
+        # basis's measure: T(1) is the Gram matrix in the new weights, not I
+        mu = circle_lebesgue(64)
+        bs = orthonormalize(mu, WeightedSpace(7))
+        mu2 = scale_by(mu, lambda z: np.cos(np.angle(z)))
+        phi = bs.node_values / np.sqrt(mu.weights)[:, None]
+        want = phi.conj().T @ (mu2.weights[:, None] * phi)
+        t = toeplitz(bs, mu2, sym_one)
+        np.testing.assert_allclose(t.entries, want, rtol=0, atol=1e-13)
+        assert np.max(np.abs(t.entries - np.eye(8))) > 0.1
+        assert bs.defined_on(mu) and not bs.defined_on(mu2)
+
     def test_nan_symbol_rejected(self):
         mu, bs = circle_basis(4)
         with pytest.raises(ValueError):
@@ -379,23 +392,20 @@ class TestAlgebraDefect:
 class TestDefectKernelBound:
     def test_constant_second_symbol_gives_zero(self):
         mu, bs = circle_basis(8)
-        table = kernel_table(bs, mu)
-        assert defect_kernel_bound(table, mu, sym_cos, sym_one) == 0.0
+        assert defect_kernel_bound(bs, mu, sym_cos, sym_one) == 0.0
 
     @pytest.mark.parametrize("k", [8, 16, 32])
     def test_dominates_defect(self, k):
         mu, bs = circle_basis(k)
-        table = kernel_table(bs, mu)
         defect = algebra_defect(bs, mu, sym_cos, sym_cos, 2)
-        bound = defect_kernel_bound(table, mu, sym_cos, sym_cos)
+        bound = defect_kernel_bound(bs, mu, sym_cos, sym_cos)
         assert defect <= bound + 1e-9
 
     def test_bound_decays_for_mixed_symbols(self):
         vals = {}
         for k in (16, 128):
             mu, bs = circle_basis(k)
-            table = kernel_table(bs, mu)
-            vals[k] = defect_kernel_bound(table, mu, sym_cos, sym_sin)
+            vals[k] = defect_kernel_bound(bs, mu, sym_cos, sym_sin)
         assert vals[128] < vals[16]
 
 
