@@ -57,16 +57,26 @@ def eval_recurrence(z, scale, const_norm, hess, szego_c=None):
 def _abs2_blocks(q, idx_a, idx_b):
     """Yield (lo, |(Q_A Q_B^*)[lo : lo + _MASS_BLOCK]|^2) over blocks of A
     rows.  On the weighted node values Q = sqrt(w) Phi the entries are
-    |K(x_a, x_b)|^2 w_a w_b, each a sum of two squares: every summand of the
-    reductions below is nonnegative, and no m x m array is formed.
+    |K(x_a, x_b)|^2 w_a w_b, each a square or a sum of two squares: every
+    summand of the reductions below is nonnegative, and no m x m array is
+    formed.
 
-    Each gathered block of A rows is conjugated in place, giving
+    When the imaginary parts of Q are zero (real nodes), the product is
+    taken on the real parts, at a quarter of the flops.  Otherwise each
+    gathered block of A rows is conjugated in place, giving
     conj(Q_A Q_B^*) with the same moduli, so Q_B is gathered once and never
     conjugated.
     """
+    real = not np.any(q.imag)
+    if real:
+        q = q.real
     qb_t = q[idx_b].T
     for lo in range(0, idx_a.shape[0], _MASS_BLOCK):
         qa = q[idx_a[lo : lo + _MASS_BLOCK]]
+        if real:
+            sq = qa @ qb_t
+            yield lo, np.square(sq, out=sq)
+            continue
         np.conjugate(qa, out=qa)
         sq = (qa @ qb_t).view(np.float64)
         np.square(sq, out=sq)

@@ -244,8 +244,10 @@ def _orthonormality_defect(q, real):
         else:
             gram = q[:, :hi].T @ q[:, lo:hi].conj()     # conj of (Q*Q)[:hi, lo:hi]
         gram[lo:hi] -= np.eye(hi - lo)
-        worst = max(worst, float(np.max(np.abs(gram))))
-    return worst
+        # np.maximum, unlike max(), propagates a NaN: a Q that overflowed
+        # is not orthonormal
+        worst = np.maximum(worst, np.max(np.abs(gram)))
+    return float(worst)
 
 
 def _structured_arnoldi(mu, row_scale, n):
@@ -261,8 +263,11 @@ def _structured_arnoldi(mu, row_scale, n):
     real = not np.any(z.imag)
     if real or mu.support_tag == "circle":
         try:
-            q, hess, h0, coef = ((*_arnoldi(z, row_scale, n, window=2), None) if real
-                                 else _szego(z, row_scale, n))
+            # an overflow here is caught by the certificate, which then
+            # hands the basis to full Arnoldi
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                q, hess, h0, coef = ((*_arnoldi(z, row_scale, n, window=2), None) if real
+                                     else _szego(z, row_scale, n))
         except RankDeficientError:
             pass
         else:

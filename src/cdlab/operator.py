@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
+from . import _backend, symbols
 from ._csvio import write_csv
 from .basis import weighted_rows
 from .errors import NotHermitianError
@@ -72,22 +72,90 @@ def _symmetrize(raw):
     return 0.5 * (raw + raw.conj().T), asym
 
 
-def toeplitz(basis, mu, f, symbol_desc=None):
-    """Matrix of the compressed multiplication by the real symbol f:
-    entries[i,j] = sum_a f(x_a) p_j(x_a) conj(p_i(x_a)) e^{-2k phi} w_a.
-    """
-    fvals = _symbol_values(mu, f)
-    q = weighted_rows(basis, mu)    # sqrt(w) folded in: entries = Q* F Q
+def _quadrature_raw(q, fvals):
+    """Q* F Q from the weighted rows q and the symbol values: O(m n^2)."""
     if not np.any(q.imag):
         # real node values (real nodes, real weights): a real product
         real = q.real
-        raw = (real.T @ (fvals[:, None] * real)).astype(np.complex128)
+        return (real.T @ (fvals[:, None] * real)).astype(np.complex128)
+    # Q* (F Q) = conj(Q^T conj(F Q)): conjugating the scaled copy
+    # in place spares an m x n conjugate copy of Q
+    scaled = fvals[:, None] * q
+    np.conjugate(scaled, out=scaled)
+    return np.conjugate(q.T @ scaled)
+
+
+def _adjoint_times(q, v):
+    """Q* v, as conj(v* Q): conjugates v instead of Q."""
+    return (v.conj() @ q).conj()
+
+
+def _recurrence_raw(basis, mu, terms):
+    """Q* F Q for the polynomial symbol sum c u^a v^b (u = Re z, v = Im z,
+    a + b <= 2) on the measure the basis was built on, from the recurrence.
+
+    The Arnoldi relation Z Q[:, :n-1] = Q H[:, :n-1] holds exactly on the
+    discrete measure (under a metric weight too: the row scale is diagonal
+    and commutes with Z), so T(z) = Q* Z Q is H but for its last column,
+    Q*(z q_{n-1}): one O(m n) product.  With the residual
+    r = z q_{n-1} - Q T(z)[:, n-1], Z Q = Q T(z) + r e_n^T, whence
+        T(z^2)         = T(z)^2 + Q*(z r) e_n^T,
+        T(conj(z) z)   = T(z)* T(z) + |r|^2 e_n e_n^T,
+    and T(conj(z)) = T(z)*.  u and v follow from (z +- conj(z))/2.
+    On real nodes v = 0 and conj(z) = z, so T(u^2) = T(z^2).
+    """
+    n = basis.dimension
+    q = basis.node_values
+    z = mu.nodes
+    real = not np.any(z.imag)
+    if real:
+        terms = {(a, b): c for (a, b), c in terms.items() if b == 0}
+    c = {ab: terms.get(ab, 0.0) for ab in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
+    degree = max((a + b for a, b in terms), default=0)
+    if degree == 0:
+        return c[0, 0] * np.eye(n, dtype=np.complex128)
+    zq = z * q[:, -1]
+    t_z = np.empty((n, n), dtype=np.complex128)
+    t_z[:, :-1] = basis.hessenberg[:, :-1]
+    t_z[:, -1] = _adjoint_times(q, zq)
+    if degree == 2:
+        r = zq - q @ t_z[:, -1]
+        t_z2 = t_z @ t_z
+        t_z2[:, -1] += _adjoint_times(q, z * r)
+    if real:
+        raw = c[1, 0] * t_z
+        if degree == 2:
+            raw += c[2, 0] * t_z2
     else:
-        # Q* (F Q) = conj(Q^T conj(F Q)): conjugating the scaled copy
-        # in place spares an m x n conjugate copy of Q
-        scaled = fvals[:, None] * q
-        np.conjugate(scaled, out=scaled)
-        raw = np.conjugate(q.T @ scaled)
+        # T(f) = P + P* + gamma T(conj(z) z), with
+        # P = (c_u - i c_v)/2 T(z) + (c_uu - c_vv - i c_uv)/4 T(z^2)
+        half = (c[1, 0] - 1j * c[0, 1]) / 2 * t_z
+        if degree == 2:
+            half += (c[2, 0] - c[0, 2] - 1j * c[1, 1]) / 4 * t_z2
+        raw = half + half.conj().T
+        gamma = (c[2, 0] + c[0, 2]) / 2
+        if gamma:
+            t_zz = t_z.conj().T @ t_z
+            t_zz[-1, -1] += np.vdot(r, r).real
+            raw += gamma * t_zz
+    raw[np.diag_indices(n)] += c[0, 0]
+    return raw
+
+
+def toeplitz(basis, mu, f, symbol_desc=None):
+    """Matrix of the compressed multiplication by the real symbol f:
+    entries[i,j] = sum_a f(x_a) p_j(x_a) conj(p_i(x_a)) e^{-2k phi} w_a.
+
+    A PolynomialSymbol (degree <= 2 in Re z, Im z) on the measure the basis
+    was built on is read off the basis recurrence in O(m n) (plus one n x n
+    product per degree-2 monomial); any other symbol, or a basis used on
+    another measure, takes the quadrature product Q* F Q, O(m n^2).
+    """
+    fvals = _symbol_values(mu, f)
+    if isinstance(f, symbols.PolynomialSymbol) and basis.defined_on(mu):
+        raw = _recurrence_raw(basis, mu, f.terms)
+    else:
+        raw = _quadrature_raw(weighted_rows(basis, mu), fvals)
     entries, asym = _symmetrize(raw)
     return ToeplitzMatrix(entries=entries, symbol_desc=_symbol_name(f, symbol_desc),
                           k=basis.space.tensor_power, basis_id=basis.basis_id,
@@ -155,10 +223,15 @@ def compose(a, b):
 
 
 def schatten_norm(a, p):
-    """Dimension-normalized Schatten norm ((1/n) sum sigma_i^p)^(1/p)."""
+    """Dimension-normalized Schatten norm ((1/n) sum sigma_i^p)^(1/p).
+
+    p = 2 is the Frobenius norm over sqrt(n) and needs no SVD.
+    """
     if p < 1:
         raise ValueError("p must be >= 1")
     mat = a.entries if isinstance(a, ToeplitzMatrix) else np.asarray(a)
+    if p == 2:
+        return float(np.linalg.norm(mat) / np.sqrt(min(mat.shape)))
     sigma = np.linalg.svd(mat, compute_uv=False)
     return float(np.mean(sigma ** p) ** (1.0 / p))
 
@@ -183,10 +256,31 @@ def spectrum(a):
     return SpectralMeasure(eigenvalues=np.linalg.eigvalsh(mat), k=mat.shape[0])
 
 
+# the registry's spectral functions lambda^p, whose statistic is the trace
+# (1/n) tr A^p
+_TRACE_POWERS = ((symbols.spectral_identity, 1), (symbols.spectral_square, 2),
+                 (symbols.spectral_cube, 3))
+
+
 def spectral_statistic(a, g):
-    """(1/n_k) sum g(lambda) over the spectrum."""
-    eig = spectrum(a).eigenvalues
-    return float(np.mean(np.asarray(g(eig), dtype=float)))
+    """(1/n_k) sum g(lambda) over the spectrum.
+
+    For the registry's identity, square and cube this is (1/n) tr A^p,
+    taken as tr A, ||A||_F^2 and <A, A^2>_F (A is Hermitian): no
+    eigensolve.  Any other g runs eigvalsh.
+    """
+    power = next((p for fn, p in _TRACE_POWERS if fn is g), None)
+    if power is None:
+        eig = spectrum(a).eigenvalues
+        return float(np.mean(np.asarray(g(eig), dtype=float)))
+    mat = _as_hermitian(a)
+    if power == 1:
+        trace = np.trace(mat)
+    elif power == 2:
+        trace = np.vdot(mat, mat)
+    else:
+        trace = np.vdot(mat, mat @ mat)
+    return float(trace.real / mat.shape[0])
 
 
 def functional_calculus(a, h):
@@ -200,11 +294,8 @@ def algebra_defect(basis, mu, f, g, p):
     """Schatten-p norm of T(f) T(g) - T(f*g), the algebra closure defect."""
     t_f = toeplitz(basis, mu, f)
     t_g = toeplitz(basis, mu, g)
-
-    def fg(z):
-        return np.asarray(f(z)) * np.asarray(g(z))
-
-    t_fg = toeplitz(basis, mu, fg, symbol_desc=f"{t_f.symbol_desc}*{t_g.symbol_desc}")
+    t_fg = toeplitz(basis, mu, symbols.product(f, g),
+                    symbol_desc=f"{t_f.symbol_desc}*{t_g.symbol_desc}")
     return schatten_norm(compose(t_f, t_g) - t_fg.entries, p)
 
 
@@ -221,10 +312,12 @@ def defect_kernel_bound(basis, mu, f, g):
 
 
 def symbol_distance(basis, mu, f, g):
-    """Schatten-1 distance (1/n_k) Tr |T(f) - T(g)| between two symbols."""
+    """Schatten-1 distance (1/n_k) Tr |T(f) - T(g)| between two symbols:
+    T(f) - T(g) is Hermitian, so its singular values are its |eigenvalues|.
+    """
     t_f = toeplitz(basis, mu, f)
     t_g = toeplitz(basis, mu, g)
-    return schatten_norm(t_f.entries - t_g.entries, 1)
+    return float(np.mean(np.abs(np.linalg.eigvalsh(t_f.entries - t_g.entries))))
 
 
 @dataclass(frozen=True)

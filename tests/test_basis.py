@@ -252,6 +252,20 @@ class TestStructuredRoutes:
         assert node_defect(q) > 1e-13
         assert node_defect(orthonormalize(mu, WeightedSpace(40)).node_values) <= 1e-14
 
+    def test_szego_overflow_falls_back(self):
+        # under exp(-256 * 0.3 cos^2) the Szego columns overflow to NaN; the
+        # certificate must reject them, not read the NaN defect as 0
+        mu = circle_lebesgue(1024)
+        space = WeightedSpace(255, tensor_power=256,
+                              metric_weight=lambda z: 0.3 * np.real(z) ** 2)
+        row_scale = np.sqrt(mu.weights) * space.weight_scale(mu.nodes)
+        with np.errstate(all="ignore"):
+            q, _, _, _ = _szego(mu.nodes, row_scale, 256)
+        assert not np.all(np.isfinite(q))
+        bs = orthonormalize(mu, space)
+        assert bs.szego_c is None
+        assert node_defect(bs.node_values) <= 1e-14
+
     def test_circle_breakdown_is_rank_deficient(self):
         # 8 roots of unity support degree 7 at most: z^8 == 1 on the nodes
         mu = circle_lebesgue(8)

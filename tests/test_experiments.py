@@ -376,6 +376,13 @@ class TestCli:
         assert code == 2
         assert "unknown symbol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["const:nan", "poly:1,inf"])
+    def test_nonfinite_symbol_is_config_error(self, tmp_path, capsys, spec):
+        out = tmp_path / "s.csv"
+        assert main(["szego", "--k", "8,16", "--symbol-f", spec, "--out", str(out)]) == 2
+        assert "config error: symbol coefficients must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEnvironment:
     def test_removed_switches_are_ignored(self):

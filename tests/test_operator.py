@@ -5,15 +5,19 @@ from cdlab import (
     NotHermitianError,
     WeightedSpace,
     algebra_defect,
+    arcsine,
     circle_lebesgue,
     classical_toeplitz,
     compose,
     defect_kernel_bound,
     diagonal_density,
+    evaluate_basis,
+    from_points,
     functional_calculus,
     interval_lebesgue,
     kernel_table,
     legendre_toeplitz,
+    operator,
     operator_norm,
     orthonormalize,
     scale_by,
@@ -22,10 +26,13 @@ from cdlab import (
     spectral_statistic,
     spectrum,
     symbol_distance,
+    symbols,
     toeplitz,
 )
 from cdlab.operator import ToeplitzMatrix
-from cdlab.symbols import sym_cos, sym_one, sym_sin, sym_x, sym_x2
+from cdlab.symbols import (PolynomialSymbol, resolve_symbol, spectral_cube,
+                           spectral_identity, spectral_square, sym_cos, sym_one,
+                           sym_sin, sym_x, sym_x2)
 
 
 def circle_basis(k, m=None):
@@ -487,3 +494,222 @@ class TestSpectralRadiusBounds:
         rec = spectral_radius_bounds(toeplitz(bs, mu, sym_x), sym_x, mu)
         assert rec.inf_f - 1e-9 <= rec.lambda_min
         assert rec.lambda_max <= rec.sup_f + 1e-9
+
+
+def quadrature_oracle(bs, mu, f):
+    """T(f) as the dense sum Q* F Q, symmetrized, with Q = sqrt(w) Phi the
+    weighted basis values on mu's nodes: the cached node values on the
+    basis's own measure, the recurrence on any other."""
+    if bs.defined_on(mu):
+        phi = bs.node_values
+    else:
+        phi = evaluate_basis(bs, mu.nodes) * np.sqrt(mu.weights)[:, None]
+    fvals = np.asarray(f(mu.nodes), dtype=complex).real
+    raw = phi.conj().T @ (fvals[:, None] * phi)
+    return 0.5 * (raw + raw.conj().T)
+
+
+def max_relative_gap(got, want):
+    return float(np.max(np.abs(got - want)) / max(1.0, float(np.max(np.abs(want)))))
+
+
+POLY_SPECS = ["one", "cos", "sin", "x", "x2", "const:-1.25", "poly:0.75",
+              "poly:0.5,-2", "poly:1,0.5,-3"]
+
+
+def polynomial_symbols():
+    named = {spec: resolve_symbol(spec)[1] for spec in POLY_SPECS}
+    named["cos*sin"] = symbols.product(sym_cos, sym_sin)
+    named["cos*cos"] = symbols.product(sym_cos, sym_cos)
+    named["x*x"] = symbols.product(sym_x, sym_x)
+    return named
+
+
+def recurrence_case(name, n):
+    """(basis, measure) with the basis built on that measure."""
+    m = max(4 * n, 16)
+    space = WeightedSpace(n - 1, tensor_power=n)
+    if name == "circle":
+        mu = circle_lebesgue(m)
+    elif name == "interval":
+        mu = interval_lebesgue(m)
+    elif name == "arcsine":
+        mu = arcsine(m)
+    elif name == "tilted-circle":
+        mu = scale_by(circle_lebesgue(m), lambda z: np.cos(np.angle(z) - 0.4))
+    elif name == "tilted-interval":
+        mu = scale_by(interval_lebesgue(m), lambda z: 1.5 * z.real)
+    elif name.startswith("points"):
+        # random atoms: full Arnoldi (a full H) in the disk, and on [-1, 1]
+        # once Lanczos loses orthogonality (n >= 64 here)
+        rng = np.random.default_rng(n)
+        if name == "points-real":
+            nodes = np.sort(rng.uniform(-1.0, 1.0, m))
+        else:
+            nodes = np.sqrt(rng.uniform(0.0, 1.0, m)) * np.exp(2j * np.pi * rng.uniform(size=m))
+        mu = from_points(nodes, rng.uniform(0.5, 1.5, m) / m)
+    else:
+        kind = name.split("-")[1]
+        mu = circle_lebesgue(m) if kind == "circle" else interval_lebesgue(m)
+        space = WeightedSpace(n - 1, tensor_power=n,
+                              metric_weight=lambda z: 0.3 * np.real(z) ** 2)
+    return orthonormalize(mu, space), mu
+
+
+RECURRENCE_CASES = ["circle", "interval", "arcsine", "tilted-circle", "tilted-interval",
+                    "metric-circle", "metric-interval", "points-real", "points-disk"]
+
+
+class TestRecurrenceRoute:
+    """T(f) from the basis recurrence against the quadrature sum."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 256])
+    @pytest.mark.parametrize("case", RECURRENCE_CASES)
+    def test_matches_quadrature_oracle(self, case, n):
+        bs, mu = recurrence_case(case, n)
+        assert bs.defined_on(mu)
+        for name, f in polynomial_symbols().items():
+            assert isinstance(f, PolynomialSymbol), name
+            got = toeplitz(bs, mu, f).entries
+            gap = max_relative_gap(got, quadrature_oracle(bs, mu, f))
+            assert gap <= 1e-13, (name, gap)
+            # the library's own quadrature route, taken for the plain callable
+            plain = toeplitz(bs, mu, f.fn).entries
+            assert max_relative_gap(got, plain) <= 1e-13, name
+
+    @pytest.mark.parametrize("case", ["circle", "interval", "metric-circle"])
+    def test_polynomial_symbols_skip_the_quadrature_product(self, case, monkeypatch):
+        bs, mu = recurrence_case(case, 16)
+        want = {name: toeplitz(bs, mu, f).entries for name, f in polynomial_symbols().items()}
+
+        def no_quadrature(q, fvals):
+            raise AssertionError("quadrature product called")
+
+        monkeypatch.setattr(operator, "_quadrature_raw", no_quadrature)
+        for name, f in polynomial_symbols().items():
+            np.testing.assert_array_equal(toeplitz(bs, mu, f).entries, want[name])
+
+    def test_interval_drops_the_imaginary_part(self):
+        # sin = Im z vanishes on real nodes, so T(sin) and T(cos*sin) are
+        # exactly zero, as on the quadrature route
+        bs, mu = recurrence_case("interval", 32)
+        for f in (sym_sin, symbols.product(sym_cos, sym_sin)):
+            assert not np.any(toeplitz(bs, mu, f).entries)
+
+    def test_nonfinite_values_still_rejected(self):
+        bs, mu = recurrence_case("circle", 4)
+        bad = PolynomialSymbol(lambda z: np.full(z.shape, np.inf), {(0, 0): 1.0})
+        with pytest.raises(ValueError, match="finite"):
+            toeplitz(bs, mu, bad)
+
+    def test_symmetrized_and_asymmetry_recorded(self):
+        bs, mu = recurrence_case("interval", 64)
+        t = toeplitz(bs, mu, sym_x)
+        assert 0.0 <= t.asymmetry <= 1e-13
+        assert np.array_equal(t.entries, t.entries.conj().T)
+
+
+class TestQuadratureRouteKept:
+    """Symbols without a degree <= 2 form, and bases used on another
+    measure, still take the quadrature product."""
+
+    @pytest.mark.parametrize("case", ["circle", "interval", "tilted-circle"])
+    def test_degree_three_and_plain_callables(self, case):
+        bs, mu = recurrence_case(case, 32)
+        cubic = resolve_symbol("poly:0.5,1,-1,2")[1]
+        assert not isinstance(cubic, PolynomialSymbol)
+        x2x = symbols.product(sym_x2, sym_x)
+        assert not isinstance(x2x, PolynomialSymbol)
+        for f in (cubic, x2x, lambda z: np.exp(np.real(z)), lambda z: np.real(z) ** 2):
+            got = toeplitz(bs, mu, f).entries
+            assert max_relative_gap(got, quadrature_oracle(bs, mu, f)) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["circle", "interval"])
+    def test_basis_on_another_measure(self, kind):
+        mu = circle_lebesgue(256) if kind == "circle" else interval_lebesgue(256)
+        bs = orthonormalize(mu, WeightedSpace(31, tensor_power=32))
+        mu2 = scale_by(mu, lambda z: 0.7 * np.real(z) + 0.2)
+        assert not bs.defined_on(mu2)
+        for f in polynomial_symbols().values():
+            got = toeplitz(bs, mu2, f).entries
+            assert max_relative_gap(got, quadrature_oracle(bs, mu2, f)) <= 1e-13
+
+
+class TestSymbolProducts:
+    def test_product_terms(self):
+        assert symbols.product(sym_cos, sym_sin).terms == {(1, 1): 1.0}
+        assert symbols.product(resolve_symbol("poly:1,2")[1], sym_x).terms \
+            == {(1, 0): 1.0, (2, 0): 2.0}
+        assert symbols.product(sym_one, sym_x2).terms == {(2, 0): 1.0}
+
+    def test_product_above_degree_two_is_plain(self):
+        for f, g in ((sym_x2, sym_x2), (sym_x2, sym_sin), (sym_cos, lambda z: np.real(z))):
+            assert not isinstance(symbols.product(f, g), PolynomialSymbol)
+
+    def test_product_values(self):
+        z = np.exp(1j * np.linspace(0.0, 6.0, 17))
+        fg = symbols.product(sym_cos, sym_sin)
+        np.testing.assert_array_equal(fg(z), np.real(z) * np.imag(z))
+
+    @pytest.mark.parametrize("spec", POLY_SPECS)
+    def test_terms_describe_the_values(self, spec):
+        f = resolve_symbol(spec)[1]
+        z = np.concatenate([np.exp(1j * np.linspace(0.0, 6.0, 13)), np.linspace(-1, 1, 7)])
+        u, v = z.real, z.imag
+        want = sum(c * u ** a * v ** b for (a, b), c in f.terms.items()) + 0 * u
+        np.testing.assert_allclose(f(z), want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("spec", ["const:nan", "const:inf", "poly:1,inf", "poly:nan"])
+    def test_nonfinite_coefficients_rejected(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            resolve_symbol(spec)
+
+
+class TestTraceStatistics:
+    @pytest.mark.parametrize("case,f", [("circle", sym_cos), ("interval", sym_x),
+                                        ("interval", sym_x2), ("tilted-circle", sym_sin),
+                                        ("circle", symbols.product(sym_cos, sym_sin))])
+    @pytest.mark.parametrize("n", [1, 8, 128])
+    def test_traces_equal_eigenvalue_route(self, case, f, n):
+        bs, mu = recurrence_case(case, n)
+        t = toeplitz(bs, mu, f)
+        for g in (spectral_identity, spectral_square, spectral_cube):
+            want = spectral_statistic(t, lambda lam, g=g: g(lam))   # eigvalsh
+            got = spectral_statistic(t, g)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), g.__name__
+
+    @pytest.mark.parametrize("g", [spectral_identity, spectral_square, spectral_cube])
+    def test_trace_route_checks_hermitian(self, g):
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(NotHermitianError):
+            spectral_statistic(bad, g)
+
+    def test_trace_route_takes_no_eigensolve(self, monkeypatch):
+        bs, mu = recurrence_case("interval", 32)
+        t = toeplitz(bs, mu, sym_x)
+
+        def no_eigvalsh(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert spectral_statistic(t, spectral_square) == pytest.approx(31 / 63, abs=1e-14)
+
+
+class TestNoSvd:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_frobenius_schatten_two_equals_svd(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        for shape in ((1, 1), (7, 7), (64, 64), (5, 9)):
+            mat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            sigma = np.linalg.svd(mat, compute_uv=False)
+            want = float(np.sqrt(np.mean(sigma ** 2)))
+            assert abs(schatten_norm(mat, 2) - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("case", ["circle", "interval"])
+    def test_symbol_distance_equals_svd_schatten_one(self, case):
+        bs, mu = recurrence_case(case, 64)
+        for f, g in ((sym_cos, sym_one), (sym_x2, sym_sin), (sym_sin, sym_cos)):
+            diff = toeplitz(bs, mu, f).entries - toeplitz(bs, mu, g).entries
+            want = float(np.mean(np.linalg.svd(diff, compute_uv=False)))
+            got = symbol_distance(bs, mu, f, g)
+            assert abs(got - want) <= 1e-13 * max(1.0, want)
