@@ -13,7 +13,7 @@ import numpy as np
 _MASS_BLOCK = 1024
 
 
-def eval_recurrence(z, scale, const_norm, hess, szego_c=None):
+def eval_recurrence(z, scale, const_norm, hess, szego_c=None, *, diagonal=False):
     """Evaluate the orthonormal-polynomial columns at the points z.
 
     Runs the Hessenberg recurrence q_{j+1} = (z*q_j - sum_i H[i,j]*q_i) /
@@ -29,29 +29,133 @@ def eval_recurrence(z, scale, const_norm, hess, szego_c=None):
         q_{j+1}^* = rho_j*q_j^* - conj(c_j)*q_{j+1},
     with rho_j = H[j+1,j] and q_0^* = q_0.  H[:j+1, j] = c_j*s_j, where s_j
     holds the coordinates of q_j^*, so both give the same columns.
+
+    diagonal=True returns instead the per-point sum over the columns of
+    |scale * q_j|^2, the diagonal Christoffel-Darboux kernel, from the same
+    recurrence run in a window of the columns the band of H reads (see
+    _diagonal): no (len(z), n) array is formed.
     """
     n = hess.shape[0]
+    # the Szego step reads q_j and q_j^* only
+    first, band = (None, 1) if szego_c is not None else _band(hess)
+    if diagonal:
+        return _diagonal(z, scale, const_norm, hess, szego_c, first, band)
     out = np.empty((z.shape[0], n), dtype=np.complex128, order="F")
     out[:, 0] = 1.0 / const_norm
-    if szego_c is None:
-        upper = np.triu(hess != 0)
-        first = np.where(upper.any(axis=0), upper.argmax(axis=0), np.arange(1, n + 1))
-        for j in range(n - 1):
-            lo = first[j]
-            v = z * out[:, j] - out[:, lo : j + 1] @ hess[lo : j + 1, j]
-            out[:, j + 1] = v / hess[j + 1, j]
-    else:
-        rev = out[:, 0].copy()
-        rho = hess.diagonal(-1).real.tolist()
-        for j, c in enumerate(szego_c.tolist()):
-            col = out[:, j + 1]
-            np.multiply(z, out[:, j], out=col)
-            col -= c * rev
-            col /= rho[j]
-            rev *= rho[j]
-            rev -= c.conjugate() * col
+    for _ in _columns(z, out, hess, szego_c, first, band):
+        pass
     out *= scale[:, None]
     return out
+
+
+def _band(hess):
+    """(first, band): first[j] is the row of the first nonzero H[i, j] above
+    the subdiagonal (j + 1 when there is none), and band is the most columns
+    one step reads, max_j (j + 1 - first[j]), at least 1 (the step reads
+    q_j)."""
+    n = hess.shape[0]
+    upper = np.triu(hess != 0)
+    first = np.where(upper.any(axis=0), upper.argmax(axis=0), np.arange(1, n + 1))
+    return first, max(1, int(np.max(np.arange(1, n + 1) - first)))
+
+
+def _columns(z, win, hess, szego_c, first, band):
+    """Run the recurrence at the points z in the window win, whose column 0
+    holds q_0, and yield the columns q_0, ..., q_{n-1} in turn, each a view
+    of win that the next step may overwrite.
+
+    win holds consecutive columns, the oldest in win[:, 0].  When it is
+    full, the last `band` columns (all that the next step reads) move to
+    its front.  A window with n columns never moves: it is then the whole
+    (len(z), n) matrix.
+    """
+    n, width = hess.shape[0], win.shape[1]
+    base = 0            # the column held in win[:, 0]
+    tmp = np.empty_like(win[:, 0])
+    # every route builds a real, positive subdiagonal h.  numpy divides a
+    # complex by h as (re, im) * (1 / h), up to the sign of a zero imaginary
+    # part, so the float64 and Szego steps scale the float parts by 1 / h,
+    # at a fraction of the cost.  The complex three-term step keeps the
+    # division: evaluate_basis returns its zero signs unchanged
+    sub = hess.diagonal(-1).real
+    inv_sub = (1.0 / sub).tolist()
+    real = win.dtype == np.float64
+    yield win[:, 0]
+    if szego_c is not None:
+        rev = win[:, 0].copy()
+        rho = sub.tolist()
+        coef = szego_c.tolist()
+    for j in range(n - 1):
+        if j + 1 - base == width:
+            win[:, :band] = win[:, width - band:]
+            base = j + 1 - band
+        col = win[:, j + 1 - base]
+        parts = col.view(np.float64)
+        np.multiply(z, win[:, j - base], out=col)
+        if szego_c is None:
+            lo = first[j]
+            col -= np.matmul(win[:, lo - base : j + 1 - base], hess[lo : j + 1, j], out=tmp)
+            if real:
+                parts *= inv_sub[j]
+            else:
+                col /= hess[j + 1, j]
+        else:
+            c = coef[j]
+            col -= np.multiply(rev, c, out=tmp)
+            parts *= inv_sub[j]
+            rev *= rho[j]
+            rev -= np.multiply(col, c.conjugate(), out=tmp)
+        yield col
+
+
+# entries of the recurrence window per block of diagonal evaluation, 8 MiB
+# of complex128: a banded H or the Szego step takes ~50k points per block,
+# a full H 2^19 / n
+_WINDOW_ENTRIES = 1 << 19
+# columns the window holds beyond those one step reads: a banded window
+# moves its band to the front once every _SLACK steps
+_SLACK = 8
+
+
+def _diagonal(z, scale, const_norm, hess, szego_c, first, band):
+    """Per-point sum of |q_j|^2 over the columns of the recurrence started
+    from q_0 = scale / const_norm.
+
+    The recurrence is linear and the scale acts on each point alone, so
+    this start gives the scaled columns of eval_recurrence.  Each column
+    adds its square as re^2 + im^2, in column order.  On real points with a
+    real H and no Szego step the recurrence runs in float64.  The points are
+    taken in blocks of _WINDOW_ENTRIES / width, so memory is
+    O(block * band), whatever the number of points.
+    """
+    n = hess.shape[0]
+    real = szego_c is None and not (np.any(z.imag) or np.any(hess.imag))
+    if real:
+        z, hess = np.ascontiguousarray(z.real), np.ascontiguousarray(hess.real)
+    width = min(n, band + _SLACK)
+    block = max(1, _WINDOW_ENTRIES // width)
+    sums = np.empty(z.shape[0])
+    # one window and its squares serve every block, so they are allocated
+    # (and faulted in) once
+    p = min(block, z.shape[0])
+    window = np.empty((p, width), dtype=np.float64 if real else np.complex128, order="F")
+    sq_buf, im2_buf = np.empty(p), np.empty(p)
+    for lo in range(0, z.shape[0], block):
+        zb = z[lo : lo + block]
+        win, sq, im2 = window[: zb.shape[0]], sq_buf[: zb.shape[0]], im2_buf[: zb.shape[0]]
+        win[:, 0] = scale[lo : lo + block] * (1.0 / const_norm)
+        acc = sums[lo : lo + block]
+        for j, q in enumerate(_columns(zb, win, hess, szego_c, first, band)):
+            if real:
+                np.square(q, out=sq)
+            else:
+                np.square(q.real, out=sq)
+                sq += np.square(q.imag, out=im2)
+            if j:
+                acc += sq
+            else:
+                acc[...] = sq
+    return sums
 
 
 def _abs2_blocks(q, idx_a, idx_b):

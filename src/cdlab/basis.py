@@ -22,6 +22,7 @@ nodes.  It is serialized as the recurrence only.
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 import json
 
 import numpy as np
@@ -60,12 +61,15 @@ class WeightedSpace:
         pts = np.asarray(points, dtype=complex)
         if self.metric_weight is None:
             return np.ones(pts.shape, dtype=float)
+        return np.exp(-self.tensor_power * self._phi(pts))
+
+    def _phi(self, pts):
         phi = np.asarray(self.metric_weight(pts), dtype=float)
         if phi.shape != pts.shape:
             raise ValueError("metric_weight must return one value per point")
         if not np.all(np.isfinite(phi)):
             raise ValueError("metric_weight must be finite at every point")
-        return np.exp(-self.tensor_power * phi)
+        return phi
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,9 @@ class OrthonormalBasis:
     def dimension(self):
         return self.space.dimension
 
-    @property
+    @cached_property
     def basis_id(self):
+        """Hash of the recurrence, taken once: H is read-only."""
         h = hashlib.sha1()
         h.update(np.int64(self.dimension).tobytes())
         h.update(np.int64(self.space.tensor_power).tobytes())
@@ -276,14 +281,37 @@ def _structured_arnoldi(mu, row_scale, n):
     return (*_arnoldi(z, row_scale, n), None)
 
 
+def _check_scale_range(space, mu, scale):
+    """Reject a metric scale exp(-k phi) that underflows (to zero or to a
+    subnormal) or overflows at a node of positive weight.
+
+    An underflowed scale leaves a truncated measure, on which the recurrence
+    is orthonormal: the certificate passes, and every quantity is silently
+    wrong.  Shifting phi moves the range but cannot narrow it.
+    """
+    out_of_range = (scale < np.finfo(float).tiny) | np.isinf(scale)
+    lost = int(np.count_nonzero(out_of_range & (mu.weights > 0)))
+    if lost:
+        phi = space._phi(np.asarray(mu.nodes, dtype=complex))
+        spread = space.tensor_power * float(np.max(phi) - np.min(phi))
+        raise RankDeficientError(
+            f"metric scale exp(-k*phi) leaves the double range at {lost} of {len(mu)} "
+            f"nodes: k*(max phi - min phi) = {spread:.6g}"
+        )
+
+
 def orthonormalize(mu, space):
     """Orthonormal basis of `space` w.r.t. the weighted measure, by the
     cheapest certified route the nodes allow (see the module docstring).
 
     Raises RankDeficientError when the measure cannot support the space
-    (the finite-node analogue of a pluripolar support).
+    (the finite-node analogue of a pluripolar support), and when the metric
+    scale exp(-k phi) underflows or overflows at a node.
     """
-    row_scale = np.sqrt(mu.weights) * space.weight_scale(mu.nodes)
+    with np.errstate(over="ignore"):      # checked on the next line
+        scale = space.weight_scale(mu.nodes)
+    _check_scale_range(space, mu, scale)
+    row_scale = np.sqrt(mu.weights) * scale
     q, hess, h0, coef = _structured_arnoldi(mu, row_scale, space.dimension)
     return OrthonormalBasis(
         space=space,

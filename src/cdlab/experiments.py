@@ -241,8 +241,10 @@ def _compute_row(cfg, k, staged):
         return kernel.bergman_mass(bs, mu, all_idx, all_idx), 1.0
 
     if exp == "bm":
-        grid = kernel.default_eval_grid(mu)
-        return float(np.log(kernel.bm_constant(bs, grid)) / k), 0.0
+        bk = kernel.bm_constant(bs, kernel.default_eval_grid(mu))
+        if not (math.isfinite(bk) and bk > 0):
+            raise ValueError(f"Bernstein-Markov constant {bk!r} is not finite and positive")
+        return float(np.log(bk) / k), 0.0
 
     if exp == "symbol_distance":
         _, f = _symbol(cfg, "f", "cos")

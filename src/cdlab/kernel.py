@@ -11,14 +11,11 @@ import numpy as np
 
 from . import _backend
 from ._csvio import write_csv
-from .basis import evaluate_basis, weighted_rows
+from .basis import weighted_rows
 
 # dense m x m storage, for the heatmap export only; the cap keeps the table
 # under ~256 MiB of complex128
 MAX_NODES = 4096
-# grid points per evaluated block in bm_constant: the block's values stay
-# in cache, and the per-block loop overhead stays small on banded recurrences
-_BM_BLOCK = 1024
 # rows per block when kernel_table symmetrizes its table in place
 _SYM_BLOCK = 512
 
@@ -122,17 +119,21 @@ def bm_constant(basis, eval_grid):
 
     This is the optimal constant in the sampled sup-norm vs L2-norm bound
     for the space: the diagonal kernel is the extremal ratio at each point.
-    The grid is evaluated in blocks of _BM_BLOCK points, so memory is
-    O(_BM_BLOCK * n) whatever the grid size.
+    B_k(x, x) = sum_j |phi_j(x)|^2 is summed column by column while the
+    basis recurrence runs over the grid, so no (grid, n) array is formed:
+    memory is O(block * band of H) (see _backend.eval_recurrence).  A NaN
+    anywhere on the grid gives NaN, an overflow inf or NaN (without a
+    warning: the value says it), and an empty grid -inf.
     """
-    pts = np.atleast_1d(np.asarray(eval_grid, dtype=complex))
-    best = -np.inf
-    # the loop keeps each block until the next one is evaluated: freeing it
-    # first made bm_constant ~20% slower at k = 512, on fresh-page faults
-    for lo in range(0, pts.shape[0], _BM_BLOCK):
-        phi = evaluate_basis(basis, pts[lo : lo + _BM_BLOCK])
-        best = max(best, float(np.max(_row_sumsq(phi))))
-    return best
+    pts = np.ascontiguousarray(np.atleast_1d(np.asarray(eval_grid, dtype=complex)))
+    if pts.shape[0] == 0:
+        return -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _backend.eval_recurrence(
+            pts, basis.space.weight_scale(pts), basis.const_norm, basis.hessenberg,
+            basis.szego_c, diagonal=True,
+        )
+    return float(np.max(sums))
 
 
 def _row_sumsq(phi):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -407,3 +408,44 @@ class TestWeightedSpaceValidation:
         space = WeightedSpace(2, metric_weight=lambda z: np.where(z.real > 0, np.inf, 0.0))
         with pytest.raises(ValueError):
             orthonormalize(mu, space)
+
+    def test_underflowed_metric_scale_is_rank_deficient(self):
+        # exp(-4 * 400 x^2) is zero or subnormal near the ends of [-1, 1]:
+        # the basis would be orthonormal on a truncated measure
+        mu = interval_lebesgue(256)
+        space = WeightedSpace(3, tensor_power=4, metric_weight=lambda z: 400.0 * z.real ** 2)
+        with pytest.raises(RankDeficientError, match=r"at \d+ of 256 nodes.*= 159\d\.\d"):
+            orthonormalize(mu, space)
+
+    def test_overflowed_metric_scale_is_rank_deficient(self):
+        mu = circle_lebesgue(64)
+        space = WeightedSpace(3, tensor_power=4, metric_weight=lambda z: -200.0 * (z.real + 1))
+        with pytest.raises(RankDeficientError, match="double range"):
+            orthonormalize(mu, space)
+
+    def test_wide_but_representable_metric_scale_builds(self):
+        # k * (max phi - min phi) ~ 400: scales down to ~1e-174 stay normal
+        mu = interval_lebesgue(256)
+        space = WeightedSpace(3, tensor_power=4, metric_weight=lambda z: 100.0 * z.real ** 2)
+        bs = orthonormalize(mu, space)
+        assert node_defect(bs.node_values) <= 1e-13
+
+
+class TestBasisId:
+    def test_taken_once_per_basis(self, monkeypatch):
+        bs = orthonormalize(interval_lebesgue(64), WeightedSpace(15, tensor_power=16))
+        first = bs.basis_id
+        monkeypatch.setattr("cdlab.basis.hashlib.sha1", None)
+        assert bs.basis_id == first
+
+    @pytest.mark.parametrize("make_mu", [circle_lebesgue, interval_lebesgue])
+    def test_survives_the_json_round_trip(self, make_mu):
+        bs = orthonormalize(make_mu(64), WeightedSpace(15, tensor_power=16))
+        assert OrthonormalBasis.from_dict(bs.to_dict()).basis_id == bs.basis_id
+
+    def test_value_is_the_recurrence_hash(self):
+        bs = orthonormalize(circle_lebesgue(32), WeightedSpace(3, tensor_power=4))
+        h = hashlib.sha1()
+        for part in (np.int64(4), np.int64(4), np.float64(bs.const_norm), bs.hessenberg):
+            h.update(part.tobytes())
+        assert bs.basis_id == h.hexdigest()[:16]

@@ -325,6 +325,26 @@ class TestCli:
         assert out.read_text() == "previous\n"
         assert list(tmp_path.iterdir()) == [out]
 
+    # one bad grid point at the last k: B_k is NaN, or |p_7|^2 overflows to inf
+    @pytest.mark.parametrize("bad_point", [np.nan, 1e28], ids=["nan", "inf"])
+    def test_non_finite_bm_constant_is_exit_3(self, tmp_path, capsys, monkeypatch,
+                                              bad_point):
+        grid_for = cdlab.kernel.default_eval_grid
+
+        def grid_with_bad_point(mu):
+            grid = grid_for(mu)
+            if len(mu) == 32:
+                grid[100] = bad_point
+            return grid
+
+        monkeypatch.setattr("cdlab.kernel.default_eval_grid", grid_with_bad_point)
+        out = tmp_path / "bm.csv"
+        assert main(["bm", "--k", "4,8", "--measure", "interval", "--nodes-per-k", "4",
+                     "--min-nodes", "16", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "k=8" in err and "not finite and positive" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("experiment", ["szego", "heatmap"])
     def test_unwritable_output_is_exit_2(self, tmp_path, capsys, experiment):
         out = tmp_path / "missing" / "x.csv"

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from cdlab import (
+    OrthonormalBasis,
     WeightedSpace,
     arc_indices,
+    arcsine,
     bergman_mass,
     bm_constant,
     circle_lebesgue,
@@ -359,8 +361,8 @@ class TestBmConstant:
         lambda: scale_by(interval_lebesgue(320), lambda z: 2.0 * z.real),
     ], ids=["circle", "tilted-interval"])
     def test_blocks_give_the_whole_grid_maximum(self, make_mu):
-        # 2560 grid points: two full blocks of 1024 and a partial one, with
-        # the peak moved to the last point of the first block
+        # 2560 grid points with the peak moved to point 1023 (the grid fits
+        # one block here; TestBmRunningSum splits it at 1024)
         mu = make_mu()
         bs = orthonormalize(mu, WeightedSpace(39, tensor_power=40))
         grid = default_eval_grid(mu)
@@ -376,6 +378,121 @@ class TestBmConstant:
         mu, bs, _ = interval_setup(k)
         got = bm_constant(bs, default_eval_grid(mu))
         assert abs(got - k * k / 2.0) <= 1e-9 * k * k
+
+
+def _dense_bm_sums(bs, grid):
+    """The oracle: B_k(x, x) at every grid point, summed over the rows of
+    the dense evaluate_basis matrix."""
+    phi = evaluate_basis(bs, grid)
+    return np.einsum("ai,ai->a", phi, phi.conj()).real
+
+
+_BM_MEASURES = {
+    "circle": circle_lebesgue,
+    "interval": interval_lebesgue,
+    "arcsine": arcsine,
+    "tilted-interval": lambda m: scale_by(interval_lebesgue(m), lambda z: 2.0 * z.real),
+}
+
+
+def _bm_case(name, k):
+    """(basis, grid, rtol).  rtol is 0 where the running sum repeats the
+    oracle's arithmetic: the Szego step, and the three-term step, which on
+    real grids runs in float64 on the same products."""
+    space = WeightedSpace(k - 1, tensor_power=k)
+    m = max(4 * k, 256)
+    if name in _BM_MEASURES:
+        mu = _BM_MEASURES[name](m)
+        return orthonormalize(mu, space), default_eval_grid(mu), 0.0
+    if name in ("metric-interval", "metric-circle"):
+        # the scale is folded into the start of the recurrence, not applied
+        # to its columns
+        mu = interval_lebesgue(m) if name == "metric-interval" else circle_lebesgue(m)
+        space = WeightedSpace(k - 1, tensor_power=k, metric_weight=lambda z: 0.25 * z.real ** 2)
+        return orthonormalize(mu, space), default_eval_grid(mu), 1e-13
+    if name == "from-points":
+        rng = np.random.default_rng(11)
+        radius, angle = np.sqrt(rng.uniform(0.0, 1.0, 300)), rng.uniform(0.0, 2 * np.pi, 300)
+        bs = orthonormalize(from_points(radius * np.exp(1j * angle),
+                                        rng.uniform(0.5, 1.5, 300) / 300), space)
+        assert bs.szego_c is None and np.count_nonzero(bs.hessenberg[0]) > 3
+        grid = 1.1 * np.sqrt(rng.uniform(0.0, 1.0, 8 * 300)) * np.exp(
+            1j * rng.uniform(0.0, 2 * np.pi, 8 * 300))
+        return bs, grid, 1e-13
+    # a circle basis loaded from JSON: full H and no szego_c
+    mu = circle_lebesgue(m)
+    bs = OrthonormalBasis.from_json(orthonormalize(mu, space).to_json())
+    assert bs.szego_c is None
+    return bs, default_eval_grid(mu), 1e-13
+
+
+class TestBmRunningSum:
+    """bm_constant's running sum against the dense evaluate_basis oracle."""
+
+    @pytest.mark.parametrize("k", [1, 2, 16, 256])
+    @pytest.mark.parametrize("name", ["circle", "interval", "arcsine"])
+    def test_equals_dense_oracle(self, name, k):
+        bs, grid, rtol = _bm_case(name, k)
+        want = float(np.max(_dense_bm_sums(bs, grid)))
+        assert abs(bm_constant(bs, grid) - want) <= rtol * want
+
+    @pytest.mark.parametrize("name", ["tilted-interval", "metric-interval", "metric-circle",
+                                      "from-points", "json-circle"])
+    def test_equals_dense_oracle_on_other_bases(self, name):
+        bs, grid, rtol = _bm_case(name, 21)
+        want = _dense_bm_sums(bs, grid)
+        got = _backend.eval_recurrence(np.ascontiguousarray(grid, dtype=complex),
+                                       bs.space.weight_scale(grid), bs.const_norm,
+                                       bs.hessenberg, bs.szego_c, diagonal=True)
+        assert np.max(np.abs(got - want) / want) <= rtol
+        assert abs(bm_constant(bs, grid) - np.max(want)) <= rtol * np.max(want)
+
+    @pytest.mark.parametrize("name", ["interval", "json-circle"])
+    @pytest.mark.parametrize("at", [1023, 1024, 2559])
+    def test_peak_on_a_block_boundary(self, monkeypatch, name, at):
+        # 2560 points in blocks of 1024; the point 1.05, off the support,
+        # holds the peak
+        bs, grid, rtol = _bm_case(name, 80)
+        width = min(80, _backend._band(bs.hessenberg)[1] + _backend._SLACK)
+        assert width == (80 if name == "json-circle" else 10)
+        monkeypatch.setattr(_backend, "_WINDOW_ENTRIES", 1024 * width)
+        grid[at] = 1.05
+        want = _dense_bm_sums(bs, grid)
+        assert int(np.argmax(want)) == at
+        assert abs(bm_constant(bs, grid) - want[at]) <= rtol * want[at]
+
+    @pytest.mark.parametrize("entries", [None, 9 * 1024], ids=["one-block", "blocks"])
+    @pytest.mark.parametrize("at", [0, 1500])
+    def test_nan_on_the_grid_gives_nan(self, monkeypatch, entries, at):
+        mu = circle_lebesgue(256)
+        bs = orthonormalize(mu, WeightedSpace(63, tensor_power=64))
+        if entries:
+            monkeypatch.setattr(_backend, "_WINDOW_ENTRIES", entries)
+        grid = default_eval_grid(mu)
+        grid[at] = np.nan
+        assert np.isnan(bm_constant(bs, grid))
+
+    def test_empty_grid_is_minus_infinity(self):
+        mu, bs, _ = circle_setup(8)
+        assert bm_constant(bs, np.array([], dtype=complex)) == -np.inf
+        assert bm_constant(OrthonormalBasis.from_json(bs.to_json()), []) == -np.inf
+
+    def test_full_hessenberg_memory_is_one_window(self, monkeypatch):
+        # a full H on a grid of 8 m points: the (grid, n) matrix would take
+        # 8 MiB, one window of 256 points 512 KiB
+        mu = circle_lebesgue(512)
+        bs = OrthonormalBasis.from_json(
+            orthonormalize(mu, WeightedSpace(127, tensor_power=128)).to_json())
+        monkeypatch.setattr(_backend, "_WINDOW_ENTRIES", 256 * 128)
+        grid = default_eval_grid(mu)
+        tracemalloc.start()
+        try:
+            got = bm_constant(bs, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(got - 128.0) <= 1e-10
+        assert peak < 2 ** 20
 
 
 class TestRegions:
