@@ -73,13 +73,10 @@ def _columns(z, win, hess, szego_c, first, band):
     base = 0            # the column held in win[:, 0]
     tmp = np.empty_like(win[:, 0])
     # every route builds a real, positive subdiagonal h.  numpy divides a
-    # complex by h as (re, im) * (1 / h), up to the sign of a zero imaginary
-    # part, so the float64 and Szego steps scale the float parts by 1 / h,
-    # at a fraction of the cost.  The complex three-term step keeps the
-    # division: evaluate_basis returns its zero signs unchanged
+    # complex by h as (re, im) * (1 / h), up to the sign of a zero part, so
+    # each step scales the float parts by 1 / h, at a fraction of the cost
     sub = hess.diagonal(-1).real
     inv_sub = (1.0 / sub).tolist()
-    real = win.dtype == np.float64
     yield win[:, 0]
     if szego_c is not None:
         rev = win[:, 0].copy()
@@ -95,10 +92,7 @@ def _columns(z, win, hess, szego_c, first, band):
         if szego_c is None:
             lo = first[j]
             col -= np.matmul(win[:, lo - base : j + 1 - base], hess[lo : j + 1, j], out=tmp)
-            if real:
-                parts *= inv_sub[j]
-            else:
-                col /= hess[j + 1, j]
+            parts *= inv_sub[j]
         else:
             c = coef[j]
             col -= np.multiply(rev, c, out=tmp)
@@ -131,7 +125,9 @@ def _diagonal(z, scale, const_norm, hess, szego_c, first, band):
     n = hess.shape[0]
     real = szego_c is None and not (np.any(z.imag) or np.any(hess.imag))
     if real:
-        z, hess = np.ascontiguousarray(z.real), np.ascontiguousarray(hess.real)
+        # the step reads at most `band` entries of each column of H, so a
+        # strided view serves: no n x n copy
+        z, hess = np.ascontiguousarray(z.real), hess.real
     width = min(n, band + _SLACK)
     block = max(1, _WINDOW_ENTRIES // width)
     sums = np.empty(z.shape[0])

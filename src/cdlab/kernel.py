@@ -121,9 +121,11 @@ def bm_constant(basis, eval_grid):
     for the space: the diagonal kernel is the extremal ratio at each point.
     B_k(x, x) = sum_j |phi_j(x)|^2 is summed column by column while the
     basis recurrence runs over the grid, so no (grid, n) array is formed:
-    memory is O(block * band of H) (see _backend.eval_recurrence).  A NaN
-    anywhere on the grid gives NaN, an overflow inf or NaN (without a
-    warning: the value says it), and an empty grid -inf.
+    memory is O(block * band of H) (see _backend.eval_recurrence).  On a
+    basis without a metric weight a NaN anywhere on the grid gives NaN; a
+    metric weight must be finite at every point, so there it raises
+    ValueError.  An overflow gives inf or NaN (without a warning: the value
+    says it), and an empty grid -inf.
     """
     pts = np.ascontiguousarray(np.atleast_1d(np.asarray(eval_grid, dtype=complex)))
     if pts.shape[0] == 0:
