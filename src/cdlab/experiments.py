@@ -289,11 +289,10 @@ def run(cfg):
         if cfg.experiment == "offdiag":
             fit = fit_rate([(r["k"], r["quantity"]) for r in rows])
             footer = (f"# fitted_slope,{fit.slope!r}\n", f"# fit_residual,{fit.residual!r}\n")
-        write_csv(_stage(staged, cfg.output_path),
-                  ["k", "n_k", "quantity", "limit", "gap", "seconds"],
-                  ([r["k"], r["n_k"], r["quantity"], r["limit"], r["gap"],
-                    f"{r['seconds']:.6f}"] for r in rows),
-                  footer)
+        columns = ("k", "n_k", "quantity", "limit", "gap")
+        block = (*([r[c] for r in rows] for c in columns),
+                 [f"{r['seconds']:.6f}" for r in rows])
+        write_csv(_stage(staged, cfg.output_path), [*columns, "seconds"], [block], footer)
         for path, tmp_path in staged.items():
             os.replace(tmp_path, path)
     except BaseException:

@@ -5,7 +5,6 @@ diagonal densities and CSV exports for the heatmap.
 """
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -182,21 +181,19 @@ def interval_indices(mu, lo, hi):
 
 
 def write_heatmap_csv(table, path):
-    """Rows (a, b, re, im, |K|^2) for the full table.
+    """Rows (a, b, re, im, |K|^2) for the full table, in row-major order.
 
-    Rows are built one table row at a time, so the file is streamed
-    without holding m^2 Python rows.
+    Each table row is one block of m rows for the CSV writer, formatted by
+    one '%' call, so the file is streamed with O(m) text in memory and
+    never holds m^2 Python rows.
     """
     cols = range(table.values.shape[1])
-    rows = chain.from_iterable(
-        zip(repeat(a), cols, r.real.tolist(), r.imag.tolist(),
-            (r.real * r.real + r.imag * r.imag).tolist())
-        for a, r in enumerate(table.values))
-    return write_csv(path, ["a", "b", "re", "im", "abs2"], rows)
+    blocks = ((a, cols, r.real, r.imag, r.real * r.real + r.imag * r.imag)
+              for a, r in enumerate(table.values))
+    return write_csv(path, ["a", "b", "re", "im", "abs2"], blocks)
 
 
 def write_density_csv(table, mu, path):
     """Rows (re(x), im(x), weight, density) of the diagonal density."""
-    rows = zip(mu.nodes.real.tolist(), mu.nodes.imag.tolist(), mu.weights.tolist(),
-               diagonal_density(table, mu).tolist())
-    return write_csv(path, ["re", "im", "weight", "density"], rows)
+    block = (mu.nodes.real, mu.nodes.imag, mu.weights, diagonal_density(table, mu))
+    return write_csv(path, ["re", "im", "weight", "density"], [block])

@@ -346,13 +346,14 @@ def spectral_radius_bounds(a, f, mu):
 
 def write_matrix_csv(tm, path, measure_tag=""):
     """Entry rows (i, j, re, im) tagged with k, symbol and measure."""
-    rows = ((i, j, v.real, v.imag, tm.k, tm.symbol_desc, measure_tag)
-            for i, r in enumerate(tm.entries) for j, v in enumerate(r.tolist()))
-    return write_csv(path, ["i", "j", "re", "im", "k", "symbol", "measure"], rows)
+    cols = range(tm.entries.shape[1])
+    blocks = ((i, cols, r.real, r.imag, tm.k, tm.symbol_desc, measure_tag)
+              for i, r in enumerate(tm.entries))
+    return write_csv(path, ["i", "j", "re", "im", "k", "symbol", "measure"], blocks)
 
 
 def write_spectrum_csv(tm, path, measure_tag=""):
     """Eigenvalue rows (index, eigenvalue) tagged with k, symbol and measure."""
-    lam = spectrum(tm).eigenvalues.tolist()
-    rows = ((i, v, tm.k, tm.symbol_desc, measure_tag) for i, v in enumerate(lam))
-    return write_csv(path, ["index", "eigenvalue", "k", "symbol", "measure"], rows)
+    lam = spectrum(tm).eigenvalues
+    block = (range(len(lam)), lam, tm.k, tm.symbol_desc, measure_tag)
+    return write_csv(path, ["index", "eigenvalue", "k", "symbol", "measure"], [block])

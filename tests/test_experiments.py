@@ -162,6 +162,20 @@ class TestRunOffdiag:
         slope = float(slopes[0].split(",")[1])
         assert -1.1 <= slope <= -0.9
 
+    def test_report_matches_csv_writer_bytes(self, tmp_path):
+        out = tmp_path / "off.csv"
+        rows = run(ExperimentConfig(experiment="offdiag", k_values=[8, 16, 32],
+                                    output_path=str(out)))
+        fit = fit_rate([(r["k"], r["quantity"]) for r in rows])
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["k", "n_k", "quantity", "limit", "gap", "seconds"])
+            writer.writerows([r["k"], r["n_k"], r["quantity"], r["limit"], r["gap"],
+                              f"{r['seconds']:.6f}"] for r in rows)
+            fh.write(f"# fitted_slope,{fit.slope!r}\n# fit_residual,{fit.residual!r}\n")
+        assert out.read_bytes() == want.read_bytes()
+
     def test_node_cap_limits_only_heatmap(self, tmp_path, monkeypatch):
         # offdiag sums its masses from the basis rows; only the heatmap
         # export builds the m x m table, so only it meets the cap

@@ -509,16 +509,34 @@ class TestRegions:
 
 class TestExports:
     def test_heatmap_csv(self, tmp_path):
-        mu, _, table = circle_setup(4, m=8)
-        path = write_heatmap_csv(table, tmp_path / "hm.csv")
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["a", "b", "re", "im", "abs2"]
-        assert len(rows) == 1 + 8 * 8
-        a, b, re, im, a2 = rows[1]
-        assert (a, b) == ("0", "0")
-        assert float(re) == pytest.approx(4.0)
-        assert float(a2) == pytest.approx(16.0)
+        for setup, m in [(circle_setup, 8), (circle_setup, 64),
+                         (interval_setup, 8), (interval_setup, 64)]:
+            _, _, table = setup(4, m=m)
+            path = write_heatmap_csv(table, tmp_path / "hm.csv")
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["a", "b", "re", "im", "abs2"]
+            assert len(rows) == 1 + m * m
+            ab = np.array([[int(r[0]), int(r[1])] for r in rows[1:]])
+            a, b = np.divmod(np.arange(m * m), m)
+            np.testing.assert_array_equal(ab, np.column_stack([a, b]))
+            re, im, abs2 = np.array([[float(v) for v in r[2:]] for r in rows[1:]]).T
+            np.testing.assert_array_equal(re, table.values.real.ravel())
+            np.testing.assert_array_equal(im, table.values.imag.ravel())
+            np.testing.assert_array_equal(abs2, re * re + im * im)
+
+    def test_heatmap_csv_is_streamed(self, tmp_path):
+        # O(m) text per write: neither the file nor an m x m string cache
+        # may be held, while the file itself is ~18 MB
+        _, _, table = circle_setup(128, m=512)
+        tracemalloc.start()
+        try:
+            path = write_heatmap_csv(table, tmp_path / "hm.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert path.stat().st_size > 16e6
 
     def test_density_csv(self, tmp_path):
         mu, _, table = circle_setup(4, m=8)

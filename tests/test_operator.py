@@ -473,6 +473,33 @@ class TestExports:
         want = np.sort(np.cos(np.arange(1, 5) * np.pi / 5))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("basis", [circle_basis, interval_basis])
+    def test_exports_match_csv_writer_bytes(self, tmp_path, basis):
+        # the symbol and measure tags need csv's quoting: commas and quotes
+        import csv as csvmod
+
+        from cdlab import write_matrix_csv, write_spectrum_csv
+
+        mu, bs = basis(6)
+        desc, f = resolve_symbol("poly:1,0,2")
+        t = toeplitz(bs, mu, f, symbol_desc=desc)
+        tag = 'circle, "tilted"'
+        matrix_rows = [(i, j, v.real, v.imag, t.k, desc, tag)
+                       for i, r in enumerate(t.entries) for j, v in enumerate(r.tolist())]
+        spectrum_rows = [(i, v, t.k, desc, tag)
+                         for i, v in enumerate(spectrum(t).eigenvalues.tolist())]
+        for write, header, rows in (
+                (write_matrix_csv, ["i", "j", "re", "im", "k", "symbol", "measure"], matrix_rows),
+                (write_spectrum_csv, ["index", "eigenvalue", "k", "symbol", "measure"],
+                 spectrum_rows)):
+            with open(tmp_path / "want.csv", "w", newline="") as fh:
+                out = csvmod.writer(fh)
+                out.writerow(header)
+                out.writerows(rows)
+            got = write(t, tmp_path / "got.csv", measure_tag=tag).read_bytes()
+            assert got == (tmp_path / "want.csv").read_bytes()
+            assert b'"poly:1,0,2","circle, ""tilted"""\r\n' in got
+
 
 class TestSpectralRadiusBounds:
     def test_constant_symbol(self):
