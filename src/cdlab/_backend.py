@@ -18,7 +18,8 @@ def eval_recurrence(z, scale, const_norm, hess, szego_c=None, *, diagonal=False)
 
     Runs the Hessenberg recurrence q_{j+1} = (z*q_j - sum_i H[i,j]*q_i) /
     H[j+1,j] starting from the constant 1/const_norm, then scales row a by
-    scale[a] (the metric weight factor).  Returns a (len(z), n) complex array.
+    scale[a] (the metric weight factor).  Returns a (len(z), n) array, in
+    float64 when H is float64 and the complex points z are real.
 
     Each sum starts at the first nonzero H[i,j]: a tridiagonal H costs O(n)
     per point, a full one O(n^2).
@@ -36,11 +37,13 @@ def eval_recurrence(z, scale, const_norm, hess, szego_c=None, *, diagonal=False)
     _diagonal): no (len(z), n) array is formed.
     """
     n = hess.shape[0]
+    if not np.iscomplexobj(hess) and not np.any(z.imag):
+        z = np.ascontiguousarray(z.real)
     # the Szego step reads q_j and q_j^* only
     first, band = (None, 1) if szego_c is not None else _band(hess)
     if diagonal:
         return _diagonal(z, scale, const_norm, hess, szego_c, first, band)
-    out = np.empty((z.shape[0], n), dtype=np.complex128, order="F")
+    out = np.empty((z.shape[0], n), dtype=z.dtype, order="F")
     out[:, 0] = 1.0 / const_norm
     for _ in _columns(z, out, hess, szego_c, first, band):
         pass
@@ -117,24 +120,20 @@ def _diagonal(z, scale, const_norm, hess, szego_c, first, band):
 
     The recurrence is linear and the scale acts on each point alone, so
     this start gives the scaled columns of eval_recurrence.  Each column
-    adds its square as re^2 + im^2, in column order.  On real points with a
-    real H and no Szego step the recurrence runs in float64.  The points are
-    taken in blocks of _WINDOW_ENTRIES / width, so memory is
-    O(block * band), whatever the number of points.
+    adds its square as re^2 + im^2, in column order; the window has the
+    dtype of z, float64 on the real route.  The points are taken in blocks
+    of _WINDOW_ENTRIES / width, so memory is O(block * band), whatever the
+    number of points.
     """
     n = hess.shape[0]
-    real = szego_c is None and not (np.any(z.imag) or np.any(hess.imag))
-    if real:
-        # the step reads at most `band` entries of each column of H, so a
-        # strided view serves: no n x n copy
-        z, hess = np.ascontiguousarray(z.real), hess.real
+    real = not np.iscomplexobj(z)
     width = min(n, band + _SLACK)
     block = max(1, _WINDOW_ENTRIES // width)
     sums = np.empty(z.shape[0])
     # one window and its squares serve every block, so they are allocated
     # (and faulted in) once
     p = min(block, z.shape[0])
-    window = np.empty((p, width), dtype=np.float64 if real else np.complex128, order="F")
+    window = np.empty((p, width), dtype=z.dtype, order="F")
     sq_buf, im2_buf = np.empty(p), np.empty(p)
     for lo in range(0, z.shape[0], block):
         zb = z[lo : lo + block]
@@ -142,10 +141,8 @@ def _diagonal(z, scale, const_norm, hess, szego_c, first, band):
         win[:, 0] = scale[lo : lo + block] * (1.0 / const_norm)
         acc = sums[lo : lo + block]
         for j, q in enumerate(_columns(zb, win, hess, szego_c, first, band)):
-            if real:
-                np.square(q, out=sq)
-            else:
-                np.square(q.real, out=sq)
+            np.square(q.real, out=sq)
+            if not real:
                 sq += np.square(q.imag, out=im2)
             if j:
                 acc += sq
@@ -161,26 +158,20 @@ def _abs2_blocks(q, idx_a, idx_b):
     summand of the reductions below is nonnegative, and no m x m array is
     formed.
 
-    When the imaginary parts of Q are zero (real nodes), the product is
-    taken on the real parts, at a quarter of the flops.  Otherwise each
-    gathered block of A rows is conjugated in place, giving
-    conj(Q_A Q_B^*) with the same moduli, so Q_B is gathered once and never
-    conjugated.
+    A float64 Q (real nodes) gives a real product, at a quarter of the
+    flops of a complex one.  A complex Q has each gathered block of A rows
+    conjugated in place, giving conj(Q_A Q_B^*) with the same moduli, so
+    Q_B is gathered once and never conjugated.
     """
-    real = not np.any(q.imag)
-    if real:
-        q = q.real
+    real = not np.iscomplexobj(q)
     qb_t = q[idx_b].T
     for lo in range(0, idx_a.shape[0], _MASS_BLOCK):
         qa = q[idx_a[lo : lo + _MASS_BLOCK]]
-        if real:
-            sq = qa @ qb_t
-            yield lo, np.square(sq, out=sq)
-            continue
-        np.conjugate(qa, out=qa)
+        if not real:
+            np.conjugate(qa, out=qa)
         sq = (qa @ qb_t).view(np.float64)
         np.square(sq, out=sq)
-        yield lo, sq[:, 0::2] + sq[:, 1::2]
+        yield lo, (sq if real else sq[:, 0::2] + sq[:, 1::2])
 
 
 def pair_mass(q, idx_a, idx_b):

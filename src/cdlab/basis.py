@@ -5,7 +5,8 @@ Vandermonde matrix, organized as an Arnoldi (column-by-column) process so
 that node evaluations stay accurate at high degree.  The Arnoldi method
 takes one of three routes, chosen from the nodes:
 
-- real nodes: Lanczos/Stieltjes, the three-term recurrence, O(m n);
+- real nodes: Lanczos/Stieltjes, the three-term recurrence, O(m n), in
+  float64: a real basis, whose operators are real too;
 - nodes tagged "circle": the Szego recurrence (Gragg's isometric
   Arnoldi), O(m n), whose coefficients c_j are kept so that evaluation
   off the nodes is O(n) per point;
@@ -130,12 +131,13 @@ class OrthonormalBasis:
     def from_dict(cls, doc):
         # the metric weight is a callable and is not serialized: deserialized
         # bases live in the default planar model (phi == 0).  Other keys,
-        # such as the monomial coefficients of older documents, are ignored
+        # such as the monomial coefficients of older documents, are ignored.
+        # An H with no imaginary part loads as float64, as real nodes build it
         n = int(doc["degree_bound"]) + 1
         space = WeightedSpace(int(doc["degree_bound"]),
                               tensor_power=int(doc["tensor_power"]))
-        hess = np.array([complex(re, im) for re, im in doc["hessenberg"]],
-                        dtype=complex).reshape(n, n)
+        parts = np.array(doc["hessenberg"], dtype=np.float64).reshape(n, n, 2)
+        hess = parts.view(np.complex128)[..., 0] if np.any(parts[..., 1]) else parts[..., 0].copy()
         return cls(space=space, hessenberg=hess, const_norm=float(doc["const_norm"]))
 
     @classmethod
@@ -143,32 +145,32 @@ class OrthonormalBasis:
         return cls.from_dict(json.loads(text))
 
 
-def _start(row_scale, n):
+def _start(row_scale, n, dtype):
     """Column-major Q with its first column, the normalized constant, the
-    zero Hessenberg matrix, and the constant's norm h0."""
-    q = np.empty((row_scale.shape[0], n), dtype=np.complex128, order="F")
-    v = row_scale.astype(np.complex128)
+    zero Hessenberg matrix, both of the dtype, and the constant's norm h0."""
+    q = np.empty((row_scale.shape[0], n), dtype=dtype, order="F")
+    v = row_scale.astype(dtype)
     h0 = np.linalg.norm(v)
     if h0 == 0.0:
         raise RankDeficientError("measure has no mass under the metric weight")
     q[:, 0] = v / h0
-    return q, np.zeros((n, n), dtype=np.complex128), h0
+    return q, np.zeros((n, n), dtype=dtype), h0
 
 
 def _arnoldi(z, row_scale, n, window=None):
     """Modified Gram-Schmidt Arnoldi on {1, z, z^2, ...} in the weighted
     discrete inner product.  row_scale = sqrt(w) * exp(-k phi).
 
-    Returns (Q, H, h0): Q has orthonormal columns (poly values times
-    row_scale), H holds the recurrence coefficients, h0 the norm of the
-    constant.  Breakdown of the subdiagonal below the relative threshold
-    signals a measure that cannot support the requested degree.
+    Returns (Q, H, h0) in the dtype of z: Q has orthonormal columns (poly
+    values times row_scale), H holds the recurrence coefficients, h0 the
+    norm of the constant.  Breakdown of the subdiagonal below the relative
+    threshold signals a measure that cannot support the requested degree.
 
     window=None projects each new column on all earlier ones (O(m n^2)).
     window=w projects on the last w only: on real nodes H is tridiagonal,
     so window=2 is the Lanczos/Stieltjes procedure, O(m n).
     """
-    q, hess, h0 = _start(row_scale, n)
+    q, hess, h0 = _start(row_scale, n, z.dtype)
     pivot_max = h0
     for j in range(n - 1):
         lo = 0 if window is None else max(j + 1 - window, 0)
@@ -202,7 +204,7 @@ def _szego(z, row_scale, n):
     and has the same breakdown test as _arnoldi; O(m n) for Q and O(n^2)
     for H.
     """
-    q, hess, h0 = _start(row_scale, n)
+    q, hess, h0 = _start(row_scale, n, np.complex128)
     rev = q[:, 0].copy()            # phi_0^* = phi_0, a positive constant
     coef = np.zeros(n - 1, dtype=np.complex128)
     s = np.zeros(n, dtype=np.complex128)
@@ -231,23 +233,17 @@ def _szego(z, row_scale, n):
     return q, hess, float(h0), coef
 
 
-def _orthonormality_defect(q, real):
-    """max |Q*Q - I| for a column-major Q.
+def _orthonormality_defect(q):
+    """max |Q*Q - I| for a column-major Q, real or complex.
 
     Q*Q is Hermitian, so only its upper triangle is formed, 128 columns at
-    a time: no conjugate copy of the whole of Q is made.  When real is set
-    the imaginary parts of Q are zero, and Q*Q is the real Gram matrix of
-    the rows of Q^T viewed as floats, at half the flops.
+    a time: no conjugate copy of the whole of Q is made.
     """
     n = q.shape[1]
-    rows = q.T.view(np.float64)     # (n, 2m): re/im of column i interleaved
     worst = 0.0
     for lo in range(0, n, 128):
         hi = min(lo + 128, n)
-        if real:
-            gram = rows[:hi] @ rows[lo:hi].T
-        else:
-            gram = q[:, :hi].T @ q[:, lo:hi].conj()     # conj of (Q*Q)[:hi, lo:hi]
+        gram = q[:, :hi].T @ q[:, lo:hi].conj()     # conj of (Q*Q)[:hi, lo:hi]
         gram[lo:hi] -= np.eye(hi - lo)
         # np.maximum, unlike max(), propagates a NaN: a Q that overflowed
         # is not orthonormal
@@ -261,11 +257,14 @@ def _structured_arnoldi(mu, row_scale, n):
     Real nodes run Lanczos (window 2), nodes tagged circle run Szego.  A
     structured result is kept only if its columns are orthonormal to
     _RANK_TOL; otherwise, on breakdown, and for any other node set, full
-    Arnoldi decides.  Returns (Q, H, h0, c): c holds the Szego c_j when
-    that route was kept, and is None otherwise.
+    Arnoldi decides.  On real nodes both run on the real parts, in float64.
+    Returns (Q, H, h0, c): c holds the Szego c_j when that route was kept,
+    and is None otherwise.
     """
     z = mu.nodes
     real = not np.any(z.imag)
+    if real:
+        z = np.ascontiguousarray(z.real)
     if real or mu.support_tag == "circle":
         try:
             # an overflow here is caught by the certificate, which then
@@ -276,7 +275,7 @@ def _structured_arnoldi(mu, row_scale, n):
         except RankDeficientError:
             pass
         else:
-            if _orthonormality_defect(q, real) <= _RANK_TOL:
+            if _orthonormality_defect(q) <= _RANK_TOL:
                 return q, hess, h0, coef
     return (*_arnoldi(z, row_scale, n), None)
 
@@ -331,7 +330,8 @@ def evaluate_basis(basis, points):
     Evaluation runs the stored recurrence: the Szego step on a basis the
     Szego route built, the banded Hessenberg one otherwise.  That is O(n)
     per point unless H is full (full Arnoldi, or a circle basis loaded from
-    JSON): then O(n^2).
+    JSON): then O(n^2).  The matrix is float64 for a real basis on real
+    points.
     """
     pts = np.ascontiguousarray(np.atleast_1d(np.asarray(points, dtype=complex)))
     scale = basis.space.weight_scale(pts)

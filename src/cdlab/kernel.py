@@ -79,8 +79,9 @@ def _hermitian_part_inplace(values):
 
 
 def _half_sum(x, y):
-    """0.5 * (x + y^H) in one new array."""
-    s = y.conj().T
+    """0.5 * (x + y^H) in one new array (y.conj() of a real y is y itself,
+    np.conjugate a copy)."""
+    s = np.conjugate(y.T)
     s += x
     s *= 0.5
     return s
@@ -141,7 +142,8 @@ def _row_sumsq(phi):
     """sum_i |phi[a, i]|^2 for every row a, summed from the real and
     imaginary parts: no conjugate copy of phi is made."""
     sq = phi.real ** 2
-    sq += phi.imag ** 2
+    if np.iscomplexobj(phi):
+        sq += phi.imag ** 2
     return sq.sum(axis=1)
 
 

@@ -18,7 +18,8 @@ _HERM_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ToeplitzMatrix:
-    """Hermitian matrix of the compressed multiplication operator.
+    """Hermitian matrix of the compressed multiplication operator, real
+    symmetric on a real basis.
 
     asymmetry records the max entry deviation from Hermitian symmetry seen
     before the final symmetrization (quadrature noise diagnostic).
@@ -73,13 +74,12 @@ def _symmetrize(raw):
 
 
 def _quadrature_raw(q, fvals):
-    """Q* F Q from the weighted rows q and the symbol values: O(m n^2)."""
-    if not np.any(q.imag):
-        # real node values (real nodes, real weights): a real product
-        real = q.real
-        return (real.T @ (fvals[:, None] * real)).astype(np.complex128)
-    # Q* (F Q) = conj(Q^T conj(F Q)): conjugating the scaled copy
-    # in place spares an m x n conjugate copy of Q
+    """Q* F Q from the weighted rows q and the symbol values: O(m n^2), in
+    the dtype of q.
+
+    Q* (F Q) is taken as conj(Q^T conj(F Q)): conjugating the scaled copy
+    in place spares an m x n conjugate copy of Q.
+    """
     scaled = fvals[:, None] * q
     np.conjugate(scaled, out=scaled)
     return np.conjugate(q.T @ scaled)
@@ -102,20 +102,21 @@ def _recurrence_raw(basis, mu, terms):
         T(z^2)         = T(z)^2 + Q*(z r) e_n^T,
         T(conj(z) z)   = T(z)* T(z) + |r|^2 e_n e_n^T,
     and T(conj(z)) = T(z)*.  u and v follow from (z +- conj(z))/2.
-    On real nodes v = 0 and conj(z) = z, so T(u^2) = T(z^2).
+    On real nodes (a float64 basis) v = 0 and conj(z) = z, so T(u^2) =
+    T(z^2), and T(f) is real.
     """
     n = basis.dimension
     q = basis.node_values
-    z = mu.nodes
-    real = not np.any(z.imag)
+    real = not np.iscomplexobj(q)
+    z = mu.nodes.real if real else mu.nodes
     if real:
         terms = {(a, b): c for (a, b), c in terms.items() if b == 0}
     c = {ab: terms.get(ab, 0.0) for ab in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
     degree = max((a + b for a, b in terms), default=0)
     if degree == 0:
-        return c[0, 0] * np.eye(n, dtype=np.complex128)
+        return c[0, 0] * np.eye(n, dtype=q.dtype)
     zq = z * q[:, -1]
-    t_z = np.empty((n, n), dtype=np.complex128)
+    t_z = np.empty((n, n), dtype=q.dtype)
     t_z[:, :-1] = basis.hessenberg[:, :-1]
     t_z[:, -1] = _adjoint_times(q, zq)
     if degree == 2:
@@ -209,7 +210,7 @@ def legendre_toeplitz(f, k, m=None, symbol_desc=None):
         raise ValueError("symbol must be finite on the quadrature nodes")
     leg = _normalized_legendre(x, k)
     raw = leg.T @ ((fvals * w)[:, None] * leg)
-    entries, asym = _symmetrize(raw.astype(complex))
+    entries, asym = _symmetrize(raw)
     return ToeplitzMatrix(entries=entries, symbol_desc=_symbol_name(f, symbol_desc),
                           k=k, basis_id="legendre", asymmetry=asym)
 
