@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CdlabError
+
 CIRCLE = "circle"
 INTERVAL = "interval"
 CUSTOM = "custom"
@@ -115,39 +117,87 @@ def circle_lebesgue(m):
     return QuadratureMeasure(nodes, weights, exactness=m - 1, support_tag=CIRCLE)
 
 
+# The first ten positive zeros j_{0,k} of the Bessel function J_0
+# (Abramowitz & Stegun, Table 9.5): the starting values of the Gauss-Legendre
+# nodes nearest the endpoints.
+_J0_ZEROS = np.array([
+    2.4048255576957724, 5.520078110286311, 8.653727912911013,
+    11.791534439014281, 14.930917708487787, 18.071063967910924,
+    21.21163662987926, 24.352471530749302, 27.493479132040253,
+    30.634606468431976,
+])
+_NEWTON_SWEEPS = 10
+
+
 def _legendre_pair(m, x):
-    """Value and derivative of the degree-m Legendre polynomial at x."""
+    """Value and derivative of the degree-m Legendre polynomial at x.
+
+    The three-term recurrence runs in three preallocated buffers.
+    """
     p_prev = np.ones_like(x)
     p = x.copy()
+    t = np.empty_like(x)
     for j in range(2, m + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        # p_j = ((2j - 1) x p_{j-1} - (j - 1) p_{j-2}) / j
+        np.multiply(x, 2 * j - 1, out=t)
+        t *= p
+        p_prev *= j - 1
+        t -= p_prev
+        t /= j
+        p_prev, p, t = p, t, p_prev
     dp = m * (x * p - p_prev) / (x * x - 1.0)
     return p, dp
 
 
-def _gauss_legendre(m):
-    """Gauss-Legendre nodes/weights for dx on [-1,1] by Newton iteration.
+def _legendre_starts(m):
+    """Asymptotic approximations of the ceil(m/2) nonnegative Gauss-Legendre
+    nodes, in decreasing order.
 
-    Chebyshev-type initial guesses, tolerance 1e-15, at most 100 sweeps.
+    Interior nodes take Tricomi's expansion in theta_k = pi(4k - 1)/(4m + 2);
+    the ten nearest the endpoint take Olver's expansion about the Bessel
+    zeros, theta = psi + (psi cot psi - 1)/(8 psi rho^2), psi = j_{0,k}/rho,
+    rho = m + 1/2 (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).  For odd
+    m the middle node is exactly 0.
     """
-    if m == 1:
-        return np.zeros(1), np.full(1, 2.0)
-    a = np.arange(1, m + 1)
-    x = np.cos(np.pi * (a - 0.25) / (m + 0.5))
-    dp = np.ones_like(x)
-    for _ in range(100):
+    k = np.arange(1, (m + 1) // 2 + 1)
+    theta = np.pi * (4 * k - 1) / (4 * m + 2)
+    x = (1.0 - (m - 1) / (8.0 * m ** 3)
+         - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * m ** 4)) * np.cos(theta)
+    rho = m + 0.5
+    psi = _J0_ZEROS[:k.size] / rho
+    x[:psi.size] = np.cos(psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * rho ** 2))
+    if m % 2:
+        x[-1] = 0.0
+    return x
+
+
+def _gauss_legendre(m):
+    """Gauss-Legendre nodes/weights for dx on [-1,1], in increasing order.
+
+    Newton's method runs on the nonnegative half from asymptotic starting
+    values until max |dx| < 1e-15, and the rule is its mirror image, so it
+    is symmetric by construction.  That takes three sweeps for 2 <= m <= 22,
+    two for larger m and one from about m = 14000; each sweep, and the
+    weight sweep after it, is an O(m^2 / 2) recurrence.  Raises CdlabError
+    if Newton has not converged after ten sweeps.
+    """
+    x = _legendre_starts(m)
+    for _ in range(_NEWTON_SWEEPS):
         p, dp = _legendre_pair(m, x)
         dx = p / dp
         x -= dx
-        if np.max(np.abs(dx)) < 1e-15:
+        step = np.max(np.abs(dx))
+        if step < 1e-15:
             break
+    else:
+        raise CdlabError(f"Gauss-Legendre Newton iteration for m={m} did not "
+                         f"converge in {_NEWTON_SWEEPS} sweeps "
+                         f"(last max |dx| = {step:.3g})")
     _, dp = _legendre_pair(m, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    # enforce the exact +/- symmetry of the rule
-    x = 0.5 * (x - x[::-1])
-    w = 0.5 * (w + w[::-1])
-    order = np.argsort(x)
-    return x[order], w[order]
+    pos = m // 2      # the positive nodes; for odd m, x[pos] is the middle 0
+    return (np.concatenate((-x[:pos], x[::-1])),
+            np.concatenate((w[:pos], w[::-1])))
 
 
 def interval_lebesgue(m):

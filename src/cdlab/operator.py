@@ -69,8 +69,19 @@ def _symbol_name(f, override=None):
 
 
 def _symmetrize(raw):
-    asym = float(np.max(np.abs(raw - raw.conj().T))) if raw.size else 0.0
-    return 0.5 * (raw + raw.conj().T), asym
+    """The Hermitian part 0.5 (raw + raw*) and max |raw - raw*|.
+
+    raw* is formed once, as a new array (on float64 input `raw.conj()` is
+    raw itself), and the Hermitian part is built in it; |raw - raw*| is
+    taken in place, so at most two n x n arrays are alive besides raw.
+    """
+    adj = np.conjugate(raw.T, order="C")
+    diff = raw - adj
+    np.abs(diff, out=diff)
+    asym = float(np.max(diff.real)) if raw.size else 0.0
+    adj += raw
+    adj *= 0.5
+    return adj, asym
 
 
 def _quadrature_raw(q, fvals):

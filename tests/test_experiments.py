@@ -359,6 +359,16 @@ class TestCli:
         assert "k=8" in err and "not finite and positive" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_unconverged_gauss_legendre_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        pair = cdlab.measure._legendre_pair
+        monkeypatch.setattr("cdlab.measure._legendre_pair",
+                            lambda m, x: (pair(m, x)[0], 4.0 * pair(m, x)[1]))
+        out = tmp_path / "szego.csv"
+        assert main(["szego", "--k", "8", "--measure", "interval", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "k=8" in err and "did not converge" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("experiment", ["szego", "heatmap"])
     def test_unwritable_output_is_exit_2(self, tmp_path, capsys, experiment):
         out = tmp_path / "missing" / "x.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cdlab import measure
+from cdlab.errors import CdlabError
 from cdlab.measure import (
     QuadratureMeasure,
     arcsine,
@@ -188,7 +189,94 @@ class TestJson:
 
 
 def test_newton_rule_agrees_with_reference_at_high_order():
-    x_ref, w_ref = np.polynomial.legendre.leggauss(200)
-    x, w = measure._gauss_legendre(200)
-    np.testing.assert_allclose(x, x_ref, atol=1e-14)
-    np.testing.assert_allclose(w, w_ref, atol=1e-14)
+    for m in (200, 2048):
+        x_ref, w_ref = np.polynomial.legendre.leggauss(m)
+        x, w = measure._gauss_legendre(m)
+        np.testing.assert_allclose(x, x_ref, atol=1e-14)
+        np.testing.assert_allclose(w, w_ref, atol=1e-14)
+
+
+def newton_reference(m):
+    """Gauss-Legendre by Newton over all m nodes from Chebyshev-type starts,
+    symmetrized afterwards: the rule's former implementation."""
+    def legendre_pair(x):
+        p_prev = np.ones_like(x)
+        p = x.copy()
+        for j in range(2, m + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        return p, m * (x * p - p_prev) / (x * x - 1.0)
+
+    if m == 1:
+        return np.zeros(1), np.full(1, 2.0)
+    a = np.arange(1, m + 1)
+    x = np.cos(np.pi * (a - 0.25) / (m + 0.5))
+    for _ in range(100):
+        p, dp = legendre_pair(x)
+        dx = p / dp
+        x -= dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    _, dp = legendre_pair(x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    order = np.argsort(x)
+    return x[order], w[order]
+
+
+def bessel_j0(x):
+    """J_0(x) = (1/pi) int_0^pi cos(x sin t) dt by the 64-point trapezoid rule,
+    exact to rounding for x <= 31 (the integrand is smooth and periodic)."""
+    t = np.linspace(0.0, np.pi, 65)
+    f = np.cos(np.multiply.outer(x, np.sin(t)))
+    return (f[..., 1:-1].sum(axis=-1) + 0.5 * (f[..., 0] + f[..., -1])) / 64
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("m", [*range(1, 65), 255, 256, 257, 1024, 2048])
+    def test_matches_newton_reference(self, m):
+        x, w = measure._gauss_legendre(m)
+        x_ref, w_ref = newton_reference(m)
+        assert np.max(np.abs(x - x_ref)) <= 2.3e-16
+        assert np.max(np.abs(w - w_ref)) <= 1e-14
+        # mirror symmetric bit for bit, increasing, mass 2
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0.0)
+        assert abs(w.sum() - 2.0) <= 2e-14
+        if m % 2:
+            assert x[m // 2] == 0.0 and not np.signbit(x[m // 2])
+
+    @pytest.mark.parametrize("m", [23, 64, 255, 256, 2048])
+    def test_three_recurrences_over_half_the_nodes(self, monkeypatch, m):
+        # two Newton sweeps and the weight sweep, each over ceil(m/2) nodes
+        pair = measure._legendre_pair
+        sizes = []
+
+        def counted(degree, x):
+            sizes.append(x.size)
+            return pair(degree, x)
+
+        monkeypatch.setattr(measure, "_legendre_pair", counted)
+        measure._gauss_legendre(m)
+        assert sizes == [(m + 1) // 2] * 3
+
+    def test_bessel_zeros(self):
+        z = measure._J0_ZEROS
+        assert z.shape == (10,)
+        assert np.max(np.abs(bessel_j0(z))) < 1e-14
+        # the first ten zeros: the first lies in (2, 3), and zeros of J_0
+        # are spaced by about pi
+        assert 2.0 < z[0] < 3.0
+        assert np.max(np.abs(np.diff(z) - np.pi)) < 0.05
+
+    def test_newton_failure_is_reported(self, monkeypatch):
+        pair = measure._legendre_pair
+
+        def wrong_derivative(m, x):
+            p, dp = pair(m, x)
+            return p, 4.0 * dp
+
+        monkeypatch.setattr(measure, "_legendre_pair", wrong_derivative)
+        with pytest.raises(CdlabError, match=r"m=40 did not converge .*max \|dx\| = "):
+            measure._gauss_legendre(40)

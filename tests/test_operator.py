@@ -29,7 +29,7 @@ from cdlab import (
     symbols,
     toeplitz,
 )
-from cdlab.operator import ToeplitzMatrix
+from cdlab.operator import ToeplitzMatrix, _symmetrize
 from cdlab.symbols import (PolynomialSymbol, resolve_symbol, spectral_cube,
                            spectral_identity, spectral_square, sym_cos, sym_one,
                            sym_sin, sym_x, sym_x2)
@@ -634,6 +634,33 @@ class TestRecurrenceRoute:
         t = toeplitz(bs, mu, sym_x)
         assert 0.0 <= t.asymmetry <= 1e-13
         assert np.array_equal(t.entries, t.entries.conj().T)
+
+
+class TestSymmetrize:
+    @staticmethod
+    def formula(raw):
+        asym = float(np.max(np.abs(raw - raw.conj().T))) if raw.size else 0.0
+        return 0.5 * (raw + raw.conj().T), asym
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", [0, 1, 6, 129])
+    def test_bit_identical_to_formula(self, dtype, n):
+        rng = np.random.default_rng(n)
+        raw = rng.normal(size=(n, n)).astype(dtype)
+        if dtype is np.complex128:
+            raw += 1j * rng.normal(size=(n, n))
+        # signed zeros in both parts, and exactly Hermitian pairs
+        raw[rng.random((n, n)) < 0.2] = 0.0
+        raw[rng.random((n, n)) < 0.2] *= -0.0
+        raw[: n // 2, : n // 2] = raw[: n // 2, : n // 2].conj().T
+        want, want_asym = self.formula(raw)
+        kept = raw.copy()
+        entries, asym = _symmetrize(raw)
+        np.testing.assert_array_equal(raw.view(np.uint8), kept.view(np.uint8))
+        np.testing.assert_array_equal(entries, want)
+        np.testing.assert_array_equal(entries.view(np.uint8), want.view(np.uint8))
+        assert entries.dtype == dtype and entries.flags.c_contiguous
+        assert asym == want_asym
 
 
 class TestQuadratureRouteKept:
