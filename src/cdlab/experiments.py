@@ -147,6 +147,8 @@ def _check_region_syntax(spec):
         raise ValueError(f"bad region spec {spec!r}") from exc
     if tag not in ("arc", "interval"):
         raise ValueError(f"unknown region type in {spec!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"region bounds must be finite in {spec!r}")
     return tag, lo, hi
 
 

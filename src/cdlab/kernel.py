@@ -11,12 +11,11 @@ import numpy as np
 from . import _backend
 from ._csvio import write_csv
 from .basis import weighted_rows
+from .operator import _hermitian_part_inplace
 
 # dense m x m storage, for the heatmap export only; the cap keeps the table
 # under ~256 MiB of complex128
 MAX_NODES = 4096
-# rows per block when kernel_table symmetrizes its table in place
-_SYM_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -56,35 +55,6 @@ def kernel_table(basis, mu):
     _hermitian_part_inplace(values)
     diag = np.einsum("ai,ai->a", phi, phi.conj()).real
     return KernelTable(basis=basis, nodes=np.asarray(mu.nodes), values=values, diag=diag)
-
-
-def _hermitian_part_inplace(values):
-    """Overwrite the square matrix with 0.5 * (values + values^H).
-
-    Each pair of blocks X = (I, J), Y = (J, I) becomes 0.5 * (X + Y^H) and
-    0.5 * (Y + X^H), so the temporaries are two blocks, not two m x m
-    matrices.  Entry for entry this is the arithmetic of the two-temporary
-    formula, signed zeros included (writing the conjugate of the first
-    block as the second would flip the sign of zero imaginary parts).
-    """
-    m = values.shape[0]
-    for lo in range(0, m, _SYM_BLOCK):
-        rows = slice(lo, lo + _SYM_BLOCK)
-        for lo2 in range(lo, m, _SYM_BLOCK):
-            cols = slice(lo2, lo2 + _SYM_BLOCK)
-            upper = _half_sum(values[rows, cols], values[cols, rows])
-            if lo2 > lo:
-                values[cols, rows] = _half_sum(values[cols, rows], values[rows, cols])
-            values[rows, cols] = upper
-
-
-def _half_sum(x, y):
-    """0.5 * (x + y^H) in one new array (y.conj() of a real y is y itself,
-    np.conjugate a copy)."""
-    s = np.conjugate(y.T)
-    s += x
-    s *= 0.5
-    return s
 
 
 def bergman_mass(basis, mu, idx_a, idx_b):

@@ -14,6 +14,8 @@ from .errors import NotHermitianError
 from .measure import _gauss_legendre
 
 _HERM_TOL = 1e-8
+# rows per block of a Hermitian pass: its temporaries are two blocks
+_HERM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -68,20 +70,34 @@ def _symbol_name(f, override=None):
     return getattr(f, "__name__", "custom")
 
 
-def _symmetrize(raw):
-    """The Hermitian part 0.5 (raw + raw*) and max |raw - raw*|.
+def _block_pairs(v):
+    """Slices I, J (J at or right of I) and blocks v[I, J], v[J, I]: the
+    pairs that tile the square matrix v, in every Hermitian pass."""
+    for lo in range(0, v.shape[0], _HERM_BLOCK):
+        rows = slice(lo, lo + _HERM_BLOCK)
+        for lo2 in range(lo, v.shape[0], _HERM_BLOCK):
+            cols = slice(lo2, lo2 + _HERM_BLOCK)
+            yield rows, cols, v[rows, cols], v[cols, rows]
 
-    raw* is formed once, as a new array (on float64 input `raw.conj()` is
-    raw itself), and the Hermitian part is built in it; |raw - raw*| is
-    taken in place, so at most two n x n arrays are alive besides raw.
-    """
-    adj = np.conjugate(raw.T, order="C")
-    diff = raw - adj
-    np.abs(diff, out=diff)
-    asym = float(np.max(diff.real)) if raw.size else 0.0
-    adj += raw
-    adj *= 0.5
-    return adj, asym
+
+def _hermitian_part_inplace(v):
+    """Overwrite the square matrix v with 0.5 (v + v^H), bit for bit, and
+    return max |v - v^H| of the input (NaN if an entry is NaN).  Each block
+    is built from its own entries, as the signs of zeros require."""
+    asym = 0.0
+    for rows, cols, x, y in _block_pairs(v):
+        upper = np.conjugate(y.T)
+        diff = x - upper
+        asym = np.maximum(asym, np.max(np.abs(diff, out=diff).real))
+        if cols != rows:
+            lower = np.conjugate(x, out=diff).T   # 0.5 (Y + X^H) in diff's buffer
+            lower += y
+            lower *= 0.5
+            v[cols, rows] = lower
+        upper += x
+        upper *= 0.5
+        v[rows, cols] = upper
+    return float(asym)
 
 
 def _quadrature_raw(q, fvals):
@@ -168,8 +184,8 @@ def toeplitz(basis, mu, f, symbol_desc=None):
         raw = _recurrence_raw(basis, mu, f.terms)
     else:
         raw = _quadrature_raw(weighted_rows(basis, mu), fvals)
-    entries, asym = _symmetrize(raw)
-    return ToeplitzMatrix(entries=entries, symbol_desc=_symbol_name(f, symbol_desc),
+    asym = _hermitian_part_inplace(raw)
+    return ToeplitzMatrix(entries=raw, symbol_desc=_symbol_name(f, symbol_desc),
                           k=basis.space.tensor_power, basis_id=basis.basis_id,
                           asymmetry=asym)
 
@@ -185,7 +201,7 @@ def classical_toeplitz(fourier, k, symbol_desc="fourier"):
         raise ValueError("coefficients violate conjugate symmetry a_{-j} = conj(a_j)")
     idx = np.arange(k)
     entries = a[(idx[:, None] - idx[None, :]) + (k - 1)]
-    entries, asym = _symmetrize(entries)
+    asym = _hermitian_part_inplace(entries)
     return ToeplitzMatrix(entries=entries, symbol_desc=symbol_desc, k=k,
                           basis_id="classical-fourier", asymmetry=asym)
 
@@ -221,8 +237,8 @@ def legendre_toeplitz(f, k, m=None, symbol_desc=None):
         raise ValueError("symbol must be finite on the quadrature nodes")
     leg = _normalized_legendre(x, k)
     raw = leg.T @ ((fvals * w)[:, None] * leg)
-    entries, asym = _symmetrize(raw)
-    return ToeplitzMatrix(entries=entries, symbol_desc=_symbol_name(f, symbol_desc),
+    asym = _hermitian_part_inplace(raw)
+    return ToeplitzMatrix(entries=raw, symbol_desc=_symbol_name(f, symbol_desc),
                           k=k, basis_id="legendre", asymmetry=asym)
 
 
@@ -255,9 +271,19 @@ def operator_norm(a):
 
 
 def _as_hermitian(a):
+    """The matrix of a, checked block pair by block pair (never repaired):
+    max |A - A^H| <= _HERM_TOL (1 + max |entry|), entries finite."""
     mat = a.entries if isinstance(a, ToeplitzMatrix) else np.asarray(a)
-    asym = float(np.max(np.abs(mat - mat.conj().T)))
-    if asym > _HERM_TOL * (1.0 + float(np.max(np.abs(mat)))):
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
+        raise ValueError(f"need a nonempty square matrix, got shape {mat.shape}")
+    asym = scale = 0.0
+    for _, _, x, y in _block_pairs(mat):
+        diff = x - np.conjugate(y.T)
+        asym = np.maximum(asym, np.max(np.abs(diff, out=diff).real))
+        scale = np.maximum(scale, np.maximum(np.max(np.abs(x)), np.max(np.abs(y))))
+    if not np.isfinite(scale):
+        raise ValueError("matrix entries must be finite")
+    if asym > _HERM_TOL * (1.0 + float(scale)):
         raise NotHermitianError(f"asymmetry {asym:.3e} above tolerance")
     return mat
 

@@ -407,6 +407,15 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # arc:0,inf took all of the circle as region A, arc:nan,1 took [0, 1)
+    @pytest.mark.parametrize("region", ["arc:0,inf", "arc:nan,1", "interval:nan,0"])
+    def test_nonfinite_region_bound_is_config_error(self, tmp_path, capsys, region):
+        out = tmp_path / "r.csv"
+        assert main(["offdiag", "--k", "16,32,64", "--region-a", region,
+                     "--out", str(out)]) == 2
+        assert "region bounds must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("p", ["nan", "inf"])
     def test_nonfinite_p_is_config_error(self, tmp_path, capsys, p):
         out = tmp_path / "p.csv"

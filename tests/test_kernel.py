@@ -27,7 +27,6 @@ from cdlab import (
     write_heatmap_csv,
 )
 from cdlab import _backend
-from cdlab.kernel import _hermitian_part_inplace
 from cdlab.symbols import sym_one
 
 
@@ -106,7 +105,7 @@ def assert_same_bits(got, want):
 
 
 class TestInPlaceSymmetrization:
-    # 1536 is three whole blocks of 512 rows, 1100 ends in a partial one
+    # 1536 is six whole blocks of 256 rows, 1100 ends in a partial one
     @pytest.mark.parametrize("m", [1536, 1100])
     def test_table_equals_two_temporary_formula(self, m):
         mu = scale_by(circle_lebesgue(m), lambda z: np.cos(np.angle(z) - 0.4))
@@ -114,22 +113,6 @@ class TestInPlaceSymmetrization:
         phi = bs.node_values / np.sqrt(bs.node_weights)[:, None]
         values = phi @ phi.conj().T
         assert_same_bits(kernel_table(bs, mu).values, 0.5 * (values + values.conj().T))
-
-    @pytest.mark.parametrize("m, dtype", [
-        pytest.param(m, dtype, id=f"{m}" if dtype is np.complex128 else f"{m}-float64")
-        for dtype in (np.complex128, np.float64) for m in (1536, 1100)])
-    def test_non_hermitian_input_equals_formula(self, m, dtype):
-        # an imaginary part shared by (a, b) and (b, a) gives the Hermitian
-        # part a zero imaginary part, whose sign the formula fixes; a real
-        # table (real nodes) must not have its transpose blocks aliased
-        rng = np.random.default_rng(m)
-        values = rng.standard_normal((m, m))
-        if dtype is np.complex128:
-            values = values + 1j * rng.standard_normal((m, m))
-            values.imag[::3] = values.imag.T[::3]
-        want = 0.5 * (values + values.conj().T)
-        _hermitian_part_inplace(values)
-        assert_same_bits(values, want)
 
 
 class TestBergmanMass:

@@ -29,7 +29,7 @@ from cdlab import (
     symbols,
     toeplitz,
 )
-from cdlab.operator import ToeplitzMatrix, _symmetrize
+from cdlab.operator import ToeplitzMatrix
 from cdlab.symbols import (PolynomialSymbol, resolve_symbol, spectral_cube,
                            spectral_identity, spectral_square, sym_cos, sym_one,
                            sym_sin, sym_x, sym_x2)
@@ -326,6 +326,35 @@ class TestSpectrum:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(NotHermitianError):
             spectrum(bad)
+
+
+class TestHermitianCheckRejects:
+    """Every consumer of the Hermitian check: the eigenvalue routes and the
+    trace route of spectral_statistic."""
+
+    CALLS = {
+        "spectrum": spectrum,
+        "statistic-eigvalsh": lambda a: spectral_statistic(a, np.abs),
+        "statistic-trace": lambda a: spectral_statistic(a, spectral_square),
+        "functional_calculus": lambda a: functional_calculus(a, np.abs),
+    }
+
+    # asym > tol * (1 + max|entry|) is false for a NaN or an inf entry, so
+    # finiteness is a check of its own
+    @pytest.mark.parametrize("mat", [[[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [0.0, 1.0]]],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_nonfinite_entries(self, call, mat):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            call(np.array(mat))
+
+    # no eigensolver stands behind the trace route to reject these
+    @pytest.mark.parametrize("mat", [np.ones((1, 3)), np.ones(3), np.zeros((0, 0))],
+                             ids=["row", "vector", "empty"])
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_not_a_square_matrix(self, call, mat):
+        with pytest.raises(ValueError, match="nonempty square matrix"):
+            call(mat)
 
 
 class TestSpectralStatistic:
@@ -637,30 +666,82 @@ class TestRecurrenceRoute:
 
 
 class TestSymmetrize:
+    """The one Hermitian-part routine, behind every Toeplitz matrix and the
+    kernel table, against the two-temporary formula."""
+
     @staticmethod
     def formula(raw):
         asym = float(np.max(np.abs(raw - raw.conj().T))) if raw.size else 0.0
         return 0.5 * (raw + raw.conj().T), asym
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    @pytest.mark.parametrize("n", [0, 1, 6, 129])
-    def test_bit_identical_to_formula(self, dtype, n):
+    @staticmethod
+    def raw(n, dtype):
         rng = np.random.default_rng(n)
         raw = rng.normal(size=(n, n)).astype(dtype)
         if dtype is np.complex128:
             raw += 1j * rng.normal(size=(n, n))
+            # imaginary parts shared by (a, b) and (b, a): the Hermitian part
+            # has a zero imaginary part there, whose sign the formula fixes
+            raw.imag[::3] = raw.imag.T[::3]
         # signed zeros in both parts, and exactly Hermitian pairs
         raw[rng.random((n, n)) < 0.2] = 0.0
         raw[rng.random((n, n)) < 0.2] *= -0.0
         raw[: n // 2, : n // 2] = raw[: n // 2, : n // 2].conj().T
+        return raw
+
+    # whole blocks (256, 1536), a partial last block (257, 1100), sizes either
+    # side of the block boundary
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", [0, 1, 6, 129, 255, 256, 257, 1100, 1536])
+    def test_bit_identical_to_formula(self, dtype, n):
+        assert operator._HERM_BLOCK == 256
+        raw = self.raw(n, dtype)
         want, want_asym = self.formula(raw)
-        kept = raw.copy()
-        entries, asym = _symmetrize(raw)
-        np.testing.assert_array_equal(raw.view(np.uint8), kept.view(np.uint8))
-        np.testing.assert_array_equal(entries, want)
-        np.testing.assert_array_equal(entries.view(np.uint8), want.view(np.uint8))
-        assert entries.dtype == dtype and entries.flags.c_contiguous
+        asym = operator._hermitian_part_inplace(raw)
+        np.testing.assert_array_equal(raw, want)
+        np.testing.assert_array_equal(raw.view(np.uint8), want.view(np.uint8))
+        assert raw.dtype == dtype and type(asym) is float
         assert asym == want_asym
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_nan_entry_gives_nan_asymmetry(self, dtype):
+        # in a late block pair, so an earlier finite maximum cannot mask it
+        raw = self.raw(1100, dtype)
+        raw[1050, 300] = np.nan
+        assert np.isnan(self.formula(raw)[1])
+        assert np.isnan(operator._hermitian_part_inplace(raw))
+
+    @staticmethod
+    def formula_check(mat):
+        """The check's decision from whole-matrix maxima."""
+        scale = float(np.max(np.abs(mat)))
+        if not np.isfinite(scale):
+            return ValueError
+        asym = float(np.max(np.abs(mat - mat.conj().T)))
+        return NotHermitianError if asym > operator._HERM_TOL * (1.0 + scale) else None
+
+    # the asymmetric pair and the largest entry sit in block (4, 1), below
+    # the diagonal; a non-finite entry there has a finite mirror, so only a
+    # scale read from both blocks of each pair sees it
+    @pytest.mark.parametrize("case", [0.5, 2.0, np.nan, np.inf])
+    def test_check_agrees_with_whole_matrix_formula(self, case):
+        n, (i, j) = 1100, (1050, 300)
+        rng = np.random.default_rng(7)
+        mat = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+        mat = 0.5 * (mat + mat.conj().T)
+        mat[i, j] = 1e6 + 2e5j
+        mat[j, i] = np.conj(mat[i, j])
+        if np.isfinite(case):
+            mat[i, j] += case * operator._HERM_TOL * (1.0 + abs(mat[i, j]))
+        else:
+            mat[i, j] = case
+        want = self.formula_check(mat)
+        assert want is {0.5: None, 2.0: NotHermitianError}.get(case, ValueError)
+        if want is None:
+            assert operator._as_hermitian(mat) is mat
+        else:
+            with pytest.raises(want):
+                operator._as_hermitian(mat)
 
 
 class TestQuadratureRouteKept:
