@@ -1,5 +1,9 @@
 """Command line front end: `cdlab <experiment> --config cfg.json` or flags.
 
+Each subcommand takes the k, measure and output flags plus the settings its
+experiment reads (`experiments.SETTINGS`).  Flags and a JSON config both go
+through `ExperimentConfig.from_dict`; `--config` takes no other flag.
+
 Exit codes: 0 success, 2 configuration error or an output that cannot be
 written, 3 numerical failure (the offending k is reported on stderr).
 """
@@ -7,8 +11,30 @@ written, 3 numerical failure (the offending k is reported on stderr).
 import argparse
 import sys
 
-from .experiments import (EXPERIMENTS, MEASURE_KINDS, ExperimentConfig, MeasureSpec,
-                          NumericalFailure, run)
+from .experiments import MEASURE_KINDS, SETTINGS, ExperimentConfig, NumericalFailure, run
+
+
+_DEFAULT_K = "16,32,64"
+
+
+def _flags(reads):
+    """(flag, config field it sets, add_argument keywords) of the experiment
+    whose SETTINGS entry is reads; "field.key" is a key of a nested field."""
+    yield "--k", "k_values", {
+        "help": f"comma-separated strictly ascending k (default {_DEFAULT_K})"}
+    yield "--measure", "measure_spec.kind", {"choices": MEASURE_KINDS,
+                                             "help": " | ".join(MEASURE_KINDS)}
+    yield "--nodes-per-k", "measure_spec.nodes_per_k", {
+        "type": int, "help": "node count rule: max(nodes_per_k*k, min_nodes)"}
+    yield "--min-nodes", "measure_spec.min_nodes", {"type": int}
+    for key, default in reads.get("symbol_specs", {}).items():
+        yield f"--symbol-{key}", f"symbol_specs.{key}", {"help": f"default {default}"}
+    if "p" in reads:
+        yield "--p", "p", {"type": float, "help": f"Schatten exponent (default {reads['p']})"}
+    for key in reads.get("regions", {}):
+        yield f"--region-{key}", f"regions.{key}", {
+            "help": "arc:start,end or interval:lo,hi (default per support)"}
+    yield "--out", "output_path", {"help": "output CSV path"}
 
 
 def _build_parser():
@@ -17,53 +43,36 @@ def _build_parser():
         description="k-sweep experiments for kernel/Toeplitz limit theorems",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        sp = sub.add_parser(name, help=f"run the {name} sweep")
-        sp.add_argument("--config", help="JSON config file (overrides the flags)")
-        sp.add_argument("--k", default="16,32,64",
-                        help="comma-separated strictly ascending k values")
-        sp.add_argument("--measure", default="circle",
-                        choices=MEASURE_KINDS)
-        sp.add_argument("--nodes-per-k", type=int, default=4,
-                        help="node count rule: max(nodes_per_k*k, min_nodes)")
-        sp.add_argument("--min-nodes", type=int, default=256)
-        sp.add_argument("--symbol-f", default=None, help="symbol name for f")
-        sp.add_argument("--symbol-g", default=None,
-                        help="symbol name for g (szego: spectral function)")
-        sp.add_argument("--p", type=float, default=2.0, help="Schatten exponent")
-        sp.add_argument("--region-a", default=None,
-                        help="arc:start,end or interval:lo,hi")
-        sp.add_argument("--region-b", default=None)
-        sp.add_argument("--out", default="report.csv", help="output CSV path")
+    for name, reads in SETTINGS.items():
+        # no flag has a parser default, so the namespace holds only the flags given
+        sp = sub.add_parser(name, help=f"run the {name} sweep",
+                            argument_default=argparse.SUPPRESS)
+        sp.add_argument("--config", help="JSON config file (takes no other flag)")
+        for flag, dest, kwargs in _flags(reads):
+            sp.add_argument(flag, dest=dest, metavar=dest.rpartition(".")[2].upper(), **kwargs)
     return parser
 
 
 def _config_from_args(args):
-    if args.config:
-        cfg = ExperimentConfig.from_json_file(args.config)
+    """The config of --config, or of the flags given, through the same from_dict."""
+    given = {dest: value for dest, value in vars(args).items() if dest != "experiment"}
+    if "config" in given:
+        others = [flag for flag, dest, _ in _flags(SETTINGS[args.experiment]) if dest in given]
+        if others:
+            raise ValueError(f"--config takes no other flag, got {', '.join(others)}")
+        cfg = ExperimentConfig.from_json_file(given["config"])
         if cfg.experiment != args.experiment:
             raise ValueError(f"config is for {cfg.experiment!r}, not {args.experiment!r}")
         return cfg
-    symbol_specs = {}
-    if args.symbol_f:
-        symbol_specs["f"] = args.symbol_f
-    if args.symbol_g:
-        symbol_specs["g"] = args.symbol_g
-    regions = {}
-    if args.region_a:
-        regions["a"] = args.region_a
-    if args.region_b:
-        regions["b"] = args.region_b
-    return ExperimentConfig(
-        experiment=args.experiment,
-        k_values=[int(t) for t in args.k.split(",") if t.strip()],
-        measure_spec=MeasureSpec(kind=args.measure, nodes_per_k=args.nodes_per_k,
-                                 min_nodes=args.min_nodes),
-        symbol_specs=symbol_specs,
-        p=args.p,
-        regions=regions,
-        output_path=args.out,
-    )
+    doc = {"experiment": args.experiment, "k_values": _DEFAULT_K}
+    for dest, value in given.items():
+        field, _, key = dest.partition(".")
+        if key:
+            doc.setdefault(field, {})[key] = value
+        else:
+            doc[field] = value
+    doc["k_values"] = [int(t) for t in doc["k_values"].split(",") if t.strip()]
+    return ExperimentConfig.from_dict(doc)
 
 
 def main(argv=None):

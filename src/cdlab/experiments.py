@@ -13,7 +13,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,7 +21,19 @@ from . import equilibrium, kernel, measure, operator, symbols
 from ._csvio import write_csv
 from .basis import WeightedSpace, orthonormalize
 
-EXPERIMENTS = ("szego", "algebra", "offdiag", "heatmap", "bm", "symbol_distance")
+# What each experiment reads besides k_values, measure_spec and
+# output_path, with its defaults: the config rejects any other setting, the
+# CLI offers only these flags, and _compute_row takes its defaults from here.
+# Names and numbers only: the functions stay on their modules, where a
+# tracer may wrap them.  Regions default per support (_DEFAULT_REGIONS).
+SETTINGS = {
+    "szego": {"symbol_specs": {"f": "cos", "g": "square"}},   # g: spectral function
+    "algebra": {"symbol_specs": {"f": "cos", "g": "sin"}, "p": 2.0},
+    "offdiag": {"regions": {"a": None, "b": None}},
+    "heatmap": {},
+    "bm": {},
+    "symbol_distance": {"symbol_specs": {"f": "cos", "g": "one"}},
+}
 MEASURE_KINDS = ("circle", "interval", "arcsine")
 
 _DEFAULT_REGIONS = {
@@ -78,13 +90,14 @@ class ExperimentConfig:
     k_values: list
     measure_spec: MeasureSpec = field(default_factory=MeasureSpec)
     symbol_specs: dict = field(default_factory=dict)
-    p: float = 2.0
+    p: float | None = None        # None: not given, the default applies
     regions: dict = field(default_factory=dict)
     output_path: str = "report.csv"
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in SETTINGS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        reads = SETTINGS[self.experiment]
         ks = list(self.k_values)
         if not ks:
             raise ValueError("k_values must be nonempty")
@@ -97,15 +110,21 @@ class ExperimentConfig:
         if self.experiment == "offdiag" and len(ks) < 3:
             raise ValueError("offdiag needs at least 3 k values to fit a rate")
         self.k_values = [int(k) for k in ks]
-        if not (math.isfinite(self.p) and self.p >= 1):
-            raise ValueError(f"p must be finite and >= 1, got {self.p!r}")
-        for name, keys in (("symbol_specs", {"f", "g"}), ("regions", {"a", "b"})):
+        if self.p is not None:
+            if "p" not in reads:
+                raise ValueError(f"{self.experiment} does not read p")
+            if not (math.isfinite(self.p) and self.p >= 1):
+                raise ValueError(f"p must be finite and >= 1, got {self.p!r}")
+            self.p = float(self.p)
+        for name in ("symbol_specs", "regions"):
             spec = getattr(self, name)
             if not (isinstance(spec, dict) and all(isinstance(v, str) for v in spec.values())):
                 raise ValueError(f"{name} must map names to strings, got {spec!r}")
-            unknown = set(spec) - keys
+            known = sorted(reads.get(name, ()))
+            unknown = set(spec) - set(known)
             if unknown:
-                raise ValueError(f"unknown {name} keys: {', '.join(sorted(map(str, unknown)))}")
+                raise ValueError(f"unknown {name} keys: {', '.join(sorted(map(str, unknown)))}"
+                                 f" ({self.experiment} reads {known})")
         for key, val in self.symbol_specs.items():
             if self.experiment == "szego" and key == "g":
                 symbols.resolve_spectral(val)
@@ -116,22 +135,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc):
-        doc = dict(doc)
-        ms = doc.pop("measure_spec", {})
-        if isinstance(ms, str):
-            ms = {"kind": ms}
-        cfg = cls(
-            experiment=doc.pop("experiment"),
-            k_values=doc.pop("k_values"),
-            measure_spec=MeasureSpec(**ms),
-            symbol_specs=doc.pop("symbol_specs", {}),
-            p=float(doc.pop("p", 2.0)),
-            regions=doc.pop("regions", {}),
-            output_path=doc.pop("output_path", "report.csv"),
-        )
-        if doc:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(doc))}")
-        return cfg
+        """The config of a JSON document or of the CLI flags."""
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        return cls(**{**doc, "measure_spec": MeasureSpec(**doc.get("measure_spec", {}))})
 
     @classmethod
     def from_json_file(cls, path):
@@ -185,10 +193,6 @@ def fit_rate(series):
                    residual=float(np.sqrt(np.mean(resid ** 2))))
 
 
-def _symbol(cfg, key, default):
-    return symbols.resolve_symbol(cfg.symbol_specs.get(key, default))
-
-
 def _heatmap_side_paths(output_path, k):
     stem, ext = os.path.splitext(output_path)
     ext = ext or ".csv"
@@ -206,10 +210,11 @@ def _compute_row(cfg, k, staged):
     mu = cfg.measure_spec.build(k)
     bs = orthonormalize(mu, WeightedSpace(degree_bound=k - 1, tensor_power=k))
     exp = cfg.experiment
+    specs = {**SETTINGS[exp].get("symbol_specs", {}), **cfg.symbol_specs}
 
     if exp == "szego":
-        _, f = _symbol(cfg, "f", "cos")
-        _, g = symbols.resolve_spectral(cfg.symbol_specs.get("g", "square"))
+        _, f = symbols.resolve_symbol(specs["f"])
+        _, g = symbols.resolve_spectral(specs["g"])
         t = operator.toeplitz(bs, mu, f)
         quantity = operator.spectral_statistic(t, g)
         nu = equilibrium.equilibrium_for(mu)
@@ -217,9 +222,10 @@ def _compute_row(cfg, k, staged):
         return quantity, limit
 
     if exp == "algebra":
-        _, f = _symbol(cfg, "f", "cos")
-        _, g = _symbol(cfg, "g", "sin")
-        return operator.algebra_defect(bs, mu, f, g, cfg.p), 0.0
+        _, f = symbols.resolve_symbol(specs["f"])
+        _, g = symbols.resolve_symbol(specs["g"])
+        p = SETTINGS[exp]["p"] if cfg.p is None else cfg.p
+        return operator.algebra_defect(bs, mu, f, g, p), 0.0
 
     if exp == "offdiag":
         regions = dict(_DEFAULT_REGIONS.get(mu.support_tag, {}))
@@ -249,8 +255,8 @@ def _compute_row(cfg, k, staged):
         return float(np.log(bk) / k), 0.0
 
     if exp == "symbol_distance":
-        _, f = _symbol(cfg, "f", "cos")
-        _, g = _symbol(cfg, "g", "one")
+        _, f = symbols.resolve_symbol(specs["f"])
+        _, g = symbols.resolve_symbol(specs["g"])
         quantity = operator.symbol_distance(bs, mu, f, g)
         nu = equilibrium.equilibrium_for(mu)
         limit = equilibrium.integrate(

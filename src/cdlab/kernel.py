@@ -131,11 +131,18 @@ def default_eval_grid(mu, factor=8):
     return np.asarray(mu.nodes)
 
 
+def _check_finite_bounds(lo, hi):
+    # an infinite or NaN bound selects all nodes or none, not a region
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"region bounds must be finite, got ({lo!r}, {hi!r})")
+
+
 def arc_indices(mu, start, end):
     """Node indices with angle in the half-open arc [start, end) (radians).
 
     Wraps around 2*pi when start > end.
     """
+    _check_finite_bounds(start, end)
     theta = np.mod(np.angle(mu.nodes), 2 * np.pi)
     lo = np.mod(start, 2 * np.pi)
     hi = np.mod(end, 2 * np.pi)
@@ -148,6 +155,7 @@ def arc_indices(mu, start, end):
 
 def interval_indices(mu, lo, hi):
     """Node indices with real part in the half-open interval [lo, hi)."""
+    _check_finite_bounds(lo, hi)
     x = mu.nodes.real
     return np.where((x >= lo) & (x < hi))[0]
 

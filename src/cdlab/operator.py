@@ -225,6 +225,8 @@ def legendre_toeplitz(f, k, m=None, symbol_desc=None):
     """Matrix a_{ij} = int_{-1}^{1} f(x) L_i(x) L_j(x) dx over the normalized
     Legendre polynomials, by a Gauss-Legendre rule of order m (default 4k).
     """
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if m is None:
         m = 4 * k
     if m < k:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 
 import cdlab
 from cdlab import ExperimentConfig, MeasureSpec, NumericalFailure, fit_rate, run
-from cdlab.cli import main
+from cdlab.cli import _build_parser, _config_from_args, main
 from cdlab.experiments import resolve_region
 from cdlab.measure import circle_lebesgue
 
@@ -416,7 +417,7 @@ class TestCli:
         assert "region bounds must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("p", ["nan", "inf"])
+    @pytest.mark.parametrize("p", ["nan", "inf", "0"])
     def test_nonfinite_p_is_config_error(self, tmp_path, capsys, p):
         out = tmp_path / "p.csv"
         assert main(["algebra", "--k", "8", "--p", p, "--out", str(out)]) == 2
@@ -435,6 +436,112 @@ class TestCli:
         assert main(["szego", "--k", "8,16", "--symbol-f", spec, "--out", str(out)]) == 2
         assert "config error: symbol coefficients must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+# the flags every subcommand takes, and the settings each experiment reads
+COMMON_FLAGS = {"--help", "--config", "--k", "--measure", "--nodes-per-k", "--min-nodes",
+                "--out"}
+OWN_FLAGS = {
+    "szego": {"--symbol-f", "--symbol-g"},
+    "algebra": {"--symbol-f", "--symbol-g", "--p"},
+    "offdiag": {"--region-a", "--region-b"},
+    "heatmap": set(),
+    "bm": set(),
+    "symbol_distance": {"--symbol-f", "--symbol-g"},
+}
+# each setting flag with a valid value, and the same setting in a JSON config
+SETTING_FLAGS = {
+    "--symbol-f": ("cos", {"symbol_specs": {"f": "cos"}}),
+    "--symbol-g": ("cos", {"symbol_specs": {"g": "cos"}}),
+    "--p": ("3", {"p": 3.0}),
+    "--region-a": ("arc:0,1", {"regions": {"a": "arc:0,1"}}),
+    "--region-b": ("arc:3,4", {"regions": {"b": "arc:3,4"}}),
+}
+UNREAD = [(exp, flag) for exp, own in OWN_FLAGS.items() for flag in SETTING_FLAGS
+          if flag not in own]
+
+
+class TestSettings:
+    def test_every_experiment_has_a_flag_set(self):
+        assert set(OWN_FLAGS) == set(cdlab.experiments.SETTINGS)
+        assert len(UNREAD) == 21
+
+    # each of these ran and wrote a report without the setting
+    @pytest.mark.parametrize("experiment,flag", UNREAD)
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, experiment, flag):
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, "--k", "8,16,32", flag, SETTING_FLAGS[flag][0],
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("experiment,flag", UNREAD)
+    def test_unread_setting_in_config_is_config_error(self, tmp_path, capsys, experiment,
+                                                      flag):
+        out = tmp_path / "r.csv"
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"experiment": experiment, "k_values": [8, 16, 32],
+                                        "output_path": str(out), **SETTING_FLAGS[flag][1]}))
+        assert main([experiment, "--config", str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", sorted(OWN_FLAGS))
+    def test_help_lists_exactly_the_flags_read(self, capsys, experiment):
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert flags == COMMON_FLAGS | OWN_FLAGS[experiment]
+
+    # the flags were dropped and the config's k and output path used
+    @pytest.mark.parametrize("extra", [["--k", "16,32"], ["--out", "other.csv"],
+                                       ["--symbol-f", "x"]])
+    def test_config_with_a_flag_is_config_error(self, tmp_path, capsys, monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"experiment": "szego", "k_values": [8],
+                                        "output_path": "r.csv"}))
+        assert main(["szego", "--config", str(cfg_path), *extra]) == 2
+        assert f"--config takes no other flag, got {extra[0]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    # an empty value was dropped and the default used
+    @pytest.mark.parametrize("argv,message", [
+        (["szego", "--symbol-f="], "unknown symbol ''"),
+        (["szego", "--symbol-g="], "unknown spectral function ''"),
+        (["offdiag", "--k", "8,16,32", "--region-a="], "bad region spec ''"),
+    ], ids=["symbol", "spectral", "region"])
+    def test_empty_flag_value_is_config_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "e.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flagless_config_is_the_default_config(self):
+        cfg = _config_from_args(_build_parser().parse_args(["szego"]))
+        assert cfg == ExperimentConfig(experiment="szego", k_values=[16, 32, 64])
+        assert cfg.p is None and cfg.output_path == "report.csv"
+
+    def test_flags_and_json_build_the_same_config(self):
+        argv = ["algebra", "--k", "8,16", "--measure", "interval", "--min-nodes", "64",
+                "--symbol-f", "x", "--p", "3", "--out", "a.csv"]
+        doc = {"experiment": "algebra", "k_values": [8, 16],
+               "measure_spec": {"kind": "interval", "min_nodes": 64},
+               "symbol_specs": {"f": "x"}, "p": 3, "output_path": "a.csv"}
+        assert _config_from_args(_build_parser().parse_args(argv)) == \
+            ExperimentConfig.from_dict(doc)
+
+    def test_measure_spec_string_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"experiment": "bm", "k_values": [8],
+                                        "measure_spec": "interval",
+                                        "output_path": str(tmp_path / "bm.csv")}))
+        assert main(["bm", "--config", str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 class TestEnvironment:

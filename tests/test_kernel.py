@@ -494,6 +494,16 @@ class TestRegions:
         assert np.all(mu.nodes.real[idx] >= 0)
         assert len(idx) == 16
 
+    # (0, inf) took all 64 nodes with a RuntimeWarning, (nan, 1) took the
+    # 11 nodes of [0, 1), and (nan, 0) on the interval took none
+    @pytest.mark.parametrize("select,lo,hi", [
+        (arc_indices, 0.0, np.inf), (arc_indices, np.nan, 1.0), (interval_indices, np.nan, 0.0),
+    ], ids=["arc-inf", "arc-nan", "interval-nan"])
+    def test_nonfinite_bound_rejected(self, select, lo, hi):
+        mu = circle_lebesgue(64) if select is arc_indices else interval_lebesgue(64)
+        with pytest.raises(ValueError, match="region bounds must be finite"):
+            select(mu, lo, hi)
+
 
 class TestExports:
     def test_heatmap_csv(self, tmp_path):

@@ -216,6 +216,12 @@ class TestLegendreToeplitz:
         with pytest.raises(ValueError):
             legendre_toeplitz(sym_x, 8, m=4)
 
+    # k=0 raised ZeroDivisionError, k=-1 blamed the quadrature order m=-4
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_nonpositive_k_rejected(self, k):
+        with pytest.raises(ValueError, match=f"k must be an integer >= 1, got {k}"):
+            legendre_toeplitz(sym_x, k)
+
 
 class TestCompose:
     def test_identity_is_neutral(self):
