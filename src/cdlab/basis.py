@@ -16,13 +16,14 @@ A structured result is certified: it is kept only if its node values are
 orthonormal to max |Q*Q - I| <= 1e-13, and full Arnoldi decides
 otherwise, or when the structured recurrence breaks down.
 
-A basis is its recurrence: the Hessenberg coefficients used for stable
-evaluation, plus the cached orthonormal evaluations on the defining
-nodes.  It is serialized as the recurrence only.
+A basis is its recurrence, run one step past n so that H = T(z) = Q* Z Q
+(Z Q = Q H + r e_n^T, the residual r unnormalized, 0 on n nodes; the basis
+keeps |r|^2 and Q*(z r)), plus the cached orthonormal evaluations on the
+defining nodes.  It is serialized as the recurrence only.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 import json
 
@@ -86,11 +87,13 @@ class OrthonormalBasis:
     # c_j of the Szego route, or None: evaluate_basis then runs the Szego
     # step instead of the full-column Hessenberg one
     szego_c: np.ndarray = field(repr=False, default=None)
+    # |r|^2 and Q*(z r) of the step past n; None on a loaded basis
+    residual_sq: float = field(repr=False, default=None)
+    z_residual: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        for name in ("hessenberg", "node_values", "nodes", "node_weights", "szego_c"):
-            arr = getattr(self, name)
-            if arr is not None:
+        for f in fields(self):
+            if isinstance(arr := getattr(self, f.name), np.ndarray):
                 arr.setflags(write=False)
 
     @property
@@ -129,10 +132,9 @@ class OrthonormalBasis:
 
     @classmethod
     def from_dict(cls, doc):
-        # the metric weight is a callable and is not serialized: deserialized
-        # bases live in the default planar model (phi == 0).  Other keys,
-        # such as the monomial coefficients of older documents, are ignored.
-        # An H with no imaginary part loads as float64, as real nodes build it
+        # the metric weight is not serialized: a loaded basis has phi == 0.  Other
+        # keys are ignored, and evaluation never reads H's last column, which
+        # older documents hold as zeros.  A real H loads as float64, as real nodes build it
         n = int(doc["degree_bound"]) + 1
         space = WeightedSpace(int(doc["degree_bound"]),
                               tensor_power=int(doc["tensor_power"]))
@@ -161,18 +163,18 @@ def _arnoldi(z, row_scale, n, window=None):
     """Modified Gram-Schmidt Arnoldi on {1, z, z^2, ...} in the weighted
     discrete inner product.  row_scale = sqrt(w) * exp(-k phi).
 
-    Returns (Q, H, h0) in the dtype of z: Q has orthonormal columns (poly
-    values times row_scale), H holds the recurrence coefficients, h0 the
-    norm of the constant.  Breakdown of the subdiagonal below the relative
-    threshold signals a measure that cannot support the requested degree.
+    Returns (Q, H, h0, (|r|^2, Q*(z r))) in the dtype of z: Q has orthonormal
+    columns (poly values times row_scale), H = Q* Z Q, h0 the norm of the
+    constant, r the residual past n.  Breakdown of the subdiagonal below the
+    relative threshold: the measure cannot support the requested degree.
 
     window=None projects each new column on all earlier ones (O(m n^2)).
-    window=w projects on the last w only: on real nodes H is tridiagonal,
-    so window=2 is the Lanczos/Stieltjes procedure, O(m n).
+    window=w projects on the last w only, Q*(z r) too: on real nodes H is
+    tridiagonal, so window=2 is the Lanczos/Stieltjes procedure, O(m n).
     """
     q, hess, h0 = _start(row_scale, n, z.dtype)
     pivot_max = h0
-    for j in range(n - 1):
+    for j in range(n):
         lo = 0 if window is None else max(j + 1 - window, 0)
         v = z * q[:, j]
         # two Gram-Schmidt passes keep the columns orthonormal to ~eps;
@@ -181,6 +183,8 @@ def _arnoldi(z, row_scale, n, window=None):
             proj = (v.conj() @ q[:, lo : j + 1]).conj()
             v -= q[:, lo : j + 1] @ proj
             hess[lo : j + 1, j] += proj
+        if j == n - 1:
+            break
         hn = np.linalg.norm(v)
         if hn < _RANK_TOL * pivot_max:
             raise RankDeficientError(
@@ -189,7 +193,10 @@ def _arnoldi(z, row_scale, n, window=None):
         pivot_max = max(pivot_max, hn)
         hess[j + 1, j] = hn
         q[:, j + 1] = v / hn
-    return q, hess, float(h0)
+    # the step past n: r = v
+    z_r = np.zeros(n, dtype=hess.dtype)
+    z_r[lo:] = ((z * v).conj() @ q[:, lo:]).conj()
+    return q, hess, float(h0), (float(np.vdot(v, v).real), z_r)
 
 
 def _szego(z, row_scale, n):
@@ -200,9 +207,11 @@ def _szego(z, row_scale, n):
     polynomial phi_j^*, finishes the step:
         c = <phi_j^*, z phi_j> = conj(alpha_j),   v = z phi_j - c phi_j^*.
     With s_j the coordinates of phi_j^* in phi_0..phi_j, the Hessenberg
-    column is H[:j+1, j] = c * s_j.  Returns (Q, H, h0, c) with the c_j,
-    and has the same breakdown test as _arnoldi; O(m n) for Q and O(n^2)
-    for H.
+    column is H[:j+1, j] = c * s_j.  Returns (Q, H, h0, (|r|^2, Q*(z r)), c)
+    with the c_j and the breakdown test of _arnoldi; O(m n) for Q, O(n^2)
+    for H.  Past n, z r = |r| (rho_n phi_{n+1} + c_n phi_n^*) with phi_n^* =
+    |r| phi_{n-1}^* - conj(c) r / |r|, so Q*(z r) takes O(m):
+        Q*(z r) = <|r|^2 phi_{n-1}^* - conj(c) r, z r> s_{n-1}.
     """
     q, hess, h0 = _start(row_scale, n, np.complex128)
     rev = q[:, 0].copy()            # phi_0^* = phi_0, a positive constant
@@ -210,10 +219,13 @@ def _szego(z, row_scale, n):
     s = np.zeros(n, dtype=np.complex128)
     s[0] = 1.0
     pivot_max = h0
-    for j in range(n - 1):
+    for j in range(n):
         zq = z * q[:, j]
         c = np.vdot(rev, zq)
         v = zq - c * rev
+        hess[: j + 1, j] = c * s[: j + 1]
+        if j == n - 1:
+            break
         hn = np.linalg.norm(v)
         if hn < _RANK_TOL * pivot_max:
             raise RankDeficientError(
@@ -221,7 +233,6 @@ def _szego(z, row_scale, n):
             )
         pivot_max = max(pivot_max, hn)
         coef[j] = c
-        hess[: j + 1, j] = c * s[: j + 1]
         hess[j + 1, j] = hn
         q[:, j + 1] = v / hn
         # phi_{j+1}^* = (phi_j^* - conj(c) z phi_j) / rho_j; with
@@ -230,7 +241,8 @@ def _szego(z, row_scale, n):
         s[: j + 1] *= hn
         s[j + 1] = -np.conj(c)
         rev = hn * rev - np.conj(c) * q[:, j + 1]
-    return q, hess, float(h0), coef
+    r_sq = float(np.vdot(v, v).real)
+    return q, hess, float(h0), (r_sq, np.vdot(r_sq * rev - np.conj(c) * v, z * v) * s), coef
 
 
 def _orthonormality_defect(q):
@@ -258,8 +270,8 @@ def _structured_arnoldi(mu, row_scale, n):
     structured result is kept only if its columns are orthonormal to
     _RANK_TOL; otherwise, on breakdown, and for any other node set, full
     Arnoldi decides.  On real nodes both run on the real parts, in float64.
-    Returns (Q, H, h0, c): c holds the Szego c_j when that route was kept,
-    and is None otherwise.
+    Returns (Q, H, h0, (|r|^2, Q*(z r)), c): c holds the Szego c_j when that
+    route was kept, and is None otherwise.
     """
     z = mu.nodes
     real = not np.any(z.imag)
@@ -270,13 +282,13 @@ def _structured_arnoldi(mu, row_scale, n):
             # an overflow here is caught by the certificate, which then
             # hands the basis to full Arnoldi
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                q, hess, h0, coef = ((*_arnoldi(z, row_scale, n, window=2), None) if real
-                                     else _szego(z, row_scale, n))
+                route = ((*_arnoldi(z, row_scale, n, window=2), None) if real
+                         else _szego(z, row_scale, n))
         except RankDeficientError:
             pass
         else:
-            if _orthonormality_defect(q) <= _RANK_TOL:
-                return q, hess, h0, coef
+            if _orthonormality_defect(route[0]) <= _RANK_TOL:
+                return route
     return (*_arnoldi(z, row_scale, n), None)
 
 
@@ -311,15 +323,14 @@ def orthonormalize(mu, space):
         scale = space.weight_scale(mu.nodes)
     _check_scale_range(space, mu, scale)
     row_scale = np.sqrt(mu.weights) * scale
-    q, hess, h0, coef = _structured_arnoldi(mu, row_scale, space.dimension)
+    q, hess, h0, (r_sq, z_r), coef = _structured_arnoldi(mu, row_scale, space.dimension)
     return OrthonormalBasis(
         space=space,
         hessenberg=np.ascontiguousarray(hess),
-        const_norm=h0,
-        node_values=q,
+        const_norm=h0, node_values=q,
         nodes=np.asarray(mu.nodes),
         node_weights=np.asarray(mu.weights),
-        szego_c=coef,
+        szego_c=coef, residual_sq=r_sq, z_residual=z_r,
     )
 
 
@@ -333,12 +344,19 @@ def evaluate_basis(basis, points):
     JSON): then O(n^2).  The matrix is float64 for a real basis on real
     points.
     """
+    return _run_recurrence(basis, points, diagonal=False)
+
+
+def diagonal_kernel(basis, points):
+    """sum_j |p_j(x)|^2 exp(-2k phi(x)) at the points, with no (points, n) matrix."""
+    return _run_recurrence(basis, points, diagonal=True)
+
+
+def _run_recurrence(basis, points, diagonal):
     pts = np.ascontiguousarray(np.atleast_1d(np.asarray(points, dtype=complex)))
     scale = basis.space.weight_scale(pts)
-    return _backend.eval_recurrence(
-        pts, np.ascontiguousarray(scale), basis.const_norm, basis.hessenberg,
-        basis.szego_c,
-    )
+    return _backend.eval_recurrence(pts, np.ascontiguousarray(scale), basis.const_norm,
+                                    basis.hessenberg, basis.szego_c, diagonal=diagonal)
 
 
 def weighted_rows(basis, mu):

@@ -37,12 +37,22 @@ def _flags(reads):
     yield "--out", "output_path", {"help": "output CSV path"}
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Fails on an argument its subcommand does not take, with its usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="cdlab",
         description="k-sweep experiments for kernel/Toeplitz limit theorems",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
+    sub = parser.add_subparsers(dest="experiment", required=True, parser_class=_SubcommandParser)
     for name, reads in SETTINGS.items():
         # no flag has a parser default, so the namespace holds only the flags given
         sp = sub.add_parser(name, help=f"run the {name} sweep",

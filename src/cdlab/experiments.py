@@ -51,9 +51,9 @@ class NumericalFailure(RuntimeError):
         self.cause = cause
 
 
-def _is_integer(value):
-    """An integral number, but not a bool: JSON true is no count."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _is_number(value, kind=numbers.Integral):
+    """A number of the kind, but not a bool: JSON true is no count or exponent."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -67,21 +67,17 @@ class MeasureSpec:
             raise ValueError(f"unknown measure kind {self.kind!r}")
         for name, low in (("nodes_per_k", 0), ("min_nodes", 1)):
             value = getattr(self, name)
-            if not _is_integer(value) or value < low:
+            if not _is_number(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
     def node_count(self, k):
         return max(self.nodes_per_k * k, self.min_nodes)
 
     def build(self, k):
-        m = self.node_count(k)
-        if self.kind == "circle":
-            return measure.circle_lebesgue(m)
-        if self.kind == "interval":
-            return measure.interval_lebesgue(m)
-        if self.kind == "arcsine":
-            return measure.arcsine(m)
-        raise ValueError(f"unknown measure kind {self.kind!r}")
+        # looked up at each call, where a tracer may have wrapped them
+        rules = {"circle": measure.circle_lebesgue, "interval": measure.interval_lebesgue,
+                 "arcsine": measure.arcsine}
+        return rules[self.kind](self.node_count(k))
 
 
 @dataclass
@@ -101,7 +97,7 @@ class ExperimentConfig:
         ks = list(self.k_values)
         if not ks:
             raise ValueError("k_values must be nonempty")
-        if not all(_is_integer(k) for k in ks):
+        if not all(_is_number(k) for k in ks):
             raise ValueError(f"k_values must be integers, got {ks!r}")
         if any(k < 1 for k in ks):
             raise ValueError("k_values must be positive")
@@ -113,9 +109,11 @@ class ExperimentConfig:
         if self.p is not None:
             if "p" not in reads:
                 raise ValueError(f"{self.experiment} does not read p")
-            if not (math.isfinite(self.p) and self.p >= 1):
+            if not (_is_number(self.p, numbers.Real) and math.isfinite(self.p) and self.p >= 1):
                 raise ValueError(f"p must be finite and >= 1, got {self.p!r}")
             self.p = float(self.p)
+        if not (isinstance(self.output_path, str) and self.output_path):
+            raise ValueError(f"output_path must be a nonempty string, got {self.output_path!r}")
         for name in ("symbol_specs", "regions"):
             spec = getattr(self, name)
             if not (isinstance(spec, dict) and all(isinstance(v, str) for v in spec.values())):
@@ -136,6 +134,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc):
         """The config of a JSON document or of the CLI flags."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import _backend
 from ._csvio import write_csv
-from .basis import weighted_rows
+from .basis import diagonal_kernel, weighted_rows
 from .operator import _hermitian_part_inplace
 
 # dense m x m storage, for the heatmap export only; the cap keeps the table
@@ -89,23 +89,12 @@ def bm_constant(basis, eval_grid):
 
     This is the optimal constant in the sampled sup-norm vs L2-norm bound
     for the space: the diagonal kernel is the extremal ratio at each point.
-    B_k(x, x) = sum_j |phi_j(x)|^2 is summed column by column while the
-    basis recurrence runs over the grid, so no (grid, n) array is formed:
-    memory is O(block * band of H) (see _backend.eval_recurrence).  On a
-    basis without a metric weight a NaN anywhere on the grid gives NaN; a
-    metric weight must be finite at every point, so there it raises
-    ValueError.  An overflow gives inf or NaN (without a warning: the value
-    says it), and an empty grid -inf.
+    A NaN on the grid gives NaN (ValueError under a metric weight), an
+    overflow inf or NaN without a warning, and an empty grid -inf.
     """
-    pts = np.ascontiguousarray(np.atleast_1d(np.asarray(eval_grid, dtype=complex)))
-    if pts.shape[0] == 0:
-        return -np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = _backend.eval_recurrence(
-            pts, basis.space.weight_scale(pts), basis.const_norm, basis.hessenberg,
-            basis.szego_c, diagonal=True,
-        )
-    return float(np.max(sums))
+        sums = diagonal_kernel(basis, eval_grid)
+    return float(np.max(sums)) if sums.size else -np.inf
 
 
 def _row_sumsq(phi):

@@ -112,44 +112,27 @@ def _quadrature_raw(q, fvals):
     return np.conjugate(q.T @ scaled)
 
 
-def _adjoint_times(q, v):
-    """Q* v, as conj(v* Q): conjugates v instead of Q."""
-    return (v.conj() @ q).conj()
-
-
-def _recurrence_raw(basis, mu, terms):
+def _recurrence_raw(basis, terms):
     """Q* F Q for the polynomial symbol sum c u^a v^b (u = Re z, v = Im z,
-    a + b <= 2) on the measure the basis was built on, from the recurrence.
-
-    The Arnoldi relation Z Q[:, :n-1] = Q H[:, :n-1] holds exactly on the
-    discrete measure (under a metric weight too: the row scale is diagonal
-    and commutes with Z), so T(z) = Q* Z Q is H but for its last column,
-    Q*(z q_{n-1}): one O(m n) product.  With the residual
-    r = z q_{n-1} - Q T(z)[:, n-1], Z Q = Q T(z) + r e_n^T, whence
+    a + b <= 2) on the measure the basis was built on, from the recurrence
+    run one step past n: Z Q = Q T(z) + r e_n^T on the nodes, whence
         T(z^2)         = T(z)^2 + Q*(z r) e_n^T,
         T(conj(z) z)   = T(z)* T(z) + |r|^2 e_n e_n^T,
     and T(conj(z)) = T(z)*.  u and v follow from (z +- conj(z))/2.
     On real nodes (a float64 basis) v = 0 and conj(z) = z, so T(u^2) =
     T(z^2), and T(f) is real.
     """
-    n = basis.dimension
-    q = basis.node_values
-    real = not np.iscomplexobj(q)
-    z = mu.nodes.real if real else mu.nodes
+    t_z = basis.hessenberg
+    real = not np.iscomplexobj(t_z)
     if real:
         terms = {(a, b): c for (a, b), c in terms.items() if b == 0}
     c = {ab: terms.get(ab, 0.0) for ab in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
     degree = max((a + b for a, b in terms), default=0)
     if degree == 0:
-        return c[0, 0] * np.eye(n, dtype=q.dtype)
-    zq = z * q[:, -1]
-    t_z = np.empty((n, n), dtype=q.dtype)
-    t_z[:, :-1] = basis.hessenberg[:, :-1]
-    t_z[:, -1] = _adjoint_times(q, zq)
+        return c[0, 0] * np.eye(basis.dimension, dtype=t_z.dtype)
     if degree == 2:
-        r = zq - q @ t_z[:, -1]
         t_z2 = t_z @ t_z
-        t_z2[:, -1] += _adjoint_times(q, z * r)
+        t_z2[:, -1] += basis.z_residual
     if real:
         raw = c[1, 0] * t_z
         if degree == 2:
@@ -164,9 +147,9 @@ def _recurrence_raw(basis, mu, terms):
         gamma = (c[2, 0] + c[0, 2]) / 2
         if gamma:
             t_zz = t_z.conj().T @ t_z
-            t_zz[-1, -1] += np.vdot(r, r).real
+            t_zz[-1, -1] += basis.residual_sq
             raw += gamma * t_zz
-    raw[np.diag_indices(n)] += c[0, 0]
+    raw[np.diag_indices(basis.dimension)] += c[0, 0]
     return raw
 
 
@@ -175,13 +158,13 @@ def toeplitz(basis, mu, f, symbol_desc=None):
     entries[i,j] = sum_a f(x_a) p_j(x_a) conj(p_i(x_a)) e^{-2k phi} w_a.
 
     A PolynomialSymbol (degree <= 2 in Re z, Im z) on the measure the basis
-    was built on is read off the basis recurrence in O(m n) (plus one n x n
-    product per degree-2 monomial); any other symbol, or a basis used on
-    another measure, takes the quadrature product Q* F Q, O(m n^2).
+    was built on is read off the basis recurrence (one n x n product per
+    degree-2 monomial); any other symbol, or a basis used on another
+    measure, takes the quadrature product Q* F Q, O(m n^2).
     """
     fvals = _symbol_values(mu, f)
     if isinstance(f, symbols.PolynomialSymbol) and basis.defined_on(mu):
-        raw = _recurrence_raw(basis, mu, f.terms)
+        raw = _recurrence_raw(basis, f.terms)
     else:
         raw = _quadrature_raw(weighted_rows(basis, mu), fvals)
     asym = _hermitian_part_inplace(raw)

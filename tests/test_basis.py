@@ -221,17 +221,17 @@ class TestStructuredRoutes:
         mu, space, row_scale = structured_setup(case, d)
         n = space.dimension
         bs = orthonormalize(mu, space)
-        q, hess, h0 = _arnoldi(mu.nodes, row_scale, n, window=None)
+        q, hess, h0, _ = _arnoldi(mu.nodes, row_scale, n, window=None)
         np.testing.assert_allclose(bs.node_values, q, rtol=0, atol=1e-12)
         np.testing.assert_allclose(bs.hessenberg, hess, rtol=0, atol=1e-12)
         assert bs.const_norm == pytest.approx(h0, rel=1e-14)
         # the structured route's result was kept, not the full fallback;
         # on real nodes that route runs on the real parts
         if mu.support_tag == "circle":
-            _, route_hess, _, _ = _szego(mu.nodes, row_scale, n)
+            _, route_hess, _, _, _ = _szego(mu.nodes, row_scale, n)
         else:
             real_nodes = np.ascontiguousarray(mu.nodes.real)
-            _, route_hess, _ = _arnoldi(real_nodes, row_scale, n, window=2)
+            _, route_hess, _, _ = _arnoldi(real_nodes, row_scale, n, window=2)
         np.testing.assert_array_equal(bs.hessenberg, route_hess)
 
     @pytest.mark.parametrize("make_mu", [interval_lebesgue, arcsine])
@@ -242,7 +242,7 @@ class TestStructuredRoutes:
     def test_lanczos_loss_of_orthogonality_falls_back(self):
         rng = np.random.default_rng(0)
         mu = from_points(rng.uniform(-1.0, 1.0, 128), rng.uniform(0.5, 1.5, 128))
-        q, _, _ = _arnoldi(mu.nodes, np.sqrt(mu.weights), 115, window=2)
+        q = _arnoldi(mu.nodes, np.sqrt(mu.weights), 115, window=2)[0]
         assert node_defect(q) > 1e-3
         assert node_defect(orthonormalize(mu, WeightedSpace(114)).node_values) <= 1e-14
 
@@ -253,7 +253,7 @@ class TestStructuredRoutes:
         radial = 1.0 + 1e-13 * np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
         mu = QuadratureMeasure(ref.nodes * radial, ref.weights, exactness=0,
                                support_tag="circle")
-        q, _, _, _ = _szego(mu.nodes, np.sqrt(mu.weights), 41)
+        q = _szego(mu.nodes, np.sqrt(mu.weights), 41)[0]
         assert node_defect(q) > 1e-13
         assert node_defect(orthonormalize(mu, WeightedSpace(40)).node_values) <= 1e-14
 
@@ -265,7 +265,7 @@ class TestStructuredRoutes:
                               metric_weight=lambda z: 0.3 * np.real(z) ** 2)
         row_scale = np.sqrt(mu.weights) * space.weight_scale(mu.nodes)
         with np.errstate(all="ignore"):
-            q, _, _, _ = _szego(mu.nodes, row_scale, 256)
+            q = _szego(mu.nodes, row_scale, 256)[0]
         assert not np.all(np.isfinite(q))
         bs = orthonormalize(mu, space)
         assert bs.szego_c is None
@@ -278,6 +278,80 @@ class TestStructuredRoutes:
             _szego(mu.nodes, np.sqrt(mu.weights), 9)
         with pytest.raises(RankDeficientError):
             orthonormalize(mu, WeightedSpace(8))
+
+
+def step_past_n_case(name, m, n):
+    """(basis, measure): n columns on m nodes."""
+    space = WeightedSpace(n - 1, tensor_power=n)
+    if name == "circle":
+        mu = circle_lebesgue(m)
+    elif name == "tilted-circle":
+        mu = scale_by(circle_lebesgue(m), lambda z: np.cos(np.angle(z) - 0.4) + 1.1)
+    elif name == "interval":
+        mu = interval_lebesgue(m)
+    elif name == "tilted-interval":
+        mu = scale_by(interval_lebesgue(m), lambda z: 1.5 * z.real + 1.6)
+    elif name == "arcsine":
+        mu = arcsine(m)
+    elif name == "metric-circle":
+        mu = circle_lebesgue(m)
+        space = WeightedSpace(n - 1, tensor_power=n, metric_weight=lambda z: 0.3 * z.real ** 2)
+    else:
+        # complex atoms in the disk: full Arnoldi
+        rng = np.random.default_rng(m + n)
+        nodes = np.sqrt(rng.uniform(0.0, 1.0, m)) * np.exp(2j * np.pi * rng.uniform(size=m))
+        mu = from_points(nodes, rng.uniform(0.5, 1.5, m) / m)
+    return orthonormalize(mu, space), mu
+
+
+def q_based_step(bs, mu):
+    """The oracle: the step past n from Q and the nodes, O(m n) each.
+    T(z)[:, n-1] = Q*(z q_{n-1}), r = z q_{n-1} - Q T(z)[:, n-1], |r|^2 and
+    Q*(z r)."""
+    q = bs.node_values
+    z = mu.nodes if np.iscomplexobj(q) else mu.nodes.real
+    zq = z * q[:, -1]
+    last = q.conj().T @ zq
+    r = zq - q @ last
+    return last, np.vdot(r, r).real, q.conj().T @ (z * r)
+
+
+class TestStepPastN:
+    """Each route runs one step past n: H is the whole T(z), and the basis
+    keeps |r|^2 and Q*(z r) of the unnormalized residual r."""
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    @pytest.mark.parametrize("extra", [0, 1, "4n"])
+    @pytest.mark.parametrize("name", ["circle", "tilted-circle", "interval", "tilted-interval",
+                                      "arcsine", "metric-circle", "points-disk"])
+    def test_route_tail_equals_q_based_formulas(self, name, extra, n):
+        if name == "points-disk" and n == 64:
+            n = 24      # 64 random atoms in the disk do not support degree 63
+        m = 4 * n if extra == "4n" else n + extra
+        bs, mu = step_past_n_case(name, m, n)
+        if name == "points-disk":
+            assert bs.szego_c is None and np.iscomplexobj(bs.hessenberg)
+        last, r_sq, z_r = q_based_step(bs, mu)
+        scale = max(1.0, float(np.max(np.abs(bs.hessenberg))))
+        assert np.max(np.abs(bs.hessenberg[:, -1] - last)) <= 1e-14 * scale
+        assert abs(bs.residual_sq - r_sq) <= 1e-14 * scale ** 2
+        assert np.max(np.abs(bs.z_residual - z_r)) <= 1e-14 * scale ** 2
+        if m == n:
+            # r = 0: n nodes support no degree n, and that is no breakdown
+            assert bs.residual_sq <= 1e-28
+
+    @pytest.mark.parametrize("name", ["circle", "interval", "points-disk"])
+    def test_hessenberg_is_q_star_z_q(self, name):
+        bs, mu = step_past_n_case(name, 64, 16)
+        q = bs.node_values
+        z = mu.nodes if np.iscomplexobj(q) else mu.nodes.real
+        np.testing.assert_allclose(bs.hessenberg, q.conj().T @ (z[:, None] * q), rtol=0, atol=1e-14)
+
+    def test_loaded_basis_keeps_no_tail(self):
+        bs, _ = step_past_n_case("circle", 32, 8)
+        back = OrthonormalBasis.from_json(bs.to_json())
+        assert back.residual_sq is None and back.z_residual is None
+        np.testing.assert_array_equal(back.hessenberg, bs.hessenberg)
 
 
 def eval_recurrence_reference(z, scale, const_norm, hess):

@@ -397,16 +397,28 @@ class TestCli:
         ({"k_values": [True]}, "k_values must be integers"),
         ({"measure_spec": {"nodes_per_k": True}}, "nodes_per_k must be an integer"),
         ({"measure_spec": {"min_nodes": True}}, "min_nodes must be an integer"),
+        # a TypeError from os.replace once the report was written
+        ({"output_path": 5}, "output_path must be a nonempty string"),
+        ({"output_path": None}, "output_path must be a nonempty string"),
+        ({"output_path": ""}, "output_path must be a nonempty string"),
+        # a document that is not an object: the whole file, not a field
+        ([1, 2], "a config must be a JSON object, got list"),
     ], ids=["symbol-int", "region-int", "symbols-str", "symbol-key-typo", "region-key-typo",
-            "fractional-k", "bool-k", "bool-nodes_per_k", "bool-min_nodes"])
-    def test_bad_config_value_is_config_error(self, tmp_path, capsys, fields, message):
+            "fractional-k", "bool-k", "bool-nodes_per_k", "bool-min_nodes", "int-output_path",
+            "null-output_path", "empty-output_path", "list-document"])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, monkeypatch, fields,
+                                              message):
+        # a relative output_path would land in the working directory
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "bad.csv"
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"experiment": "szego", "k_values": [8],
-                                        "output_path": str(out), **fields}))
+        doc = fields if isinstance(fields, list) else {
+            "experiment": "szego", "k_values": [8], "output_path": str(out), **fields}
+        cfg_path.write_text(json.dumps(doc))
         assert main(["szego", "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     # arc:0,inf took all of the circle as region A, arc:nan,1 took [0, 1)
     @pytest.mark.parametrize("region", ["arc:0,inf", "arc:nan,1", "interval:nan,0"])
@@ -417,10 +429,19 @@ class TestCli:
         assert "region bounds must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("p", ["nan", "inf", "0"])
+    # JSON true was read as p = 1.0; a flag cannot give a bool, so it comes
+    # from a config
+    @pytest.mark.parametrize("p", ["nan", "inf", "0", True], ids=["nan", "inf", "0", "json-true"])
     def test_nonfinite_p_is_config_error(self, tmp_path, capsys, p):
         out = tmp_path / "p.csv"
-        assert main(["algebra", "--k", "8", "--p", p, "--out", str(out)]) == 2
+        if isinstance(p, str):
+            argv = ["algebra", "--k", "8", "--p", p, "--out", str(out)]
+        else:
+            cfg_path = tmp_path / "p.json"
+            cfg_path.write_text(json.dumps({"experiment": "algebra", "k_values": [8], "p": p,
+                                            "output_path": str(out)}))
+            argv = ["algebra", "--config", str(cfg_path)]
+        assert main(argv) == 2
         assert "p must be finite" in capsys.readouterr().err
         assert not out.exists()
 
@@ -474,7 +495,11 @@ class TestSettings:
             main([experiment, "--k", "8,16,32", flag, SETTING_FLAGS[flag][0],
                   "--out", str(out)])
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err
+        # the subcommand's parser fails, with its usage line
+        assert err.startswith(f"usage: cdlab {experiment} ")
+        assert f"cdlab {experiment}: error: unrecognized arguments: {flag}" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("experiment,flag", UNREAD)

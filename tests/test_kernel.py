@@ -27,6 +27,7 @@ from cdlab import (
     write_heatmap_csv,
 )
 from cdlab import _backend
+from cdlab.basis import diagonal_kernel
 from cdlab.symbols import sym_one
 
 
@@ -434,6 +435,17 @@ class TestBmRunningSum:
                                        bs.hessenberg, bs.szego_c, diagonal=True)
         assert np.max(np.abs(got - want) / want) <= rtol
         assert abs(bm_constant(bs, grid) - np.max(want)) <= rtol * np.max(want)
+
+    @pytest.mark.parametrize("name", ["circle", "interval", "tilted-interval", "metric-interval",
+                                      "metric-circle", "from-points", "json-circle"])
+    def test_bit_identical_to_backend_call(self, name):
+        bs, grid, _ = _bm_case(name, 21)
+        pts = np.ascontiguousarray(grid, dtype=complex)
+        want = _backend.eval_recurrence(pts, bs.space.weight_scale(pts), bs.const_norm,
+                                        bs.hessenberg, bs.szego_c, diagonal=True)
+        sums = diagonal_kernel(bs, grid)
+        assert sums.tobytes() == want.tobytes()
+        assert np.float64(bm_constant(bs, grid)).tobytes() == np.max(want).tobytes()
 
     @pytest.mark.parametrize("entries", [None, 9 * 1024], ids=["one-block", "blocks"])
     @pytest.mark.parametrize("at", [0, 1500])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -423,6 +425,15 @@ class TestAlgebraDefect:
         got = algebra_defect(bs, mu, sym_cos, sym_cos, 2)
         assert abs(got - 1.0 / np.sqrt(8.0 * k)) <= 1e-12
 
+    # on n nodes Q is square and unitary, so T(f) T(g) = T(f g) exactly
+    @pytest.mark.parametrize("n", [1, 4, 32])
+    @pytest.mark.parametrize("case", ["circle", "interval", "tilted-circle", "points-disk"])
+    def test_square_case_has_no_defect(self, case, n):
+        bs, mu = recurrence_case(case, n, m=n)
+        for f, g in ((sym_cos, sym_sin), (sym_x, sym_x), (sym_cos, sym_cos),
+                     (sym_x2, lambda z: np.exp(np.real(z)))):
+            assert algebra_defect(bs, mu, f, g, 2) <= 1e-14
+
     def test_mixed_defect_decreases(self):
         vals = {}
         for k in (16, 64):
@@ -587,9 +598,10 @@ def polynomial_symbols():
     return named
 
 
-def recurrence_case(name, n):
-    """(basis, measure) with the basis built on that measure."""
-    m = max(4 * n, 16)
+def recurrence_case(name, n, m=None):
+    """(basis, measure) with the basis built on that measure, of m nodes,
+    by default max(4 n, 16)."""
+    m = m or max(4 * n, 16)
     space = WeightedSpace(n - 1, tensor_power=n)
     if name == "circle":
         mu = circle_lebesgue(m)
@@ -638,6 +650,24 @@ class TestRecurrenceRoute:
             # the library's own quadrature route, taken for the plain callable
             plain = toeplitz(bs, mu, f.fn).entries
             assert max_relative_gap(got, plain) <= 1e-13, name
+
+    # m = n leaves a zero residual, m = n + 1 a residual of the last node
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("case", ["circle", "interval", "tilted-circle", "tilted-interval"])
+    def test_few_nodes_match_quadrature_oracle(self, case, extra, n):
+        bs, mu = recurrence_case(case, n, m=n + extra)
+        for name, f in polynomial_symbols().items():
+            gap = max_relative_gap(toeplitz(bs, mu, f).entries, quadrature_oracle(bs, mu, f))
+            assert gap <= 1e-13, (name, gap)
+
+    @pytest.mark.parametrize("case", RECURRENCE_CASES)
+    def test_recurrence_route_reads_no_node_values(self, case):
+        bs, mu = recurrence_case(case, 16)
+        bare = dataclasses.replace(bs, node_values=None)
+        for name, f in polynomial_symbols().items():
+            np.testing.assert_array_equal(toeplitz(bare, mu, f).entries,
+                                          toeplitz(bs, mu, f).entries, err_msg=name)
 
     @pytest.mark.parametrize("case", ["circle", "interval", "metric-circle"])
     def test_polynomial_symbols_skip_the_quadrature_product(self, case, monkeypatch):
