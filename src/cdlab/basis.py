@@ -12,9 +12,14 @@ takes one of three routes, chosen from the nodes:
   off the nodes is O(n) per point;
 - any other nodes: full Arnoldi, O(m n^2).
 
-A structured result is certified: it is kept only if its node values are
-orthonormal to max |Q*Q - I| <= 1e-13, and full Arnoldi decides
-otherwise, or when the structured recurrence breaks down.
+A structured result is certified before it is kept.  On the nodes of a
+classical rule (roots of unity, Gauss-Legendre, Gauss-Chebyshev; see
+measure.QuadratureMeasure.rule) with no metric weight and m >= n + 2, its
+recurrence must match the rule's closed form to tau(n) = 4 (n + 2) eps, an
+O(n) check.  Any other structured result, or one that misses its closed
+form, must have node values orthonormal to max |Q*Q - I| <= 1e-13, an
+O(m n^2) product.  Full Arnoldi decides otherwise, or when the structured
+recurrence breaks down.
 
 A basis is its recurrence, run one step past n so that H = T(z) = Q* Z Q
 (Z Q = Q H + r e_n^T, the residual r unnormalized, 0 on n nodes; the basis
@@ -29,7 +34,7 @@ import json
 
 import numpy as np
 
-from . import _backend
+from . import _backend, measure
 from .errors import RankDeficientError
 
 _RANK_TOL = 1e-13
@@ -208,20 +213,20 @@ def _szego(z, row_scale, n):
         c = <phi_j^*, z phi_j> = conj(alpha_j),   v = z phi_j - c phi_j^*.
     With s_j the coordinates of phi_j^* in phi_0..phi_j, the Hessenberg
     column is H[:j+1, j] = c * s_j.  Returns (Q, H, h0, (|r|^2, Q*(z r)), c)
-    with the c_j and the breakdown test of _arnoldi; O(m n) for Q, O(n^2)
-    for H.  Past n, z r = |r| (rho_n phi_{n+1} + c_n phi_n^*) with phi_n^* =
+    with all n c_j (c_{n-1} that of the step past n) and the breakdown test
+    of _arnoldi; O(m n) for Q, O(n^2) for H.  Past n, z r = |r| (rho_n phi_{n+1} + c_n phi_n^*) with phi_n^* =
     |r| phi_{n-1}^* - conj(c) r / |r|, so Q*(z r) takes O(m):
         Q*(z r) = <|r|^2 phi_{n-1}^* - conj(c) r, z r> s_{n-1}.
     """
     q, hess, h0 = _start(row_scale, n, np.complex128)
     rev = q[:, 0].copy()            # phi_0^* = phi_0, a positive constant
-    coef = np.zeros(n - 1, dtype=np.complex128)
+    coef = np.empty(n, dtype=np.complex128)
     s = np.zeros(n, dtype=np.complex128)
     s[0] = 1.0
     pivot_max = h0
     for j in range(n):
         zq = z * q[:, j]
-        c = np.vdot(rev, zq)
+        c = coef[j] = np.vdot(rev, zq)
         v = zq - c * rev
         hess[: j + 1, j] = c * s[: j + 1]
         if j == n - 1:
@@ -232,7 +237,6 @@ def _szego(z, row_scale, n):
                 f"Gram matrix numerically rank-deficient at degree {j + 1}"
             )
         pivot_max = max(pivot_max, hn)
-        coef[j] = c
         hess[j + 1, j] = hn
         q[:, j + 1] = v / hn
         # phi_{j+1}^* = (phi_j^* - conj(c) z phi_j) / rho_j; with
@@ -263,15 +267,71 @@ def _orthonormality_defect(q):
     return float(worst)
 
 
-def _structured_arnoldi(mu, row_scale, n):
+# The recurrence each classical rule reproduces on m >= n + 2 nodes, in
+# closed form (Gautschi, Orthogonal Polynomials: Computation and
+# Approximation, 2004; Simon, OPUC Part 1, 2005): the constant's
+# norm h0 and the Lanczos b_1..b_n, with a_j = 0 on both Gauss rules.  On the
+# roots of unity the Szego c_j are 0 and rho_j = h0 = 1.
+def _legendre_b(n):
+    j = np.arange(1.0, n + 1)
+    return np.sqrt(2.0), j / np.sqrt(4.0 * j * j - 1.0)
+
+
+def _chebyshev_b(n):
+    b = np.full(n, 0.5)
+    b[0] = np.sqrt(0.5)
+    return 1.0, b
+
+
+_LANCZOS_RULES = {measure.GAUSS_LEGENDRE: _legendre_b, measure.GAUSS_CHEBYSHEV: _chebyshev_b}
+
+
+def _closed_form_tol(n):
+    """tau(n) = 4 (n + 2) eps, linear in n.  The coefficients drift from
+    their closed form like ~0.2 n eps (the Szego c_j on the roots of unity;
+    at most 0.42 n eps, and 2 eps at n = 1, on the three rules for
+    n = 1..4096 at m = n + 2 and 4n), so tau keeps a margin of 6 or more;
+    at n = 4096 it is 3.6e-12."""
+    return 4 * (n + 2) * np.finfo(float).eps
+
+
+def _closed_form_defect(rule, route):
+    """max |coefficient - closed form| of a structured route's recurrence on
+    the rule's nodes, in O(n) with no n x n temporary; inf when the rule has
+    no closed form for the route.  Each coefficient is a product with a
+    column of Q, so a column that overflowed leaves a NaN or inf here.
+
+    Lanczos: h0, a_j = diag(H), b_j on both off-diagonals of H, the step past
+    n |r|^2 = b_n^2 and Q*(z r) = b_n^2 e_n.  Szego: h0 = 1, the n c_j = 0
+    (H's upper triangle is c_j s_j), rho_j = subdiag(H) = 1, |r|^2 = 1 and
+    Q*(z r) = 0.
+    """
+    _, hess, h0, (r_sq, z_r), coef = route
+    n = hess.shape[0]
+    if rule == measure.ROOTS_OF_UNITY and coef is not None:
+        devs = (coef, np.diagonal(hess, -1) - 1.0, (h0 - 1.0, r_sq - 1.0), z_r)
+    elif rule in _LANCZOS_RULES and coef is None:
+        h0_rule, b = _LANCZOS_RULES[rule](n)
+        tail = b[-1] ** 2
+        devs = (np.diagonal(hess), np.diagonal(hess, -1) - b[:-1],
+                np.diagonal(hess, 1) - b[:-1], (h0 - h0_rule, r_sq - tail),
+                z_r[:-1], (z_r[-1] - tail,))
+    else:
+        return np.inf
+    # np.max propagates a NaN, unlike max()
+    return float(np.max([np.max(np.abs(d), initial=0.0) for d in devs]))
+
+
+def _structured_arnoldi(mu, row_scale, n, rule):
     """The Arnoldi basis by the recurrence the nodes allow, certified.
 
-    Real nodes run Lanczos (window 2), nodes tagged circle run Szego.  A
-    structured result is kept only if its columns are orthonormal to
-    _RANK_TOL; otherwise, on breakdown, and for any other node set, full
-    Arnoldi decides.  On real nodes both run on the real parts, in float64.
-    Returns (Q, H, h0, (|r|^2, Q*(z r)), c): c holds the Szego c_j when that
-    route was kept, and is None otherwise.
+    Real nodes run Lanczos (window 2), nodes tagged circle run Szego; on
+    real nodes both run on the real parts, in float64.  A structured result
+    is kept if its recurrence matches the closed form of `rule` to tau(n),
+    in O(n), or else, and when rule is None, if its columns are orthonormal
+    to max |Q*Q - I| <= _RANK_TOL, O(m n^2).  Failing both, on breakdown,
+    and for any other node set, full Arnoldi decides.  Returns (Q, H, h0, (|r|^2, Q*(z r)), c): c
+    holds the n Szego c_j when that route was kept, and is None otherwise.
     """
     z = mu.nodes
     real = not np.any(z.imag)
@@ -279,14 +339,16 @@ def _structured_arnoldi(mu, row_scale, n):
         z = np.ascontiguousarray(z.real)
     if real or mu.support_tag == "circle":
         try:
-            # an overflow here is caught by the certificate, which then
-            # hands the basis to full Arnoldi
+            # an overflow here gives a NaN that both checks reject, and full
+            # Arnoldi then builds the basis
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 route = ((*_arnoldi(z, row_scale, n, window=2), None) if real
                          else _szego(z, row_scale, n))
         except RankDeficientError:
             pass
         else:
+            if rule is not None and _closed_form_defect(rule, route) <= _closed_form_tol(n):
+                return route
             if _orthonormality_defect(route[0]) <= _RANK_TOL:
                 return route
     return (*_arnoldi(z, row_scale, n), None)
@@ -323,14 +385,19 @@ def orthonormalize(mu, space):
         scale = space.weight_scale(mu.nodes)
     _check_scale_range(space, mu, scale)
     row_scale = np.sqrt(mu.weights) * scale
-    q, hess, h0, (r_sq, z_r), coef = _structured_arnoldi(mu, row_scale, space.dimension)
+    n = space.dimension
+    # the closed forms hold for the rule's own weights, on m >= n + 2 nodes
+    rule = mu.rule if space.metric_weight is None and len(mu) >= n + 2 else None
+    q, hess, h0, (r_sq, z_r), coef = _structured_arnoldi(mu, row_scale, n, rule)
     return OrthonormalBasis(
         space=space,
         hessenberg=np.ascontiguousarray(hess),
         const_norm=h0, node_values=q,
         nodes=np.asarray(mu.nodes),
         node_weights=np.asarray(mu.weights),
-        szego_c=coef, residual_sq=r_sq, z_residual=z_r,
+        # evaluation reads c_0..c_{n-2}
+        szego_c=None if coef is None else coef[:-1],
+        residual_sq=r_sq, z_residual=z_r,
     )
 
 

@@ -91,9 +91,11 @@ class ExperimentConfig:
     output_path: str = "report.csv"
 
     def __post_init__(self):
-        if self.experiment not in SETTINGS:
+        if not (isinstance(self.experiment, str) and self.experiment in SETTINGS):
             raise ValueError(f"unknown experiment {self.experiment!r}")
         reads = SETTINGS[self.experiment]
+        if not isinstance(self.k_values, (list, tuple)):
+            raise ValueError(f"k_values must be a list of integers, got {self.k_values!r}")
         ks = list(self.k_values)
         if not ks:
             raise ValueError("k_values must be nonempty")
@@ -139,7 +141,13 @@ class ExperimentConfig:
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        return cls(**{**doc, "measure_spec": MeasureSpec(**doc.get("measure_spec", {}))})
+        spec = doc.get("measure_spec", {})
+        if not isinstance(spec, dict):
+            raise ValueError(f"measure_spec must be a JSON object, got {spec!r}")
+        unknown = set(spec) - {f.name for f in fields(MeasureSpec)}
+        if unknown:
+            raise ValueError(f"unknown measure_spec keys: {', '.join(sorted(unknown))}")
+        return cls(**{**doc, "measure_spec": MeasureSpec(**spec)})
 
     @classmethod
     def from_json_file(cls, path):

@@ -21,7 +21,9 @@ from cdlab import (
 )
 from cdlab import symbols
 from cdlab._backend import eval_recurrence
-from cdlab.basis import _arnoldi, _szego
+from cdlab.basis import (_arnoldi, _closed_form_defect, _closed_form_tol,
+                         _orthonormality_defect, _szego)
+from cdlab.measure import GAUSS_CHEBYSHEV, GAUSS_LEGENDRE, ROOTS_OF_UNITY
 
 SQRT_HALF = 0.7071067811865476      # 1/sqrt(2), hand Gram-Schmidt on {1, x}
 SQRT_3_OVER_2 = 1.224744871391589   # sqrt(3/2)
@@ -278,6 +280,182 @@ class TestStructuredRoutes:
             _szego(mu.nodes, np.sqrt(mu.weights), 9)
         with pytest.raises(RankDeficientError):
             orthonormalize(mu, WeightedSpace(8))
+
+
+RULES = {"circle": (circle_lebesgue, ROOTS_OF_UNITY),
+         "interval": (interval_lebesgue, GAUSS_LEGENDRE),
+         "arcsine": (arcsine, GAUSS_CHEBYSHEV)}
+
+
+def rule_route(name, m, n, row_scale=None):
+    """(rule, route): the structured route for n columns on m nodes of the rule."""
+    make, rule = RULES[name]
+    mu = make(m)
+    row_scale = np.sqrt(mu.weights) if row_scale is None else row_scale
+    if name == "circle":
+        return rule, _szego(mu.nodes, row_scale, n)
+    return rule, (*_arnoldi(np.ascontiguousarray(mu.nodes.real), row_scale, n, window=2), None)
+
+
+def closed_form_accepts(rule, route):
+    return _closed_form_defect(rule, route) <= _closed_form_tol(route[1].shape[0])
+
+
+def gram_accepts(route):
+    return _orthonormality_defect(route[0]) <= 1e-13
+
+
+def perturbed(route, where, delta):
+    """A copy of the route with one recurrence coefficient moved by delta."""
+    q, hess, h0, (r_sq, z_r), coef = route
+    hess, z_r = hess.copy(), z_r.copy()
+    coef = None if coef is None else coef.copy()
+    n = hess.shape[0]
+    j = n // 2
+    if where == "h0":
+        h0 += delta
+    elif where == "r_sq":
+        r_sq += delta
+    elif where == "z_r":
+        z_r[-1] += delta
+    elif where == "a_j":
+        hess[j, j] += delta
+    elif where in ("b_j", "rho_j"):
+        hess[j + 1, j] += delta
+    elif where == "b_j-above":
+        hess[j, j + 1] += delta
+    elif where == "c_j":
+        coef[j] += delta
+    elif where == "c_last":
+        coef[-1] += delta
+    return q, hess, h0, (r_sq, z_r), coef
+
+
+LANCZOS_SITES = ["h0", "a_j", "b_j", "b_j-above", "r_sq", "z_r"]
+SZEGO_SITES = ["h0", "c_j", "c_last", "rho_j", "r_sq", "z_r"]
+MUTATIONS = ([("circle", site) for site in SZEGO_SITES]
+             + [(name, site) for name in ("interval", "arcsine") for site in LANCZOS_SITES])
+# kbench's bases: (rule, k values, nodes per k), at least 256 nodes
+KBENCH_SIZES = [("interval", (64, 128, 256, 512), 4), ("circle", (32, 64, 128, 256), 16),
+                ("circle", (32, 64, 128, 256, 512), 4), ("arcsine", (64, 128, 256, 512), 4)]
+
+
+class TestClosedFormCertificate:
+    """On the three classical rules a structured route is certified by its
+    recurrence against the rule's closed form, in O(n); the Gram check
+    max |Q*Q - I| decides everywhere else."""
+
+    def test_tolerance_grows_linearly(self):
+        eps = np.finfo(float).eps
+        assert _closed_form_tol(1) == 12 * eps
+        assert _closed_form_tol(4096) == pytest.approx(3.64e-12, rel=1e-2)
+        assert _closed_form_tol(2050) - _closed_form_tol(1025) == 4 * 1025 * eps
+
+    @pytest.mark.parametrize("n, extra", [(n, extra) for n in (1, 2, 5, 16, 64, 256)
+                                          for extra in (2, "4n")] + [(1024, 2), (1024, "4n")])
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_agrees_with_the_gram_check(self, name, n, extra):
+        rule, route = rule_route(name, 4 * n if extra == "4n" else n + extra, n)
+        assert (closed_form_accepts(rule, route), gram_accepts(route)) == (True, True)
+
+    @pytest.mark.parametrize("name, site", MUTATIONS)
+    def test_coefficient_off_by_two_tau_is_rejected(self, name, site):
+        # the Gram check reads Q only, so it cannot see a coefficient of H
+        rule, route = rule_route(name, 256, 64)
+        tau = _closed_form_tol(64)
+        assert not closed_form_accepts(rule, perturbed(route, site, 2 * tau))
+        assert not closed_form_accepts(rule, perturbed(route, site, -2 * tau))
+        assert closed_form_accepts(rule, perturbed(route, site, tau / 2))
+        assert closed_form_accepts(rule, perturbed(route, site, -tau / 2))
+
+    @pytest.mark.parametrize("name, site", MUTATIONS)
+    def test_nan_coefficient_is_rejected(self, name, site):
+        rule, route = rule_route(name, 256, 64)
+        assert not closed_form_accepts(rule, perturbed(route, site, np.nan))
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_nan_in_the_route_is_rejected_by_both(self, name):
+        # a NaN at one node spreads to every column, and so to the coefficients
+        mu = RULES[name][0](256)
+        row_scale = np.sqrt(mu.weights)
+        row_scale[17] = np.nan
+        with np.errstate(invalid="ignore"):
+            rule, route = rule_route(name, 256, 64, row_scale)
+        assert np.isnan(_closed_form_defect(rule, route))
+        assert not closed_form_accepts(rule, route)
+        assert not gram_accepts(route)
+
+    @pytest.mark.parametrize("name, copies", [("circle", 2), ("interval", 2), ("arcsine", 3)])
+    def test_breakdown_is_rejected_by_both(self, name, copies):
+        # the rule's 8 nodes, each repeated: tagged with the rule, m >= n + 2,
+        # but they support degree 7 at most
+        make, rule = RULES[name]
+        ref = make(8)
+        mu = QuadratureMeasure(np.tile(ref.nodes, copies), np.tile(ref.weights, copies) / copies,
+                               exactness=0, support_tag=ref.support_tag, rule=rule)
+        with pytest.raises(RankDeficientError):
+            orthonormalize(mu, WeightedSpace(8))
+
+    def test_off_circle_nodes_are_rejected_by_both(self):
+        # nodes 1e-13 off the circle, tagged as roots of unity: the c_j read
+        # ~3e-12, and the basis falls back to full Arnoldi
+        ref = circle_lebesgue(64)
+        radial = 1.0 + 1e-13 * np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
+        mu = QuadratureMeasure(ref.nodes * radial, ref.weights, exactness=0,
+                               support_tag="circle", rule=ROOTS_OF_UNITY)
+        route = _szego(mu.nodes, np.sqrt(mu.weights), 41)
+        assert _closed_form_defect(ROOTS_OF_UNITY, route) > 1e-12
+        assert not gram_accepts(route)
+        bs = orthonormalize(mu, WeightedSpace(40))
+        assert bs.szego_c is None
+        assert node_defect(bs.node_values) <= 1e-14
+
+    def test_missed_closed_form_lets_the_gram_check_decide(self, monkeypatch):
+        # Gauss-Legendre nodes shrunk by 1e-9 still carry the tag: b_j misses
+        # its closed form by ~5e-10, and the Gram check keeps the Lanczos basis
+        ref = interval_lebesgue(256)
+        mu = QuadratureMeasure(ref.nodes * (1 - 1e-9), ref.weights, exactness=0,
+                               support_tag="interval", rule=GAUSS_LEGENDRE)
+        calls = []
+        monkeypatch.setattr("cdlab.basis._orthonormality_defect",
+                            lambda q: calls.append(q.shape) or _orthonormality_defect(q))
+        bs = orthonormalize(mu, WeightedSpace(63))
+        assert calls == [(256, 64)]
+        assert np.all(np.triu(bs.hessenberg, 2) == 0)
+
+    @pytest.mark.parametrize("case", ["tilted-interval", "tilted-circle", "circle-metric-weight",
+                                      "circle-m=n+1", "interval-m=n+1", "arcsine-m=n",
+                                      "points"])
+    def test_other_bases_take_the_gram_route(self, case, monkeypatch):
+        n = 32
+        if case in STRUCTURED_CASES:
+            mu, space, _ = structured_setup(case, n - 1)
+        elif case == "points":
+            mu, space = real_atoms(), WeightedSpace(n - 1)
+        else:
+            name, _, extra = case.partition("-m=n")
+            mu, space = RULES[name][0](n + int(extra or 0)), WeightedSpace(n - 1)
+
+        def closed_form(*args):
+            raise AssertionError("the closed form was read")
+
+        calls = []
+        monkeypatch.setattr("cdlab.basis._closed_form_defect", closed_form)
+        monkeypatch.setattr("cdlab.basis._orthonormality_defect",
+                            lambda q: calls.append(q.shape) or _orthonormality_defect(q))
+        orthonormalize(mu, space)
+        assert calls == [(len(mu), n)]
+
+    @pytest.mark.parametrize("name, ks, per_k", KBENCH_SIZES)
+    def test_rule_bases_need_no_gram_product(self, name, ks, per_k, monkeypatch):
+        def gram(q):
+            raise AssertionError("the Gram product was formed")
+
+        monkeypatch.setattr("cdlab.basis._orthonormality_defect", gram)
+        for k in ks:
+            bs = orthonormalize(RULES[name][0](max(per_k * k, 256)),
+                                WeightedSpace(k - 1, tensor_power=k))
+            assert (bs.szego_c is not None) == (name == "circle")
 
 
 def step_past_n_case(name, m, n):

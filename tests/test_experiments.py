@@ -403,9 +403,15 @@ class TestCli:
         ({"output_path": ""}, "output_path must be a nonempty string"),
         # a document that is not an object: the whole file, not a field
         ([1, 2], "a config must be a JSON object, got list"),
+        # each gave a bare Python message that did not name the field
+        ({"k_values": 5}, "k_values must be a list of integers, got 5"),
+        ({"experiment": []}, "unknown experiment []"),
+        ({"measure_spec": [1]}, "measure_spec must be a JSON object, got [1]"),
+        ({"measure_spec": {"nodes": 64}}, "unknown measure_spec keys: nodes"),
     ], ids=["symbol-int", "region-int", "symbols-str", "symbol-key-typo", "region-key-typo",
             "fractional-k", "bool-k", "bool-nodes_per_k", "bool-min_nodes", "int-output_path",
-            "null-output_path", "empty-output_path", "list-document"])
+            "null-output_path", "empty-output_path", "list-document", "int-k_values",
+            "list-experiment", "list-measure_spec", "measure_spec-key-typo"])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, monkeypatch, fields,
                                               message):
         # a relative output_path would land in the working directory
