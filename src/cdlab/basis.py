@@ -12,14 +12,15 @@ takes one of three routes, chosen from the nodes:
   off the nodes is O(n) per point;
 - any other nodes: full Arnoldi, O(m n^2).
 
-A structured result is certified before it is kept.  On the nodes of a
-classical rule (roots of unity, Gauss-Legendre, Gauss-Chebyshev; see
-measure.QuadratureMeasure.rule) with no metric weight and m >= n + 2, its
-recurrence must match the rule's closed form to tau(n) = 4 (n + 2) eps, an
-O(n) check.  Any other structured result, or one that misses its closed
-form, must have node values orthonormal to max |Q*Q - I| <= 1e-13, an
-O(m n^2) product.  Full Arnoldi decides otherwise, or when the structured
-recurrence breaks down.
+A structured result is certified before it is kept.  When its recurrence
+matches the closed form of a classical rule (roots of unity, Gauss-Legendre
+or Gauss-Chebyshev, read from the route and h0) to tau(n) = 4 (n + 2) eps,
+an O(n) check, and its node values pass an O(m n) probe of Q*Q = I to
+tau(n), it is kept.  Otherwise (a metric weight, a tilt, any other nodes,
+too few nodes for the closed form, or a probe that fails) its node values
+must be orthonormal to max |Q*Q - I| <= 1e-13, an O(m n^2) product.  Full
+Arnoldi decides when that fails too, or when the structured recurrence
+breaks down.
 
 A basis is its recurrence, run one step past n so that H = T(z) = Q* Z Q
 (Z Q = Q H + r e_n^T, the residual r unnormalized, 0 on n nodes; the basis
@@ -34,7 +35,7 @@ import json
 
 import numpy as np
 
-from . import _backend, measure
+from . import _backend
 from .errors import RankDeficientError
 
 _RANK_TOL = 1e-13
@@ -267,71 +268,95 @@ def _orthonormality_defect(q):
     return float(worst)
 
 
-# The recurrence each classical rule reproduces on m >= n + 2 nodes, in
-# closed form (Gautschi, Orthogonal Polynomials: Computation and
-# Approximation, 2004; Simon, OPUC Part 1, 2005): the constant's
-# norm h0 and the Lanczos b_1..b_n, with a_j = 0 on both Gauss rules.  On the
-# roots of unity the Szego c_j are 0 and rho_j = h0 = 1.
-def _legendre_b(n):
-    j = np.arange(1.0, n + 1)
-    return np.sqrt(2.0), j / np.sqrt(4.0 * j * j - 1.0)
-
-
-def _chebyshev_b(n):
+# The recurrence of each classical rule in closed form (Gautschi, Orthogonal
+# Polynomials: Computation and Approximation, 2004; Simon, OPUC Part 1, 2005).
+# On the roots of unity the Szego c_j are 0 and rho_j = h0 = 1.  On both
+# Gauss rules a_j = 0, and h0 tells them apart: Gauss-Legendre has mass 2,
+# h0 = sqrt(2) and b_j = j / sqrt(4 j^2 - 1); Gauss-Chebyshev has mass 1,
+# h0 = 1, b_1 = 1/sqrt(2) and b_j = 1/2 after.  m nodes of a rule reproduce
+# it through the step past n when m >= n + 2 on the circle (z^m = 1 there)
+# and m >= n + 1 on the Gauss rules (exact to degree 2m - 1).
+def _gauss_rule(h0, n):
+    """(h0, b_1..b_n) of the Gauss rule whose h0 is nearer."""
+    if abs(h0 - np.sqrt(2.0)) < abs(h0 - 1.0):
+        j = np.arange(1.0, n + 1)
+        return np.sqrt(2.0), j / np.sqrt(4.0 * j * j - 1.0)
     b = np.full(n, 0.5)
     b[0] = np.sqrt(0.5)
     return 1.0, b
-
-
-_LANCZOS_RULES = {measure.GAUSS_LEGENDRE: _legendre_b, measure.GAUSS_CHEBYSHEV: _chebyshev_b}
 
 
 def _closed_form_tol(n):
     """tau(n) = 4 (n + 2) eps, linear in n.  The coefficients drift from
     their closed form like ~0.2 n eps (the Szego c_j on the roots of unity;
     at most 0.42 n eps, and 2 eps at n = 1, on the three rules for
-    n = 1..4096 at m = n + 2 and 4n), so tau keeps a margin of 6 or more;
-    at n = 4096 it is 3.6e-12."""
+    n = 1..4096 at m = n + 2 and 4n), and the probe of Q reads at most
+    1.1 n eps there, so tau keeps a margin of 3.5 or more; at n = 4096 it is
+    3.6e-12."""
     return 4 * (n + 2) * np.finfo(float).eps
 
 
-def _closed_form_defect(rule, route):
-    """max |coefficient - closed form| of a structured route's recurrence on
-    the rule's nodes, in O(n) with no n x n temporary; inf when the rule has
-    no closed form for the route.  Each coefficient is a product with a
+def _closed_form_defect(route):
+    """max |coefficient - closed form| of a structured route's recurrence,
+    in O(n) with no n x n temporary.  Each coefficient is a product with a
     column of Q, so a column that overflowed leaves a NaN or inf here.
 
-    Lanczos: h0, a_j = diag(H), b_j on both off-diagonals of H, the step past
-    n |r|^2 = b_n^2 and Q*(z r) = b_n^2 e_n.  Szego: h0 = 1, the n c_j = 0
-    (H's upper triangle is c_j s_j), rho_j = subdiag(H) = 1, |r|^2 = 1 and
-    Q*(z r) = 0.
+    Szego, against the roots of unity: h0 = 1, the n c_j = 0 (H's upper
+    triangle is c_j s_j), rho_j = subdiag(H) = 1, and the step past n
+    |r|^2 = 1 and Q*(z r) = 0.  Lanczos, against the Gauss rule h0 points
+    to: h0, a_j = diag(H), b_j on both off-diagonals of H, |r|^2 = b_n^2 and
+    Q*(z r) = b_n^2 e_n.  A metric weight, a tilt or other nodes move the
+    coefficients, and the check fails.
     """
     _, hess, h0, (r_sq, z_r), coef = route
-    n = hess.shape[0]
-    if rule == measure.ROOTS_OF_UNITY and coef is not None:
+    if coef is not None:
         devs = (coef, np.diagonal(hess, -1) - 1.0, (h0 - 1.0, r_sq - 1.0), z_r)
-    elif rule in _LANCZOS_RULES and coef is None:
-        h0_rule, b = _LANCZOS_RULES[rule](n)
+    else:
+        h0_rule, b = _gauss_rule(h0, hess.shape[0])
         tail = b[-1] ** 2
         devs = (np.diagonal(hess), np.diagonal(hess, -1) - b[:-1],
                 np.diagonal(hess, 1) - b[:-1], (h0 - h0_rule, r_sq - tail),
                 z_r[:-1], (z_r[-1] - tail,))
-    else:
-        return np.inf
     # np.max propagates a NaN, unlike max()
     return float(np.max([np.max(np.abs(d), initial=0.0) for d in devs]))
 
 
-def _structured_arnoldi(mu, row_scale, n, rule):
+def _probe_defect(q):
+    """max |Q*(Q x) - x| over four fixed random sign vectors x: Q*Q = I
+    probed in O(m n), with no n x n temporary and no copy of Q.
+
+    The coefficients cannot show a loss of orthogonality: a column of Q
+    that picks up e q_i, i outside the Lanczos window, moves them by O(e^2)
+    only, and one spoiled after its step moves none.  Here an entry e of Q*Q - I at (i, j) adds +-e to row i of
+    each probe, which reads |e| or more with probability 1/2 or more, so
+    four probes all miss it with probability 1/16 or less.  Rounding reads
+    up to ~1.1 n eps on good bases.
+    """
+    x = np.random.default_rng(0).choice([-1.0, 1.0], size=(q.shape[1], 4))
+    y = q @ x
+    # Q* y as conj(y* Q), which conjugates y instead of Q
+    return float(np.max(np.abs((y.conj().T @ q).conj().T - x)))
+
+
+def _structured_arnoldi(mu, row_scale, n):
     """The Arnoldi basis by the recurrence the nodes allow, certified.
 
     Real nodes run Lanczos (window 2), nodes tagged circle run Szego; on
     real nodes both run on the real parts, in float64.  A structured result
-    is kept if its recurrence matches the closed form of `rule` to tau(n),
-    in O(n), or else, and when rule is None, if its columns are orthonormal
-    to max |Q*Q - I| <= _RANK_TOL, O(m n^2).  Failing both, on breakdown,
-    and for any other node set, full Arnoldi decides.  Returns (Q, H, h0, (|r|^2, Q*(z r)), c): c
-    holds the n Szego c_j when that route was kept, and is None otherwise.
+    is kept if its recurrence matches a classical rule's closed form and
+    the probe of its Q passes, both to tau(n), in O(m n); or else if its
+    columns are orthonormal to max |Q*Q - I| <= _RANK_TOL, in O(m n^2).
+    Failing both, on breakdown, and for any other node set, full Arnoldi
+    decides.  Returns (Q, H, h0, (|r|^2, Q*(z r)), c): c holds the n Szego
+    c_j when that route was kept, and is None otherwise.
+
+    On a rule's own nodes the probe should have nothing to catch.  Szego on
+    the roots of unity multiplies by z, an isometry, and subtracts c_j ~ eps,
+    so no error grows.  Lanczos loses orthogonality only towards a Ritz
+    vector whose residual b_n |s_{n,i}| has fallen to ~eps (Paige, 1976); on
+    both Gauss rules the smallest falls only like n^-1.5 (1.2e-5 at
+    n = 2048, at the ends of the interval), whatever m.  max |Q*Q - I|
+    measures <= 9e-15 on all three rules for n <= 2048 at m = n + 2 and 4n.
     """
     z = mu.nodes
     real = not np.any(z.imag)
@@ -339,7 +364,7 @@ def _structured_arnoldi(mu, row_scale, n, rule):
         z = np.ascontiguousarray(z.real)
     if real or mu.support_tag == "circle":
         try:
-            # an overflow here gives a NaN that both checks reject, and full
+            # an overflow here gives a NaN that every check rejects, and full
             # Arnoldi then builds the basis
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 route = ((*_arnoldi(z, row_scale, n, window=2), None) if real
@@ -347,7 +372,8 @@ def _structured_arnoldi(mu, row_scale, n, rule):
         except RankDeficientError:
             pass
         else:
-            if rule is not None and _closed_form_defect(rule, route) <= _closed_form_tol(n):
+            tol = _closed_form_tol(n)
+            if _closed_form_defect(route) <= tol and _probe_defect(route[0]) <= tol:
                 return route
             if _orthonormality_defect(route[0]) <= _RANK_TOL:
                 return route
@@ -385,10 +411,7 @@ def orthonormalize(mu, space):
         scale = space.weight_scale(mu.nodes)
     _check_scale_range(space, mu, scale)
     row_scale = np.sqrt(mu.weights) * scale
-    n = space.dimension
-    # the closed forms hold for the rule's own weights, on m >= n + 2 nodes
-    rule = mu.rule if space.metric_weight is None and len(mu) >= n + 2 else None
-    q, hess, h0, (r_sq, z_r), coef = _structured_arnoldi(mu, row_scale, n, rule)
+    q, hess, h0, (r_sq, z_r), coef = _structured_arnoldi(mu, row_scale, space.dimension)
     return OrthonormalBasis(
         space=space,
         hessenberg=np.ascontiguousarray(hess),

@@ -1,9 +1,8 @@
 """Finite quadrature representations of positive measures on the plane.
 
 A measure is a list of complex nodes with positive weights plus metadata:
-the largest joint moment degree the rule integrates exactly, a support
-tag used for closed-form dispatch downstream, and the classical rule the
-nodes come from, if any, whose recurrence the basis checks in closed form.
+the largest joint moment degree the rule integrates exactly, and a support
+tag used for closed-form dispatch downstream.
 """
 
 import json
@@ -20,12 +19,6 @@ CUSTOM = "custom"
 _SUPPORT_TAGS = (CIRCLE, INTERVAL, CUSTOM)
 _SUPPORT_TOL = 1e-12
 
-ROOTS_OF_UNITY = "roots_of_unity"
-GAUSS_LEGENDRE = "gauss_legendre"
-GAUSS_CHEBYSHEV = "gauss_chebyshev"
-# each rule and the support it lies on
-_RULE_SUPPORT = {ROOTS_OF_UNITY: CIRCLE, GAUSS_LEGENDRE: INTERVAL, GAUSS_CHEBYSHEV: INTERVAL}
-
 
 @dataclass(frozen=True)
 class QuadratureMeasure:
@@ -36,16 +29,12 @@ class QuadratureMeasure:
     exactness   largest d such that all moments z^a conj(z)^b, a+b <= d,
                 are integrated exactly (0 if unknown / discrete)
     support_tag one of "circle", "interval", "custom"
-    rule        the classical rule that made the nodes and weights (roots of
-                unity, Gauss-Legendre or Gauss-Chebyshev), or None; set by
-                the constructors below and not serialized
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     exactness: int
     support_tag: str
-    rule: str | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=np.complex128)
@@ -62,8 +51,6 @@ class QuadratureMeasure:
             raise ValueError("nodes must be finite")
         if self.support_tag not in _SUPPORT_TAGS:
             raise ValueError(f"unknown support_tag {self.support_tag!r}")
-        if self.rule is not None and _RULE_SUPPORT.get(self.rule) != self.support_tag:
-            raise ValueError(f"no rule {self.rule!r} on support {self.support_tag!r}")
         if self.support_tag == CIRCLE:
             if np.max(np.abs(np.abs(nodes) - 1.0)) > _SUPPORT_TOL:
                 raise ValueError("circle support requires | |node| - 1 | <= 1e-12")
@@ -127,8 +114,7 @@ def circle_lebesgue(m):
         raise ValueError("m must be >= 1")
     nodes = np.exp(2j * np.pi * np.arange(m) / m)
     weights = np.full(m, 1.0 / m)
-    return QuadratureMeasure(nodes, weights, exactness=m - 1, support_tag=CIRCLE,
-                             rule=ROOTS_OF_UNITY)
+    return QuadratureMeasure(nodes, weights, exactness=m - 1, support_tag=CIRCLE)
 
 
 # The first ten positive zeros j_{0,k} of the Bessel function J_0
@@ -220,7 +206,7 @@ def interval_lebesgue(m):
         raise ValueError("m must be >= 1")
     x, w = _gauss_legendre(m)
     return QuadratureMeasure(
-        x.astype(complex), w, exactness=2 * m - 1, support_tag=INTERVAL, rule=GAUSS_LEGENDRE
+        x.astype(complex), w, exactness=2 * m - 1, support_tag=INTERVAL
     )
 
 
@@ -233,8 +219,7 @@ def arcsine(m):
     w = np.full(m, 1.0 / m)
     order = np.argsort(x)
     return QuadratureMeasure(
-        x[order].astype(complex), w, exactness=2 * m - 1, support_tag=INTERVAL,
-        rule=GAUSS_CHEBYSHEV,
+        x[order].astype(complex), w, exactness=2 * m - 1, support_tag=INTERVAL
     )
 
 
@@ -254,8 +239,8 @@ def from_points(nodes, weights):
 def scale_by(mu, g):
     """Tilt the measure by exp(-g): weight at node x becomes w(x)*exp(-g(x)).
 
-    Keeps the nodes and support tag.  Exactness is reset to 0, and the rule
-    to None, unless g is identically zero on the nodes.
+    Keeps the nodes and support tag.  Exactness is reset to 0 unless g is
+    identically zero on the nodes.
     """
     gvals = np.asarray(g(mu.nodes), dtype=float)
     if gvals.shape != mu.nodes.shape:
@@ -263,6 +248,6 @@ def scale_by(mu, g):
     if not np.all(np.isfinite(gvals)):
         raise ValueError("g must be finite at every node")
     new_w = mu.weights * np.exp(-gvals)
-    untilted = bool(np.all(gvals == 0.0))
-    return QuadratureMeasure(mu.nodes, new_w, exactness=mu.exactness if untilted else 0,
-                             support_tag=mu.support_tag, rule=mu.rule if untilted else None)
+    exact = mu.exactness if np.all(gvals == 0.0) else 0
+    return QuadratureMeasure(mu.nodes, new_w, exactness=exact,
+                             support_tag=mu.support_tag)

@@ -21,9 +21,9 @@ from cdlab import (
 )
 from cdlab import symbols
 from cdlab._backend import eval_recurrence
+from cdlab import basis as basis_module
 from cdlab.basis import (_arnoldi, _closed_form_defect, _closed_form_tol,
-                         _orthonormality_defect, _szego)
-from cdlab.measure import GAUSS_CHEBYSHEV, GAUSS_LEGENDRE, ROOTS_OF_UNITY
+                         _orthonormality_defect, _probe_defect, _szego)
 
 SQRT_HALF = 0.7071067811865476      # 1/sqrt(2), hand Gram-Schmidt on {1, x}
 SQRT_3_OVER_2 = 1.224744871391589   # sqrt(3/2)
@@ -282,23 +282,24 @@ class TestStructuredRoutes:
             orthonormalize(mu, WeightedSpace(8))
 
 
-RULES = {"circle": (circle_lebesgue, ROOTS_OF_UNITY),
-         "interval": (interval_lebesgue, GAUSS_LEGENDRE),
-         "arcsine": (arcsine, GAUSS_CHEBYSHEV)}
+RULES = {"circle": circle_lebesgue, "interval": interval_lebesgue, "arcsine": arcsine}
 
 
 def rule_route(name, m, n, row_scale=None):
-    """(rule, route): the structured route for n columns on m nodes of the rule."""
-    make, rule = RULES[name]
-    mu = make(m)
+    """The structured route for n columns on m nodes of the rule."""
+    mu = RULES[name](m)
     row_scale = np.sqrt(mu.weights) if row_scale is None else row_scale
     if name == "circle":
-        return rule, _szego(mu.nodes, row_scale, n)
-    return rule, (*_arnoldi(np.ascontiguousarray(mu.nodes.real), row_scale, n, window=2), None)
+        return _szego(mu.nodes, row_scale, n)
+    return (*_arnoldi(np.ascontiguousarray(mu.nodes.real), row_scale, n, window=2), None)
 
 
-def closed_form_accepts(rule, route):
-    return _closed_form_defect(rule, route) <= _closed_form_tol(route[1].shape[0])
+def closed_form_accepts(route):
+    return _closed_form_defect(route) <= _closed_form_tol(route[1].shape[0])
+
+
+def probe_accepts(route):
+    return _probe_defect(route[0]) <= _closed_form_tol(route[1].shape[0])
 
 
 def gram_accepts(route):
@@ -331,6 +332,21 @@ def perturbed(route, where, delta):
     return q, hess, h0, (r_sq, z_r), coef
 
 
+def spoiled(route, j, eps):
+    """A copy of the route whose column j picked up eps q_0 after its step:
+    the coefficients are untouched, and Q*Q - I reads eps at (0, j)."""
+    q = route[0].copy(order="F")
+    q[:, j] += eps * q[:, 0]
+    return (q, *route[1:])
+
+
+def recorded(monkeypatch, name):
+    """Record each value cdlab.basis.<name> returns."""
+    calls, real = [], getattr(basis_module, name)
+    monkeypatch.setattr(f"cdlab.basis.{name}", lambda *a: calls.append(real(*a)) or calls[-1])
+    return calls
+
+
 LANCZOS_SITES = ["h0", "a_j", "b_j", "b_j-above", "r_sq", "z_r"]
 SZEGO_SITES = ["h0", "c_j", "c_last", "rho_j", "r_sq", "z_r"]
 MUTATIONS = ([("circle", site) for site in SZEGO_SITES]
@@ -341,9 +357,10 @@ KBENCH_SIZES = [("interval", (64, 128, 256, 512), 4), ("circle", (32, 64, 128, 2
 
 
 class TestClosedFormCertificate:
-    """On the three classical rules a structured route is certified by its
-    recurrence against the rule's closed form, in O(n); the Gram check
-    max |Q*Q - I| decides everywhere else."""
+    """A structured route whose recurrence matches a classical rule's closed
+    form, in O(n), and whose Q passes an O(m n) probe of Q*Q = I is kept;
+    the Gram check max |Q*Q - I| decides everywhere else.  The rule is read
+    from the route itself: no measure carries it."""
 
     def test_tolerance_grows_linearly(self):
         eps = np.finfo(float).eps
@@ -352,99 +369,139 @@ class TestClosedFormCertificate:
         assert _closed_form_tol(2050) - _closed_form_tol(1025) == 4 * 1025 * eps
 
     @pytest.mark.parametrize("n, extra", [(n, extra) for n in (1, 2, 5, 16, 64, 256)
-                                          for extra in (2, "4n")] + [(1024, 2), (1024, "4n")])
+                                          for extra in (2, "4n")] + [(1024, "4n")])
     @pytest.mark.parametrize("name", sorted(RULES))
     def test_agrees_with_the_gram_check(self, name, n, extra):
-        rule, route = rule_route(name, 4 * n if extra == "4n" else n + extra, n)
-        assert (closed_form_accepts(rule, route), gram_accepts(route)) == (True, True)
+        route = rule_route(name, 4 * n if extra == "4n" else n + extra, n)
+        assert (closed_form_accepts(route), probe_accepts(route), gram_accepts(route)) \
+            == (True, True, True)
 
     @pytest.mark.parametrize("name, site", MUTATIONS)
     def test_coefficient_off_by_two_tau_is_rejected(self, name, site):
         # the Gram check reads Q only, so it cannot see a coefficient of H
-        rule, route = rule_route(name, 256, 64)
+        route = rule_route(name, 256, 64)
         tau = _closed_form_tol(64)
-        assert not closed_form_accepts(rule, perturbed(route, site, 2 * tau))
-        assert not closed_form_accepts(rule, perturbed(route, site, -2 * tau))
-        assert closed_form_accepts(rule, perturbed(route, site, tau / 2))
-        assert closed_form_accepts(rule, perturbed(route, site, -tau / 2))
+        assert not closed_form_accepts(perturbed(route, site, 2 * tau))
+        assert not closed_form_accepts(perturbed(route, site, -2 * tau))
+        assert closed_form_accepts(perturbed(route, site, tau / 2))
+        assert closed_form_accepts(perturbed(route, site, -tau / 2))
 
     @pytest.mark.parametrize("name, site", MUTATIONS)
     def test_nan_coefficient_is_rejected(self, name, site):
-        rule, route = rule_route(name, 256, 64)
-        assert not closed_form_accepts(rule, perturbed(route, site, np.nan))
+        assert not closed_form_accepts(perturbed(rule_route(name, 256, 64), site, np.nan))
 
     @pytest.mark.parametrize("name", sorted(RULES))
-    def test_nan_in_the_route_is_rejected_by_both(self, name):
+    def test_nan_in_the_route_is_rejected_by_all_three(self, name):
         # a NaN at one node spreads to every column, and so to the coefficients
-        mu = RULES[name][0](256)
+        mu = RULES[name](256)
         row_scale = np.sqrt(mu.weights)
         row_scale[17] = np.nan
         with np.errstate(invalid="ignore"):
-            rule, route = rule_route(name, 256, 64, row_scale)
-        assert np.isnan(_closed_form_defect(rule, route))
-        assert not closed_form_accepts(rule, route)
+            route = rule_route(name, 256, 64, row_scale)
+        assert np.isnan(_closed_form_defect(route))
+        assert not closed_form_accepts(route)
+        assert not probe_accepts(route)
         assert not gram_accepts(route)
 
+    @pytest.mark.parametrize("j", [1, 32, 63])
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_lost_orthogonality_is_caught_by_the_probe(self, name, eps, j):
+        route = spoiled(rule_route(name, 256, 64), j, eps)
+        assert closed_form_accepts(route)
+        assert not probe_accepts(route)
+        assert not gram_accepts(route)
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_spoiled_route_falls_back_to_full_arnoldi(self, name, monkeypatch):
+        if name == "circle":
+            real = _szego
+            monkeypatch.setattr("cdlab.basis._szego", lambda *a: spoiled(real(*a), 32, 1e-9))
+        else:
+            real = _arnoldi
+            monkeypatch.setattr("cdlab.basis._arnoldi",
+                                lambda *a, window=None: (spoiled((*real(*a, window=2), None), 32,
+                                                                 1e-9)[:4] if window
+                                                         else real(*a, window=window)))
+        bs = orthonormalize(RULES[name](256), WeightedSpace(63))
+        assert bs.szego_c is None
+        assert node_defect(bs.node_values) <= 1e-14
+
     @pytest.mark.parametrize("name, copies", [("circle", 2), ("interval", 2), ("arcsine", 3)])
-    def test_breakdown_is_rejected_by_both(self, name, copies):
-        # the rule's 8 nodes, each repeated: tagged with the rule, m >= n + 2,
-        # but they support degree 7 at most
-        make, rule = RULES[name]
-        ref = make(8)
+    def test_breakdown_is_rank_deficient(self, name, copies):
+        # the rule's 8 nodes, each repeated: m >= n + 2, but they support
+        # degree 7 at most
+        ref = RULES[name](8)
         mu = QuadratureMeasure(np.tile(ref.nodes, copies), np.tile(ref.weights, copies) / copies,
-                               exactness=0, support_tag=ref.support_tag, rule=rule)
+                               exactness=0, support_tag=ref.support_tag)
         with pytest.raises(RankDeficientError):
             orthonormalize(mu, WeightedSpace(8))
 
     def test_off_circle_nodes_are_rejected_by_both(self):
-        # nodes 1e-13 off the circle, tagged as roots of unity: the c_j read
-        # ~3e-12, and the basis falls back to full Arnoldi
+        # nodes 1e-13 off the circle: the c_j read ~3e-12, and the basis falls
+        # back to full Arnoldi
         ref = circle_lebesgue(64)
         radial = 1.0 + 1e-13 * np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
         mu = QuadratureMeasure(ref.nodes * radial, ref.weights, exactness=0,
-                               support_tag="circle", rule=ROOTS_OF_UNITY)
+                               support_tag="circle")
         route = _szego(mu.nodes, np.sqrt(mu.weights), 41)
-        assert _closed_form_defect(ROOTS_OF_UNITY, route) > 1e-12
+        assert _closed_form_defect(route) > 1e-12
         assert not gram_accepts(route)
         bs = orthonormalize(mu, WeightedSpace(40))
         assert bs.szego_c is None
         assert node_defect(bs.node_values) <= 1e-14
 
     def test_missed_closed_form_lets_the_gram_check_decide(self, monkeypatch):
-        # Gauss-Legendre nodes shrunk by 1e-9 still carry the tag: b_j misses
-        # its closed form by ~5e-10, and the Gram check keeps the Lanczos basis
+        # Gauss-Legendre nodes shrunk by 1e-9: b_j misses its closed form by
+        # ~5e-10, and the Gram check keeps the Lanczos basis
         ref = interval_lebesgue(256)
         mu = QuadratureMeasure(ref.nodes * (1 - 1e-9), ref.weights, exactness=0,
-                               support_tag="interval", rule=GAUSS_LEGENDRE)
-        calls = []
-        monkeypatch.setattr("cdlab.basis._orthonormality_defect",
-                            lambda q: calls.append(q.shape) or _orthonormality_defect(q))
+                               support_tag="interval")
+        defects = recorded(monkeypatch, "_closed_form_defect")
+        grams = recorded(monkeypatch, "_orthonormality_defect")
         bs = orthonormalize(mu, WeightedSpace(63))
-        assert calls == [(256, 64)]
+        assert 1e-10 < defects[0] < 1e-9
+        assert len(grams) == 1
         assert np.all(np.triu(bs.hessenberg, 2) == 0)
 
     @pytest.mark.parametrize("case", ["tilted-interval", "tilted-circle", "circle-metric-weight",
-                                      "circle-m=n+1", "interval-m=n+1", "arcsine-m=n",
+                                      "circle-m=n+1", "arcsine-m=n", "heavier-interval",
                                       "points"])
-    def test_other_bases_take_the_gram_route(self, case, monkeypatch):
+    def test_other_bases_miss_the_closed_form(self, case, monkeypatch):
         n = 32
         if case in STRUCTURED_CASES:
             mu, space, _ = structured_setup(case, n - 1)
         elif case == "points":
             mu, space = real_atoms(), WeightedSpace(n - 1)
+        elif case == "heavier-interval":
+            # Gauss-Legendre weights times 1 + 1e-9: the recurrence is the
+            # same, and only h0 misses
+            mu, space = scale_by(interval_lebesgue(128), lambda z: np.full(z.shape, -1e-9)), \
+                WeightedSpace(n - 1)
         else:
             name, _, extra = case.partition("-m=n")
-            mu, space = RULES[name][0](n + int(extra or 0)), WeightedSpace(n - 1)
-
-        def closed_form(*args):
-            raise AssertionError("the closed form was read")
-
-        calls = []
-        monkeypatch.setattr("cdlab.basis._closed_form_defect", closed_form)
-        monkeypatch.setattr("cdlab.basis._orthonormality_defect",
-                            lambda q: calls.append(q.shape) or _orthonormality_defect(q))
+            mu, space = RULES[name](n + int(extra or 0)), WeightedSpace(n - 1)
+        defects = recorded(monkeypatch, "_closed_form_defect")
+        grams = recorded(monkeypatch, "_orthonormality_defect")
         orthonormalize(mu, space)
-        assert calls == [(len(mu), n)]
+        assert len(defects) == 1 and defects[0] > _closed_form_tol(n)
+        assert len(grams) == 1
+
+    @pytest.mark.parametrize("name, m", [("interval", 32), ("arcsine", 32), ("circle", 34),
+                                         ("interval-points", 128)])
+    def test_rule_nodes_need_no_tag(self, name, m, monkeypatch):
+        # n + 1 Gauss nodes integrate to degree 2n + 1, enough for the step
+        # past n; the circle needs n + 2.  Nodes and weights of a rule handed
+        # in as points pass too.
+        def gram(q):
+            raise AssertionError("the Gram product was formed")
+
+        monkeypatch.setattr("cdlab.basis._orthonormality_defect", gram)
+        mu = RULES[name.partition("-")[0]](m)
+        if name.endswith("points"):
+            mu = from_points(mu.nodes, mu.weights)
+        bs = orthonormalize(mu, WeightedSpace(30))
+        assert np.all(np.triu(bs.hessenberg, 2) == 0) or bs.szego_c is not None
 
     @pytest.mark.parametrize("name, ks, per_k", KBENCH_SIZES)
     def test_rule_bases_need_no_gram_product(self, name, ks, per_k, monkeypatch):
@@ -453,7 +510,7 @@ class TestClosedFormCertificate:
 
         monkeypatch.setattr("cdlab.basis._orthonormality_defect", gram)
         for k in ks:
-            bs = orthonormalize(RULES[name][0](max(per_k * k, 256)),
+            bs = orthonormalize(RULES[name](max(per_k * k, 256)),
                                 WeightedSpace(k - 1, tensor_power=k))
             assert (bs.szego_c is not None) == (name == "circle")
 

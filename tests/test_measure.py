@@ -153,35 +153,6 @@ class TestScaleBy:
             scale_by(mu, lambda z: np.where(z.real > 0, np.nan, 0.0))
 
 
-class TestRule:
-    """The classical constructors record their rule; the basis checks its
-    recurrence against that rule's closed form."""
-
-    @pytest.mark.parametrize("make, rule", [
-        (circle_lebesgue, measure.ROOTS_OF_UNITY),
-        (interval_lebesgue, measure.GAUSS_LEGENDRE),
-        (arcsine, measure.GAUSS_CHEBYSHEV)])
-    def test_constructors_record_their_rule(self, make, rule):
-        assert make(8).rule == rule
-        # a zero tilt keeps the weights, so the rule too
-        assert scale_by(make(8), lambda z: np.zeros(z.shape)).rule == rule
-        assert scale_by(make(8), lambda z: 0.1 * z.real).rule is None
-
-    def test_other_measures_have_no_rule(self):
-        assert from_points([0.5, -0.5], [1.0, 1.0]).rule is None
-        assert QuadratureMeasure.from_json(circle_lebesgue(4).to_json()).rule is None
-        assert "rule" not in circle_lebesgue(4).to_dict()
-
-    @pytest.mark.parametrize("rule, tag", [(measure.ROOTS_OF_UNITY, "interval"),
-                                           (measure.GAUSS_LEGENDRE, "circle"),
-                                           (measure.GAUSS_LEGENDRE, "custom"),
-                                           ("gauss_hermite", "interval")])
-    def test_rule_must_lie_on_the_support(self, rule, tag):
-        with pytest.raises(ValueError, match="no rule"):
-            QuadratureMeasure(np.array([1.0 + 0j]), np.array([1.0]), exactness=0,
-                              support_tag=tag, rule=rule)
-
-
 class TestValidation:
     def test_circle_tag_requires_unit_modulus(self):
         with pytest.raises(ValueError):
