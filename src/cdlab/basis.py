@@ -215,8 +215,9 @@ def _szego(z, row_scale, n):
     With s_j the coordinates of phi_j^* in phi_0..phi_j, the Hessenberg
     column is H[:j+1, j] = c * s_j.  Returns (Q, H, h0, (|r|^2, Q*(z r)), c)
     with all n c_j (c_{n-1} that of the step past n) and the breakdown test
-    of _arnoldi; O(m n) for Q, O(n^2) for H.  Past n, z r = |r| (rho_n phi_{n+1} + c_n phi_n^*) with phi_n^* =
-    |r| phi_{n-1}^* - conj(c) r / |r|, so Q*(z r) takes O(m):
+    of _arnoldi; O(m n) for Q, O(n^2) for H.  Past n,
+    z r = |r| (rho_n phi_{n+1} + c_n phi_n^*) with
+    phi_n^* = |r| phi_{n-1}^* - conj(c) r / |r|, so Q*(z r) takes O(m):
         Q*(z r) = <|r|^2 phi_{n-1}^* - conj(c) r, z r> s_{n-1}.
     """
     q, hess, h0 = _start(row_scale, n, np.complex128)
@@ -287,12 +288,12 @@ def _gauss_rule(h0, n):
 
 
 def _closed_form_tol(n):
-    """tau(n) = 4 (n + 2) eps, linear in n.  The coefficients drift from
-    their closed form like ~0.2 n eps (the Szego c_j on the roots of unity;
-    at most 0.42 n eps, and 2 eps at n = 1, on the three rules for
-    n = 1..4096 at m = n + 2 and 4n), and the probe of Q reads at most
-    1.1 n eps there, so tau keeps a margin of 3.5 or more; at n = 4096 it is
-    3.6e-12."""
+    """tau(n) = 4 (n + 2) eps, linear in n, for the closed form and the
+    probe of Q alike.  Both read up to ~0.7 (n + 2) eps on good bases of the
+    three rules (n = 1..64 and nine sizes to 4096, m = n + 2 and 4n; the Szego
+    c_j on the roots of unity drift like ~0.2 n eps), so tau keeps a margin
+    of 5.8 or more; a fixed 1e-13 would reject good bases near n = 4096,
+    where tau is 3.6e-12."""
     return 4 * (n + 2) * np.finfo(float).eps
 
 
@@ -321,21 +322,33 @@ def _closed_form_defect(route):
     return float(np.max([np.max(np.abs(d), initial=0.0) for d in devs]))
 
 
+def _probe_vector(n):
+    """n fixed values in [-1, 1): splitmix64 of 1..n (Steele, Lea and Flood,
+    2014), top 53 bits.  A hash, not numpy.random, whose import alone costs
+    a few MiB of resident memory."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-52 - 1.0
+
+
 def _probe_defect(q):
-    """max |Q*(Q x) - x| over four fixed random sign vectors x: Q*Q = I
-    probed in O(m n), with no n x n temporary and no copy of Q.
+    """max |Q*(Q x) - x| for the fixed x of _probe_vector: Q*Q = I probed in
+    O(m n), two matrix-vector products, with no n x n temporary and no copy
+    of Q.
 
     The coefficients cannot show a loss of orthogonality: a column of Q
     that picks up e q_i, i outside the Lanczos window, moves them by O(e^2)
-    only, and one spoiled after its step moves none.  Here an entry e of Q*Q - I at (i, j) adds +-e to row i of
-    each probe, which reads |e| or more with probability 1/2 or more, so
-    four probes all miss it with probability 1/16 or less.  Rounding reads
-    up to ~1.1 n eps on good bases.
+    only, and one spoiled after its step moves none.  Here an entry e of
+    Q*Q - I at (i, j) adds e x_j to row i; for x_j uniform on [-1, 1],
+    whatever the rest of the row, that row then reads below t with
+    probability t / |e| or less.
     """
-    x = np.random.default_rng(0).choice([-1.0, 1.0], size=(q.shape[1], 4))
+    x = _probe_vector(q.shape[1])
     y = q @ x
     # Q* y as conj(y* Q), which conjugates y instead of Q
-    return float(np.max(np.abs((y.conj().T @ q).conj().T - x)))
+    return float(np.max(np.abs((y.conj() @ q).conj() - x)))
 
 
 def _structured_arnoldi(mu, row_scale, n):
