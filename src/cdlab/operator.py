@@ -238,15 +238,23 @@ def compose(a, b):
 def schatten_norm(a, p):
     """Dimension-normalized Schatten norm ((1/n) sum sigma_i^p)^(1/p).
 
-    p = 2 is the Frobenius norm over sqrt(n) and needs no SVD.
+    p = 2 is the Frobenius norm over sqrt(n) and needs no SVD.  Any other p
+    is taken as sigma_max ((1/n) sum (sigma_i / sigma_max)^p)^(1/p), so a
+    large p neither underflows nor overflows, and p = inf gives sigma_max.
+    A zero matrix gives 0.0; an empty one raises ValueError.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     mat = a.entries if isinstance(a, ToeplitzMatrix) else np.asarray(a)
+    if mat.size == 0:
+        raise ValueError(f"need a nonempty matrix, got shape {mat.shape}")
     if p == 2:
         return float(np.linalg.norm(mat) / np.sqrt(min(mat.shape)))
     sigma = np.linalg.svd(mat, compute_uv=False)
-    return float(np.mean(sigma ** p) ** (1.0 / p))
+    top = sigma[0]      # svd sorts the singular values in descending order
+    if top == 0.0 or p == np.inf:
+        return float(top)
+    return float(top * np.mean((sigma / top) ** p) ** (1.0 / p))
 
 
 def operator_norm(a):

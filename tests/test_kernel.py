@@ -26,8 +26,8 @@ from cdlab import (
     write_density_csv,
     write_heatmap_csv,
 )
-from cdlab import _backend
-from cdlab.basis import diagonal_kernel
+from cdlab import _backend, kernel
+from cdlab.basis import diagonal_kernel, weighted_rows
 from cdlab.symbols import sym_one
 
 
@@ -263,6 +263,155 @@ class TestTableOracles:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+_MEASURES = {"circle": circle_lebesgue, "interval": interval_lebesgue, "arcsine": arcsine}
+
+
+def _q_route(bs, mu, ia, ib):
+    """The mass by the Q route, ||Q_A Q_B^*||_F^2 / n."""
+    return _backend.pair_mass(weighted_rows(bs, mu), ia, ib) / bs.dimension
+
+
+@pytest.fixture
+def pair_mass_calls(monkeypatch):
+    """The list of _backend.pair_mass calls made while a test runs."""
+    calls, original = [], _backend.pair_mass
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_backend, "pair_mass", counted)
+    return calls
+
+
+class TestChristoffelDarbouxRoute:
+    """bergman_mass on disjoint sets of a structured basis's own nodes takes
+    the Christoffel-Darboux route, with no call to _backend.pair_mass; it
+    must match the Q route to 1e-13 relative.  Every other case must take
+    the Q route."""
+
+    def check_cd(self, bs, mu, ia, ib, calls):
+        got = bergman_mass(bs, mu, ia, ib)
+        assert not calls, "expected the Christoffel-Darboux route"
+        want = _q_route(bs, mu, ia, ib)
+        assert want > 0.0
+        assert abs(got - want) <= 1e-13 * want
+
+    def check_q(self, bs, mu, ia, ib, calls):
+        got = bergman_mass(bs, mu, ia, ib)
+        assert len(calls) == 1, "expected the Q route"
+        assert got == _q_route(bs, mu, ia, ib)
+
+    @pytest.mark.parametrize("k", [16, 64, 256, 1024])
+    @pytest.mark.parametrize("name", ["circle", "interval", "arcsine"])
+    def test_default_regions(self, name, k, pair_mass_calls):
+        mu = _MEASURES[name](max(4 * k, 256))
+        bs = orthonormalize(mu, WeightedSpace(k - 1, tensor_power=k))
+        if name == "circle":
+            ia, ib = arc_indices(mu, 0.0, np.pi / 2), arc_indices(mu, np.pi, 3 * np.pi / 2)
+        else:
+            ia, ib = interval_indices(mu, -0.9, -0.3), interval_indices(mu, 0.3, 0.9)
+        self.check_cd(bs, mu, ia, ib, pair_mass_calls)
+
+    @pytest.mark.parametrize("name", ["circle", "interval"])
+    def test_touching_regions(self, name, pair_mass_calls):
+        mu = _MEASURES[name](1024)
+        bs = orthonormalize(mu, WeightedSpace(255, tensor_power=256))
+        if name == "circle":
+            ia, ib = arc_indices(mu, 0.0, 1.0), arc_indices(mu, 1.0, 2.0)
+        else:
+            ia, ib = interval_indices(mu, -0.9, 0.0), interval_indices(mu, 0.0, 0.9)
+        self.check_cd(bs, mu, ia, ib, pair_mass_calls)
+
+    @pytest.mark.parametrize("name", ["circle", "interval", "arcsine"])
+    def test_even_against_odd_nodes(self, name, pair_mass_calls):
+        mu = _MEASURES[name](512)
+        bs = orthonormalize(mu, WeightedSpace(127, tensor_power=128))
+        self.check_cd(bs, mu, np.arange(0, 512, 2), np.arange(1, 512, 2), pair_mass_calls)
+
+    @pytest.mark.parametrize("case", ["tilted-circle", "weighted-circle", "weighted-interval"])
+    def test_tilt_and_metric_weight(self, case, pair_mass_calls):
+        phi = lambda z: 0.3 * np.cos(np.angle(z)) + 0.2 * z.real ** 2
+        if case == "tilted-circle":
+            mu = scale_by(circle_lebesgue(512), lambda z: np.cos(np.angle(z) - 0.4))
+            space = WeightedSpace(63, tensor_power=64)
+        else:
+            mu = (circle_lebesgue if case == "weighted-circle" else interval_lebesgue)(512)
+            space = WeightedSpace(63, tensor_power=4, metric_weight=phi)
+        bs = orthonormalize(mu, space)
+        half = np.arange(200)
+        self.check_cd(bs, mu, half, half + 256, pair_mass_calls)
+
+    def test_overlapping_sets(self, pair_mass_calls, monkeypatch):
+        # the shared node is found by the mask, before any Christoffel-Darboux
+        # entry is formed
+        def no_cd_sum(*args):
+            raise AssertionError("the Christoffel-Darboux sum ran on overlapping sets")
+
+        monkeypatch.setattr(kernel, "_cd_pair_sum", no_cd_sum)
+        mu, bs, _ = circle_setup(64)
+        self.check_q(bs, mu, np.arange(0, 100), np.arange(99, 200), pair_mass_calls)
+
+    def test_full_arnoldi_basis(self, pair_mass_calls):
+        rng = np.random.default_rng(5)
+        k = 128
+        mu = from_points(rng.uniform(-1.0, 1.0, 4 * k), np.full(4 * k, 1.0 / (4 * k)))
+        bs = orthonormalize(mu, WeightedSpace(k - 1, tensor_power=k))
+        # Lanczos lost orthogonality on these atoms, and full Arnoldi filled H
+        assert bs.szego_c is None and np.any(np.triu(bs.hessenberg, 2))
+        self.check_q(bs, mu, np.arange(0, 200), np.arange(300, 512), pair_mass_calls)
+
+    def test_basis_on_another_measure(self, pair_mass_calls):
+        mu = circle_lebesgue(256)
+        bs = orthonormalize(mu, WeightedSpace(31, tensor_power=32))
+        mu2 = scale_by(mu, lambda z: 0.7 * np.sin(np.angle(z)))
+        self.check_q(bs, mu2, np.arange(0, 64), np.arange(128, 192), pair_mass_calls)
+
+    @pytest.mark.parametrize("setup", [circle_setup, interval_setup])
+    def test_dimension_one(self, setup, pair_mass_calls):
+        mu, bs, _ = setup(1)
+        self.check_q(bs, mu, np.arange(0, 64), np.arange(128, 192), pair_mass_calls)
+
+    def test_repeated_node(self, pair_mass_calls):
+        # a node in A repeated in B has K[a, b] = K[a, a], which the
+        # Christoffel-Darboux quotient leaves as 0/0
+        x = interval_lebesgue(64).nodes.real
+        mu = from_points(np.append(x, x[10]), np.full(65, 1.0 / 65))
+        bs = orthonormalize(mu, WeightedSpace(15, tensor_power=16))
+        with np.errstate(all="raise"):
+            got = bergman_mass(bs, mu, np.arange(0, 32), np.arange(32, 65))
+        assert np.isfinite(got) and len(pair_mass_calls) == 1
+        assert got == _q_route(bs, mu, np.arange(0, 32), np.arange(32, 65))
+
+    def test_quarter_arcs_at_k_1024_take_under_64_mib(self):
+        mu = circle_lebesgue(16384)
+        bs = orthonormalize(mu, WeightedSpace(1023, tensor_power=1024))
+        ia, ib = arc_indices(mu, 0.0, np.pi / 2), arc_indices(mu, np.pi, 3 * np.pi / 2)
+        tracemalloc.start()
+        try:
+            assert bergman_mass(bs, mu, ia, ib) > 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+
+class TestMassIndexValidation:
+    @pytest.mark.parametrize("bad", [[-1], [0.9], [256], [True], [[0, 300]], ["0"]])
+    def test_rejects_an_index_outside_the_nodes(self, bad):
+        mu, bs, _ = circle_setup(8)
+        with pytest.raises(ValueError, match="node indices"):
+            bergman_mass(bs, mu, bad, [0])
+        with pytest.raises(ValueError, match="node indices"):
+            bergman_mass(bs, mu, [0], bad)
+
+    @pytest.mark.parametrize("empty", [[], (), np.array([], dtype=int), np.zeros((0, 2))])
+    def test_empty_sequences_give_zero(self, empty):
+        mu, bs, _ = circle_setup(8)
+        assert bergman_mass(bs, mu, empty, np.arange(4)) == 0.0
+        assert bergman_mass(bs, mu, np.arange(4), empty) == 0.0
 
 
 class TestDiagonalDensity:

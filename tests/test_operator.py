@@ -283,6 +283,35 @@ class TestSchattenNorms:
         with pytest.raises(ValueError):
             schatten_norm(np.eye(3), 0.5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_large_p_does_not_overflow(self):
+        # 30^300 overflows a double
+        want = 30.0 * np.mean([(1 / 3) ** 300, (2 / 3) ** 300, 1.0]) ** (1 / 300)
+        assert schatten_norm(np.diag([10.0, 20.0, 30.0]), 300) == pytest.approx(want, rel=1e-14)
+
+    def test_large_p_does_not_underflow(self):
+        # 0.25^1000 underflows to zero, as does every sigma^1000 of the
+        # default circle defect
+        assert schatten_norm(0.25 * np.eye(4), 1000) == pytest.approx(0.25, rel=1e-14)
+        mu, bs = circle_basis(16)
+        defect = {p: algebra_defect(bs, mu, sym_cos, sym_sin, p) for p in (400, 1000, np.inf)}
+        assert 0.0 < defect[400] < defect[1000] <= defect[np.inf]
+
+    def test_infinite_p_is_the_largest_singular_value(self):
+        assert schatten_norm(np.diag([10.0, 20.0, 30.0]), np.inf) == 30.0
+        rng = np.random.default_rng(4)
+        mat = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        assert schatten_norm(mat, np.inf) == operator_norm(mat)
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, 1000.0, np.inf])
+    def test_zero_matrix_gives_zero(self, p):
+        assert schatten_norm(np.zeros((5, 5)), p) == 0.0
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, np.inf])
+    def test_empty_matrix_rejected(self, p):
+        with pytest.raises(ValueError, match="nonempty"):
+            schatten_norm(np.zeros((0, 3)), p)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_interpolation_inequality(self, seed):
         rng = np.random.default_rng(seed)
