@@ -13,59 +13,53 @@ import numpy as np
 _MASS_BLOCK = 1024
 
 
-def eval_recurrence(z, scale, const_norm, hess, szego_c=None, *, diagonal=False):
+# the columns one step reads on each route: q_j and q_j^* (Szego), q_{j-1}
+# and q_j (three-term); a Hessenberg step reads all n
+_STEP_COLUMNS = {"szego": 1, "three_term": 2}
+
+
+def eval_recurrence(z, scale, const_norm, hess, route="hessenberg", szego_c=None, *, diagonal=False):
     """Evaluate the orthonormal-polynomial columns at the points z.
 
-    Runs the Hessenberg recurrence q_{j+1} = (z*q_j - sum_i H[i,j]*q_i) /
-    H[j+1,j] starting from the constant 1/const_norm, then scales row a by
-    scale[a] (the metric weight factor).  Returns a (len(z), n) array, in
-    float64 when H is float64 and the complex points z are real.
+    Runs the recurrence of the route from the constant 1/const_norm, then
+    scales row a by scale[a] (the metric weight factor).  Returns a
+    (len(z), n) array, in float64 when H is float64 and the complex points
+    z are real.
 
-    Each sum starts at the first nonzero H[i,j]: a tridiagonal H costs O(n)
-    per point, a full one O(n^2).
-
-    szego_c, the c_j of a Szego-route basis (see basis._szego), selects the
-    coupled Szego step instead, O(n) per point on any H:
+    Route "hessenberg" runs q_{j+1} = (z*q_j - sum_i H[i,j]*q_i) / H[j+1,j]
+    over every column, O(n^2) per point; "three_term" runs it on a
+    tridiagonal H over columns max(0, j-1)..j, O(n).  "szego" runs the
+    coupled Szego step on szego_c, the c_j of the route (see basis._szego),
+    O(n) per point:
         q_{j+1} = (z*q_j - c_j*q_j^*) / rho_j,
         q_{j+1}^* = rho_j*q_j^* - conj(c_j)*q_{j+1},
     with rho_j = H[j+1,j] and q_0^* = q_0.  H[:j+1, j] = c_j*s_j, where s_j
-    holds the coordinates of q_j^*, so both give the same columns.
+    holds the coordinates of q_j^*, so it gives the same columns.
 
     diagonal=True returns instead the per-point sum over the columns of
     |scale * q_j|^2, the diagonal Christoffel-Darboux kernel, from the same
-    recurrence run in a window of the columns the band of H reads (see
+    recurrence run in a window of the columns one step reads (see
     _diagonal): no (len(z), n) array is formed.
     """
     n = hess.shape[0]
     if not np.iscomplexobj(hess) and not np.any(z.imag):
         z = np.ascontiguousarray(z.real)
-    # the Szego step reads q_j and q_j^* only
-    first, band = (None, 1) if szego_c is not None else _band(hess)
+    band = _STEP_COLUMNS.get(route, n)
     if diagonal:
-        return _diagonal(z, scale, const_norm, hess, szego_c, first, band)
+        return _diagonal(z, scale, const_norm, hess, szego_c, band)
     out = np.empty((z.shape[0], n), dtype=z.dtype, order="F")
     out[:, 0] = 1.0 / const_norm
-    for _ in _columns(z, out, hess, szego_c, first, band):
+    for _ in _columns(z, out, hess, szego_c, band):
         pass
     out *= scale[:, None]
     return out
 
 
-def _band(hess):
-    """(first, band): first[j] is the row of the first nonzero H[i, j] above
-    the subdiagonal (j + 1 when there is none), and band is the most columns
-    one step reads, max_j (j + 1 - first[j]), at least 1 (the step reads
-    q_j)."""
-    n = hess.shape[0]
-    upper = np.triu(hess != 0)
-    first = np.where(upper.any(axis=0), upper.argmax(axis=0), np.arange(1, n + 1))
-    return first, max(1, int(np.max(np.arange(1, n + 1) - first)))
-
-
-def _columns(z, win, hess, szego_c, first, band):
+def _columns(z, win, hess, szego_c, band):
     """Run the recurrence at the points z in the window win, whose column 0
     holds q_0, and yield the columns q_0, ..., q_{n-1} in turn, each a view
-    of win that the next step may overwrite.
+    of win that the next step may overwrite.  szego_c selects the Szego
+    step; otherwise each step reads the last `band` columns of H.
 
     win holds consecutive columns, the oldest in win[:, 0].  When it is
     full, the last `band` columns (all that the next step reads) move to
@@ -93,7 +87,7 @@ def _columns(z, win, hess, szego_c, first, band):
         parts = col.view(np.float64)
         np.multiply(z, win[:, j - base], out=col)
         if szego_c is None:
-            lo = first[j]
+            lo = max(0, j + 1 - band)
             col -= np.matmul(win[:, lo - base : j + 1 - base], hess[lo : j + 1, j], out=tmp)
             parts *= inv_sub[j]
         else:
@@ -106,15 +100,15 @@ def _columns(z, win, hess, szego_c, first, band):
 
 
 # entries of the recurrence window per block of diagonal evaluation, 8 MiB
-# of complex128: a banded H or the Szego step takes ~50k points per block,
-# a full H 2^19 / n
+# of complex128: the three-term or the Szego step takes ~50k points per
+# block, the Hessenberg step 2^19 / n
 _WINDOW_ENTRIES = 1 << 19
-# columns the window holds beyond those one step reads: a banded window
-# moves its band to the front once every _SLACK steps
+# columns the window holds beyond those one step reads: a three-term or
+# Szego window moves its band to the front once every _SLACK steps
 _SLACK = 8
 
 
-def _diagonal(z, scale, const_norm, hess, szego_c, first, band):
+def _diagonal(z, scale, const_norm, hess, szego_c, band):
     """Per-point sum of |q_j|^2 over the columns of the recurrence started
     from q_0 = scale / const_norm.
 
@@ -140,7 +134,7 @@ def _diagonal(z, scale, const_norm, hess, szego_c, first, band):
         win, sq, im2 = window[: zb.shape[0]], sq_buf[: zb.shape[0]], im2_buf[: zb.shape[0]]
         win[:, 0] = scale[lo : lo + block] * (1.0 / const_norm)
         acc = sums[lo : lo + block]
-        for j, q in enumerate(_columns(zb, win, hess, szego_c, first, band)):
+        for j, q in enumerate(_columns(zb, win, hess, szego_c, band)):
             np.square(q.real, out=sq)
             if not real:
                 sq += np.square(q.imag, out=im2)

@@ -22,10 +22,11 @@ must be orthonormal to max |Q*Q - I| <= 1e-13, an O(m n^2) product.  Full
 Arnoldi decides when that fails too, or when the structured recurrence
 breaks down.
 
-A basis is its recurrence, run one step past n so that H = T(z) = Q* Z Q
-(Z Q = Q H + r e_n^T, the residual r unnormalized, 0 on n nodes; the basis
-keeps |r|^2 and Q*(z r)), plus the cached orthonormal evaluations on the
-defining nodes.  It is serialized as the recurrence only.
+A basis is its route ("szego", "three_term" or "hessenberg") and its
+recurrence, run one step past n so that H = T(z) = Q* Z Q (Z Q = Q H +
+r e_n^T, the residual r unnormalized, 0 on n nodes; the basis keeps |r|^2
+and Q*(z r)), plus the cached orthonormal evaluations on the defining
+nodes.  It is serialized as the recurrence only.
 """
 
 import hashlib
@@ -90,8 +91,9 @@ class OrthonormalBasis:
     node_values: np.ndarray = field(repr=False, default=None)  # (m, n), orthonormal cols
     nodes: np.ndarray = field(repr=False, default=None)
     node_weights: np.ndarray = field(repr=False, default=None)
-    # c_j of the Szego route, or None: evaluate_basis then runs the Szego
-    # step instead of the full-column Hessenberg one
+    # the step evaluation runs: "szego" (the coupled step on the c_j in
+    # szego_c, None on the other routes), "three_term" or "hessenberg"
+    route: str = field(repr=False, default="hessenberg")
     szego_c: np.ndarray = field(repr=False, default=None)
     # |r|^2 and Q*(z r) of the step past n; None on a loaded basis
     residual_sq: float = field(repr=False, default=None)
@@ -140,13 +142,15 @@ class OrthonormalBasis:
     def from_dict(cls, doc):
         # the metric weight is not serialized: a loaded basis has phi == 0.  Other
         # keys are ignored, and evaluation never reads H's last column, which
-        # older documents hold as zeros.  A real H loads as float64, as real nodes build it
+        # older documents hold as zeros.  A real H loads as float64, as real nodes
+        # build it, and a tridiagonal H takes the three-term route
         n = int(doc["degree_bound"]) + 1
         space = WeightedSpace(int(doc["degree_bound"]),
                               tensor_power=int(doc["tensor_power"]))
         parts = np.array(doc["hessenberg"], dtype=np.float64).reshape(n, n, 2)
         hess = parts.view(np.complex128)[..., 0] if np.any(parts[..., 1]) else parts[..., 0].copy()
-        return cls(space=space, hessenberg=hess, const_norm=float(doc["const_norm"]))
+        route = "hessenberg" if np.any(np.triu(hess, 2)) else "three_term"
+        return cls(space=space, hessenberg=hess, const_norm=float(doc["const_norm"]), route=route)
 
     @classmethod
     def from_json(cls, text):
@@ -360,8 +364,8 @@ def _structured_arnoldi(mu, row_scale, n):
     the probe of its Q passes, both to tau(n), in O(m n); or else if its
     columns are orthonormal to max |Q*Q - I| <= _RANK_TOL, in O(m n^2).
     Failing both, on breakdown, and for any other node set, full Arnoldi
-    decides.  Returns (Q, H, h0, (|r|^2, Q*(z r)), c): c holds the n Szego
-    c_j when that route was kept, and is None otherwise.
+    decides.  Returns (route, (Q, H, h0, (|r|^2, Q*(z r)), c)): c holds the
+    n c_j of route "szego", and is None on "three_term" and "hessenberg".
 
     On a rule's own nodes the probe should have nothing to catch.  Szego on
     the roots of unity multiplies by z, an isometry, and subtracts c_j ~ eps,
@@ -376,21 +380,22 @@ def _structured_arnoldi(mu, row_scale, n):
     if real:
         z = np.ascontiguousarray(z.real)
     if real or mu.support_tag == "circle":
+        route = "three_term" if real else "szego"
         try:
             # an overflow here gives a NaN that every check rejects, and full
             # Arnoldi then builds the basis
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                route = ((*_arnoldi(z, row_scale, n, window=2), None) if real
+                built = ((*_arnoldi(z, row_scale, n, window=2), None) if real
                          else _szego(z, row_scale, n))
         except RankDeficientError:
             pass
         else:
             tol = _closed_form_tol(n)
-            if _closed_form_defect(route) <= tol and _probe_defect(route[0]) <= tol:
-                return route
-            if _orthonormality_defect(route[0]) <= _RANK_TOL:
-                return route
-    return (*_arnoldi(z, row_scale, n), None)
+            if _closed_form_defect(built) <= tol and _probe_defect(built[0]) <= tol:
+                return route, built
+            if _orthonormality_defect(built[0]) <= _RANK_TOL:
+                return route, built
+    return "hessenberg", (*_arnoldi(z, row_scale, n), None)
 
 
 def _check_scale_range(space, mu, scale):
@@ -424,7 +429,7 @@ def orthonormalize(mu, space):
         scale = space.weight_scale(mu.nodes)
     _check_scale_range(space, mu, scale)
     row_scale = np.sqrt(mu.weights) * scale
-    q, hess, h0, (r_sq, z_r), coef = _structured_arnoldi(mu, row_scale, space.dimension)
+    route, (q, hess, h0, (r_sq, z_r), coef) = _structured_arnoldi(mu, row_scale, space.dimension)
     return OrthonormalBasis(
         space=space,
         hessenberg=np.ascontiguousarray(hess),
@@ -432,7 +437,7 @@ def orthonormalize(mu, space):
         nodes=np.asarray(mu.nodes),
         node_weights=np.asarray(mu.weights),
         # evaluation reads c_0..c_{n-2}
-        szego_c=None if coef is None else coef[:-1],
+        route=route, szego_c=None if coef is None else coef[:-1],
         residual_sq=r_sq, z_residual=z_r,
     )
 
@@ -441,11 +446,10 @@ def evaluate_basis(basis, points):
     """Matrix of basis values at the points, metric weight folded in:
     Phi[a, i] = p_i(x_a) * exp(-k * phi(x_a)).
 
-    Evaluation runs the stored recurrence: the Szego step on a basis the
-    Szego route built, the banded Hessenberg one otherwise.  That is O(n)
-    per point unless H is full (full Arnoldi, or a circle basis loaded from
-    JSON): then O(n^2).  The matrix is float64 for a real basis on real
-    points.
+    Evaluation runs the recurrence of the basis's route: the Szego and
+    three-term steps are O(n) per point, the Hessenberg step (full Arnoldi,
+    or a circle basis loaded from JSON) O(n^2).  The matrix is float64 for
+    a real basis on real points.
     """
     return _run_recurrence(basis, points, diagonal=False)
 
@@ -457,9 +461,9 @@ def diagonal_kernel(basis, points):
 
 def _run_recurrence(basis, points, diagonal):
     pts = np.ascontiguousarray(np.atleast_1d(np.asarray(points, dtype=complex)))
-    scale = basis.space.weight_scale(pts)
-    return _backend.eval_recurrence(pts, np.ascontiguousarray(scale), basis.const_norm,
-                                    basis.hessenberg, basis.szego_c, diagonal=diagonal)
+    scale = np.ascontiguousarray(basis.space.weight_scale(pts))
+    return _backend.eval_recurrence(pts, scale, basis.const_norm, basis.hessenberg,
+                                    basis.route, basis.szego_c, diagonal=diagonal)
 
 
 def weighted_rows(basis, mu):

@@ -4,10 +4,10 @@ O(m n) memory, sup/L2 growth constants, and the dense kernel table, its
 diagonal densities and CSV exports for the heatmap.
 
 A mass over disjoint node sets A, B of a structured basis's own measure
-(the Szego route, or Lanczos with an exactly tridiagonal H; n >= 2) takes
-the Christoffel-Darboux formula: O(1) per entry from the last two columns
-of Q, O(|A| |B|) in all.  Every other mass is ||Q_A Q_B^*||_F^2, O(|A| |B| n),
-which is also the reference the formula is tested against.
+(the Szego or the three-term route; n >= 2) takes the Christoffel-Darboux
+formula: O(1) per entry from the last two columns of Q, O(|A| |B|) in all.
+Every other mass is ||Q_A Q_B^*||_F^2, O(|A| |B| n), which is also the
+reference the formula is tested against.
 """
 
 from dataclasses import dataclass
@@ -22,6 +22,8 @@ from .operator import _hermitian_part_inplace
 # dense m x m storage, for the heatmap export only; the cap keeps the table
 # under ~256 MiB of complex128
 MAX_NODES = 4096
+# points of the default evaluation grid per quadrature node
+_EVAL_GRID_FACTOR = 8
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,8 @@ def bergman_mass(basis, mu, idx_a, idx_b):
     Two routes, the same mass:
 
     - Christoffel-Darboux, O(|A| |B|): when A and B are disjoint, the basis
-      was built on mu, n >= 2, and it kept a structured recurrence (the
-      Szego c_j on the circle, or on real nodes a float64 H that is exactly
-      tridiagonal, as Lanczos leaves it).  Each entry then comes from the
+      was built on mu, n >= 2, and its route is "szego" (the circle) or
+      "three_term" (Lanczos on real nodes).  Each entry then comes from the
       last columns of Q alone (Szego, Orthogonal Polynomials, 1939,
       Thm 3.2.2; Simon, OPUC Part 1, 2005, Thm 2.2.7); see _cd_factors.
     - Q, O(|A| |B| n): ||Q_A Q_B^*||_F^2 summed by _backend.pair_mass, for
@@ -125,17 +126,17 @@ def _cd_factors(basis):
     """(u, v, alpha, beta, c) with, for a != b on the basis's own nodes,
         |(Q Q^*)[a, b]|^2 = c (beta_a alpha_b - alpha_a beta_b)^2 / D_ab,
     D_ab = (u_a - u_b)^2 + (v_a - v_b)^2 (v is None for real nodes): all
-    real, from the last columns of the weighted rows Q.  None when the
-    basis kept no structured recurrence.
+    real, from the last columns of the weighted rows Q.  None on the
+    "hessenberg" route, where no short recurrence gives the formula.
 
     Each row of Q is a row of polynomial values times a positive factor
     (sqrt(w) and the metric weight), which rides on every column alike, so
-    the CD formulas hold for (Q Q^*)[a, b] as for K_n(x_a, x_b).  Real line:
-    with b = H[n-1, n-2] the recurrence gives
+    the CD formulas hold for (Q Q^*)[a, b] as for K_n(x_a, x_b).  Three-term
+    route (real nodes): with b = H[n-1, n-2] the recurrence gives
         (x_a - x_b) (Q Q^*)[a, b] = beta_a alpha_b - alpha_a beta_b,
-    alpha = q_{n-1}, beta = x q_{n-1} - b q_{n-2}; c = 1.  Circle: with
-    |z| = 1, phi^*_{n-1}(z) = z^{n-1} conj phi_{n-1}(z), and Simon's formula
-    becomes
+    alpha = q_{n-1}, beta = x q_{n-1} - b q_{n-2}; c = 1.  Szego route
+    (circle nodes): with |z| = 1, phi^*_{n-1}(z) = z^{n-1} conj phi_{n-1}(z),
+    and Simon's formula becomes
         (1 - z_a conj z_b) (Q Q^*)[a, b]
             = -2i lambda_a conj(lambda_b) Im(g_a conj g_b),
     g = conj(lambda) z q_{n-1}, lambda^2 = z^n (either root; the sign
@@ -144,18 +145,13 @@ def _cd_factors(basis):
     """
     q, z, n = basis.node_values, basis.nodes, basis.dimension
     last = q[:, n - 1]
-    if basis.szego_c is not None:
+    if basis.route == "szego":
         g = last * z * np.exp(-0.5j * n * np.angle(z))
         return z.real, z.imag, g.real, g.imag, 4.0
-    hess = basis.hessenberg
-    if np.iscomplexobj(hess):
-        return None
-    # full Arnoldi leaves rounding-level entries above the band
-    band = sum(np.count_nonzero(np.diagonal(hess, d)) for d in (-1, 0, 1))
-    if np.count_nonzero(hess) != band:
+    if basis.route != "three_term":
         return None
     x = z.real
-    return x, None, last, x * last - hess[n - 1, n - 2] * q[:, n - 2], 1.0
+    return x, None, last, x * last - basis.hessenberg[n - 1, n - 2] * q[:, n - 2], 1.0
 
 
 # entries per block of the Christoffel-Darboux mass: three float64 buffers
@@ -230,13 +226,13 @@ def _row_sumsq(phi):
     return sq.sum(axis=1)
 
 
-def default_eval_grid(mu, factor=8):
-    """Grid `factor` times denser than the quadrature, covering the support.
+def default_eval_grid(mu):
+    """Grid _EVAL_GRID_FACTOR times denser than the quadrature, on the support.
 
     circle: equispaced angles; interval: uniform including the endpoints
     (where the diagonal kernel peaks); custom: the nodes themselves.
     """
-    m = factor * len(mu)
+    m = _EVAL_GRID_FACTOR * len(mu)
     if mu.support_tag == "circle":
         return np.exp(2j * np.pi * np.arange(m) / m)
     if mu.support_tag == "interval":
@@ -253,9 +249,12 @@ def _check_finite_bounds(lo, hi):
 def arc_indices(mu, start, end):
     """Node indices with angle in the half-open arc [start, end) (radians).
 
-    Wraps around 2*pi when start > end.
+    Wraps around 2*pi when start > end.  An arc of length 2*pi or more
+    takes every node; start == end takes none.
     """
     _check_finite_bounds(start, end)
+    if end - start >= 2 * np.pi:
+        return np.arange(len(mu))
     theta = np.mod(np.angle(mu.nodes), 2 * np.pi)
     lo = np.mod(start, 2 * np.pi)
     hi = np.mod(end, 2 * np.pi)

@@ -241,13 +241,16 @@ def schatten_norm(a, p):
     p = 2 is the Frobenius norm over sqrt(n) and needs no SVD.  Any other p
     is taken as sigma_max ((1/n) sum (sigma_i / sigma_max)^p)^(1/p), so a
     large p neither underflows nor overflows, and p = inf gives sigma_max.
-    A zero matrix gives 0.0; an empty one raises ValueError.
+    A zero matrix gives 0.0; an empty one, or a NaN or infinite entry,
+    raises ValueError.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     mat = a.entries if isinstance(a, ToeplitzMatrix) else np.asarray(a)
     if mat.size == 0:
         raise ValueError(f"need a nonempty matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix entries must be finite")
     if p == 2:
         return float(np.linalg.norm(mat) / np.sqrt(min(mat.shape)))
     sigma = np.linalg.svd(mat, compute_uv=False)
@@ -258,9 +261,8 @@ def schatten_norm(a, p):
 
 
 def operator_norm(a):
-    """Largest singular value."""
-    mat = a.entries if isinstance(a, ToeplitzMatrix) else np.asarray(a)
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+    """Largest singular value: the Schatten norm at p = inf."""
+    return schatten_norm(a, np.inf)
 
 
 def _as_hermitian(a):

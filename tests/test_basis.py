@@ -681,6 +681,93 @@ class TestSzegoEvaluation:
         assert orthonormalize(mu, WeightedSpace(40)).szego_c is None
 
 
+def lanczos_fallback_measure():
+    """512 random atoms on [-1, 1]: Lanczos loses orthogonality at n = 128
+    and full Arnoldi builds the basis."""
+    rng = np.random.default_rng(5)
+    return from_points(rng.uniform(-1.0, 1.0, 512), np.full(512, 1.0 / 512))
+
+
+def complex_points_measure():
+    rng = np.random.default_rng(11)
+    nodes = np.sqrt(rng.uniform(0.0, 1.0, 300)) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 300))
+    return from_points(nodes, rng.uniform(0.5, 1.5, 300) / 300)
+
+
+class TestRoute:
+    """The basis records the recurrence its build kept; evaluation and the
+    Christoffel-Darboux masses read that record, not H's zero pattern."""
+
+    @pytest.mark.parametrize("case,route", [
+        ("interval", "three_term"), ("arcsine", "three_term"),
+        ("circle", "szego"), ("tilted-circle", "szego"),
+    ])
+    def test_structured_builds(self, case, route):
+        mu, space, _ = structured_setup(case, 31)
+        bs = orthonormalize(mu, space)
+        assert bs.route == route
+        assert (bs.szego_c is not None) == (route == "szego")
+
+    @pytest.mark.parametrize("make_mu,d", [(lanczos_fallback_measure, 127),
+                                           (complex_points_measure, 20)],
+                             ids=["lanczos-fallback", "complex-points"])
+    def test_full_arnoldi_builds(self, make_mu, d):
+        bs = orthonormalize(make_mu(), WeightedSpace(d, tensor_power=d + 1))
+        assert bs.route == "hessenberg" and bs.szego_c is None
+        assert np.any(np.triu(bs.hessenberg, 2))
+
+    @pytest.mark.parametrize("make_mu,route", [(interval_lebesgue, "three_term"),
+                                               (arcsine, "three_term"),
+                                               (circle_lebesgue, "hessenberg")])
+    def test_json_round_trip(self, make_mu, route):
+        # a loaded H is tridiagonal on real nodes; on the circle its upper
+        # triangle is c_j s_j, full, and the c_j are not serialized
+        bs = orthonormalize(make_mu(128), WeightedSpace(31, tensor_power=32))
+        back = OrthonormalBasis.from_json(bs.to_json())
+        assert back.route == route and back.szego_c is None
+        pts = np.linspace(-0.9, 0.9, 7) + 0.1j
+        np.testing.assert_allclose(evaluate_basis(back, pts), evaluate_basis(bs, pts),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_loaded_route_reads_only_the_upper_band(self):
+        # entries below the subdiagonal are never read by the recurrence,
+        # and one entry above the band makes H full
+        mu = interval_lebesgue(64)
+        doc = orthonormalize(mu, WeightedSpace(7)).to_dict()
+        hess = np.array(doc["hessenberg"]).reshape(8, 8, 2)
+        hess[5, 1, 0] = 1e-300
+        below = dict(doc, hessenberg=hess.reshape(-1, 2).tolist())
+        assert OrthonormalBasis.from_dict(below).route == "three_term"
+        hess[1, 5, 0] = 1e-300
+        above = dict(doc, hessenberg=hess.reshape(-1, 2).tolist())
+        assert OrthonormalBasis.from_dict(above).route == "hessenberg"
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_three_term_step_reads_only_the_band(self, diagonal):
+        # the route, not H, decides which columns a step reads: entries
+        # above the band of a "three_term" H are never read
+        bs = orthonormalize(interval_lebesgue(128), WeightedSpace(31, tensor_power=32))
+        junk = bs.hessenberg + np.triu(np.full((32, 32), 1e3), 2)
+        pts = np.linspace(-1.0, 1.0, 101).astype(complex)
+        args = (pts, np.ones(pts.size), bs.const_norm)
+        want = eval_recurrence(*args, bs.hessenberg, "three_term", diagonal=diagonal)
+        got = eval_recurrence(*args, junk, "three_term", diagonal=diagonal)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("route", ["three_term", "szego"])
+    def test_hessenberg_step_gives_the_same_columns(self, route):
+        # the short steps run the full recurrence on the entries they skip,
+        # which are zero (three-term) or the c_j s_j (Szego)
+        make_mu = interval_lebesgue if route == "three_term" else circle_lebesgue
+        bs = orthonormalize(make_mu(256), WeightedSpace(63, tensor_power=64))
+        assert bs.route == route
+        pts = off_node_circle(0.9)
+        scale = np.ones(pts.size)
+        full = eval_recurrence(pts, scale, bs.const_norm, bs.hessenberg, "hessenberg")
+        short = eval_recurrence(pts, scale, bs.const_norm, bs.hessenberg, route, bs.szego_c)
+        assert max_relative_gap(short, full) <= 1e-12
+
+
 class TestJson:
     def test_deserialized_basis_builds_kernel_table(self):
         mu = circle_lebesgue(32)

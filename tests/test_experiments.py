@@ -325,6 +325,19 @@ class TestCli:
         assert "strictly ascending" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_full_circle_region_is_every_node(self, tmp_path):
+        # arc:0,2pi took no node, and the zero mass failed with exit 3.  The
+        # mass of (every node) x B is the density mass of B: 41 of the 256
+        # equal-weight nodes lie in [0, 1)
+        out = tmp_path / "full.csv"
+        assert main(["offdiag", "--k", "8,16,32", "--region-a", "arc:0,6.283185307179586",
+                     "--region-b", "arc:0,1", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if not r["k"].startswith("#")]
+        assert [int(r["k"]) for r in rows] == [8, 16, 32]
+        for r in rows:
+            assert float(r["quantity"]) == pytest.approx(41 / 256, rel=1e-12)
+
     @pytest.mark.parametrize("argv,bad_k", [
         # no node falls in the tiny arc, so the mass is 0 and has no log rate
         (["offdiag", "--k", "8,16,32", "--region-a", "arc:0.001,0.002"], 8),

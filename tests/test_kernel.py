@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -363,6 +364,41 @@ class TestChristoffelDarbouxRoute:
         assert bs.szego_c is None and np.any(np.triu(bs.hessenberg, 2))
         self.check_q(bs, mu, np.arange(0, 200), np.arange(300, 512), pair_mass_calls)
 
+    @pytest.mark.parametrize("case", ["interval", "arcsine", "circle", "tilted-circle",
+                                      "lanczos-fallback", "complex-points"])
+    def test_route_decides(self, case, pair_mass_calls):
+        # the Christoffel-Darboux formula needs the short recurrence, which
+        # only the "three_term" and "szego" routes keep
+        rng = np.random.default_rng(5)
+        k = 128 if case == "lanczos-fallback" else 32
+        if case == "lanczos-fallback":
+            mu = from_points(rng.uniform(-1.0, 1.0, 512), np.full(512, 1.0 / 512))
+        elif case == "complex-points":
+            nodes = np.sqrt(rng.uniform(0.0, 1.0, 512)) * np.exp(2j * np.pi * rng.uniform(size=512))
+            mu = from_points(nodes, np.full(512, 1.0 / 512))
+        elif case == "tilted-circle":
+            mu = scale_by(circle_lebesgue(512), lambda z: np.cos(np.angle(z) - 0.4))
+        else:
+            mu = _MEASURES[case](512)
+        bs = orthonormalize(mu, WeightedSpace(k - 1, tensor_power=k))
+        want = {"interval": "three_term", "arcsine": "three_term", "circle": "szego",
+                "tilted-circle": "szego"}.get(case, "hessenberg")
+        assert bs.route == want
+        ia, ib = np.arange(0, 200), np.arange(300, 512)
+        if want == "hessenberg":
+            self.check_q(bs, mu, ia, ib, pair_mass_calls)
+        else:
+            self.check_cd(bs, mu, ia, ib, pair_mass_calls)
+
+    @pytest.mark.parametrize("name", ["interval", "circle"])
+    def test_hessenberg_route_takes_q_whatever_h_holds(self, name, pair_mass_calls):
+        # the same H and node values, recorded as the Hessenberg route: the
+        # mass is not read off H's band
+        mu = _MEASURES[name](256)
+        bs = replace(orthonormalize(mu, WeightedSpace(31, tensor_power=32)),
+                     route="hessenberg", szego_c=None)
+        self.check_q(bs, mu, np.arange(0, 64), np.arange(128, 192), pair_mass_calls)
+
     def test_basis_on_another_measure(self, pair_mass_calls):
         mu = circle_lebesgue(256)
         bs = orthonormalize(mu, WeightedSpace(31, tensor_power=32))
@@ -500,7 +536,7 @@ class TestBmConstant:
         # 1023, the last of the first block, and pushed 5% off the support
         # so that it stands out of the flat circle kernel
         bs, grid, rtol = _bm_case(name, 40, m=320)
-        band = 1 if bs.szego_c is not None else _backend._band(bs.hessenberg)[1]
+        band = _backend._STEP_COLUMNS.get(bs.route, bs.dimension)
         monkeypatch.setattr(_backend, "_WINDOW_ENTRIES", 1024 * min(40, band + _backend._SLACK))
         peak = int(np.argmax(_dense_bm_sums(bs, grid)))
         grid[[peak, 1023]] = grid[[1023, peak]]
@@ -581,7 +617,7 @@ class TestBmRunningSum:
         want = _dense_bm_sums(bs, grid)
         got = _backend.eval_recurrence(np.ascontiguousarray(grid, dtype=complex),
                                        bs.space.weight_scale(grid), bs.const_norm,
-                                       bs.hessenberg, bs.szego_c, diagonal=True)
+                                       bs.hessenberg, bs.route, bs.szego_c, diagonal=True)
         assert np.max(np.abs(got - want) / want) <= rtol
         assert abs(bm_constant(bs, grid) - np.max(want)) <= rtol * np.max(want)
 
@@ -591,7 +627,7 @@ class TestBmRunningSum:
         bs, grid, _ = _bm_case(name, 21)
         pts = np.ascontiguousarray(grid, dtype=complex)
         want = _backend.eval_recurrence(pts, bs.space.weight_scale(pts), bs.const_norm,
-                                        bs.hessenberg, bs.szego_c, diagonal=True)
+                                        bs.hessenberg, bs.route, bs.szego_c, diagonal=True)
         sums = diagonal_kernel(bs, grid)
         assert sums.tobytes() == want.tobytes()
         assert np.float64(bm_constant(bs, grid)).tobytes() == np.max(want).tobytes()
@@ -648,6 +684,17 @@ class TestRegions:
         idx = arc_indices(mu, 7 * np.pi / 4, np.pi / 4)
         assert len(idx) == 16
         assert 0 in idx
+
+    # (0, 2 pi) took no node: both bounds reduce to 0 mod 2 pi
+    @pytest.mark.parametrize("start,end", [(0.0, 2 * np.pi), (1.0, 1.0 + 2 * np.pi),
+                                           (-np.pi, np.pi), (0.5, 10.0)])
+    def test_full_circle_arc_takes_every_node(self, start, end):
+        mu = circle_lebesgue(64)
+        np.testing.assert_array_equal(arc_indices(mu, start, end), np.arange(64))
+
+    @pytest.mark.parametrize("at", [0.0, 1.0, 2 * np.pi])
+    def test_empty_arc_takes_no_node(self, at):
+        assert arc_indices(circle_lebesgue(64), at, at).size == 0
 
     def test_interval_selector(self):
         mu = interval_lebesgue(32)

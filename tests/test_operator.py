@@ -312,6 +312,17 @@ class TestSchattenNorms:
         with pytest.raises(ValueError, match="nonempty"):
             schatten_norm(np.zeros((0, 3)), p)
 
+    # a NaN gave nan at p = 2 and LinAlgError at p = 3
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("p", [2.0, 3.0, np.inf])
+    def test_nonfinite_entries_rejected(self, p, bad):
+        mat = np.eye(4, dtype=complex)
+        mat[1, 2] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            schatten_norm(mat, p)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            operator_norm(ToeplitzMatrix(mat, "bad", 4, "test"))
+
     @pytest.mark.parametrize("seed", range(6))
     def test_interpolation_inequality(self, seed):
         rng = np.random.default_rng(seed)
