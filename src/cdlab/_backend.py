@@ -18,7 +18,7 @@ _MASS_BLOCK = 1024
 _STEP_COLUMNS = {"szego": 1, "three_term": 2}
 
 
-def eval_recurrence(z, scale, const_norm, hess, route="hessenberg", szego_c=None, *, diagonal=False):
+def eval_recurrence(z, scale, const_norm, hess, route, szego_c=None, *, diagonal=False):
     """Evaluate the orthonormal-polynomial columns at the points z.
 
     Runs the recurrence of the route from the constant 1/const_norm, then
@@ -44,22 +44,21 @@ def eval_recurrence(z, scale, const_norm, hess, route="hessenberg", szego_c=None
     n = hess.shape[0]
     if not np.iscomplexobj(hess) and not np.any(z.imag):
         z = np.ascontiguousarray(z.real)
-    band = _STEP_COLUMNS.get(route, n)
     if diagonal:
-        return _diagonal(z, scale, const_norm, hess, szego_c, band)
+        return _diagonal(z, scale, const_norm, hess, route, szego_c)
     out = np.empty((z.shape[0], n), dtype=z.dtype, order="F")
     out[:, 0] = 1.0 / const_norm
-    for _ in _columns(z, out, hess, szego_c, band):
+    for _ in _columns(z, out, hess, route, szego_c):
         pass
     out *= scale[:, None]
     return out
 
 
-def _columns(z, win, hess, szego_c, band):
-    """Run the recurrence at the points z in the window win, whose column 0
-    holds q_0, and yield the columns q_0, ..., q_{n-1} in turn, each a view
-    of win that the next step may overwrite.  szego_c selects the Szego
-    step; otherwise each step reads the last `band` columns of H.
+def _columns(z, win, hess, route, szego_c):
+    """Run the route's recurrence at the points z in the window win, whose
+    column 0 holds q_0, and yield the columns q_0, ..., q_{n-1} in turn,
+    each a view of win that the next step may overwrite.  A step reads
+    szego_c (Szego) or the last `band` columns of H (see _STEP_COLUMNS).
 
     win holds consecutive columns, the oldest in win[:, 0].  When it is
     full, the last `band` columns (all that the next step reads) move to
@@ -67,6 +66,7 @@ def _columns(z, win, hess, szego_c, band):
     (len(z), n) matrix.
     """
     n, width = hess.shape[0], win.shape[1]
+    band = _STEP_COLUMNS.get(route, n)
     base = 0            # the column held in win[:, 0]
     tmp = np.empty_like(win[:, 0])
     # every route builds a real, positive subdiagonal h.  numpy divides a
@@ -75,7 +75,7 @@ def _columns(z, win, hess, szego_c, band):
     sub = hess.diagonal(-1).real
     inv_sub = (1.0 / sub).tolist()
     yield win[:, 0]
-    if szego_c is not None:
+    if route == "szego":
         rev = win[:, 0].copy()
         rho = sub.tolist()
         coef = szego_c.tolist()
@@ -86,7 +86,7 @@ def _columns(z, win, hess, szego_c, band):
         col = win[:, j + 1 - base]
         parts = col.view(np.float64)
         np.multiply(z, win[:, j - base], out=col)
-        if szego_c is None:
+        if route != "szego":
             lo = max(0, j + 1 - band)
             col -= np.matmul(win[:, lo - base : j + 1 - base], hess[lo : j + 1, j], out=tmp)
             parts *= inv_sub[j]
@@ -108,7 +108,7 @@ _WINDOW_ENTRIES = 1 << 19
 _SLACK = 8
 
 
-def _diagonal(z, scale, const_norm, hess, szego_c, band):
+def _diagonal(z, scale, const_norm, hess, route, szego_c):
     """Per-point sum of |q_j|^2 over the columns of the recurrence started
     from q_0 = scale / const_norm.
 
@@ -121,7 +121,7 @@ def _diagonal(z, scale, const_norm, hess, szego_c, band):
     """
     n = hess.shape[0]
     real = not np.iscomplexobj(z)
-    width = min(n, band + _SLACK)
+    width = min(n, _STEP_COLUMNS.get(route, n) + _SLACK)
     block = max(1, _WINDOW_ENTRIES // width)
     sums = np.empty(z.shape[0])
     # one window and its squares serve every block, so they are allocated
@@ -134,7 +134,7 @@ def _diagonal(z, scale, const_norm, hess, szego_c, band):
         win, sq, im2 = window[: zb.shape[0]], sq_buf[: zb.shape[0]], im2_buf[: zb.shape[0]]
         win[:, 0] = scale[lo : lo + block] * (1.0 / const_norm)
         acc = sums[lo : lo + block]
-        for j, q in enumerate(_columns(zb, win, hess, szego_c, band)):
+        for j, q in enumerate(_columns(zb, win, hess, route, szego_c)):
             np.square(q.real, out=sq)
             if not real:
                 sq += np.square(q.imag, out=im2)
