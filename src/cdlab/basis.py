@@ -26,13 +26,12 @@ A basis is its route ("szego", "three_term" or "hessenberg") and its
 recurrence, run one step past n so that H = T(z) = Q* Z Q (Z Q = Q H +
 r e_n^T, the residual r unnormalized, 0 on n nodes; the basis keeps |r|^2
 and Q*(z r)), plus the cached orthonormal evaluations on the defining
-nodes.  It is serialized as the recurrence only.
+nodes.  `orthonormalize` is its only constructor.
 """
 
 import hashlib
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-import json
 
 import numpy as np
 
@@ -56,6 +55,11 @@ class WeightedSpace:
     metric_weight: object = None  # callable on complex points, or None
 
     def __post_init__(self):
+        for name in ("degree_bound", "tensor_power"):
+            value = getattr(self, name)
+            # a bool is an int, but no degree or power
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.degree_bound < 0:
             raise ValueError("degree_bound must be >= 0")
         if self.tensor_power < 1:
@@ -86,18 +90,18 @@ class OrthonormalBasis:
     """Orthonormal basis of a WeightedSpace w.r.t. a quadrature measure."""
 
     space: WeightedSpace
-    hessenberg: np.ndarray = field(repr=False, default=None)
-    const_norm: float = field(repr=False, default=1.0)
-    node_values: np.ndarray = field(repr=False, default=None)  # (m, n), orthonormal cols
-    nodes: np.ndarray = field(repr=False, default=None)
-    node_weights: np.ndarray = field(repr=False, default=None)
+    hessenberg: np.ndarray = field(repr=False)
+    const_norm: float = field(repr=False)
+    node_values: np.ndarray = field(repr=False)  # (m, n), orthonormal cols
+    nodes: np.ndarray = field(repr=False)
+    node_weights: np.ndarray = field(repr=False)
     # the step evaluation runs: "szego" (the coupled step on the c_j in
     # szego_c, None on the other routes), "three_term" or "hessenberg"
-    route: str = field(repr=False, default="hessenberg")
-    szego_c: np.ndarray = field(repr=False, default=None)
-    # |r|^2 and Q*(z r) of the step past n; None on a loaded basis
-    residual_sq: float = field(repr=False, default=None)
-    z_residual: np.ndarray = field(repr=False, default=None)
+    route: str = field(repr=False)
+    szego_c: np.ndarray = field(repr=False)
+    # |r|^2 and Q*(z r) of the step past n
+    residual_sq: float = field(repr=False)
+    z_residual: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         for f in fields(self):
@@ -121,40 +125,8 @@ class OrthonormalBasis:
     def defined_on(self, mu):
         """Whether mu is the measure the basis was built on: the same nodes
         and the same weights."""
-        if self.nodes is None:
-            return False
         return (np.array_equal(self.nodes, mu.nodes)
                 and np.array_equal(self.node_weights, mu.weights))
-
-    def to_dict(self):
-        """The recurrence only."""
-        return {
-            "degree_bound": self.space.degree_bound,
-            "tensor_power": self.space.tensor_power,
-            "hessenberg": [[v.real, v.imag] for v in self.hessenberg.ravel().tolist()],
-            "const_norm": float(self.const_norm),
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, doc):
-        # the metric weight is not serialized: a loaded basis has phi == 0.  Other
-        # keys are ignored, and evaluation never reads H's last column, which
-        # older documents hold as zeros.  A real H loads as float64, as real nodes
-        # build it, and a tridiagonal H takes the three-term route
-        n = int(doc["degree_bound"]) + 1
-        space = WeightedSpace(int(doc["degree_bound"]),
-                              tensor_power=int(doc["tensor_power"]))
-        parts = np.array(doc["hessenberg"], dtype=np.float64).reshape(n, n, 2)
-        hess = parts.view(np.complex128)[..., 0] if np.any(parts[..., 1]) else parts[..., 0].copy()
-        route = "hessenberg" if np.any(np.triu(hess, 2)) else "three_term"
-        return cls(space=space, hessenberg=hess, const_norm=float(doc["const_norm"]), route=route)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 def _start(row_scale, n, dtype):
@@ -447,9 +419,8 @@ def evaluate_basis(basis, points):
     Phi[a, i] = p_i(x_a) * exp(-k * phi(x_a)).
 
     Evaluation runs the recurrence of the basis's route: the Szego and
-    three-term steps are O(n) per point, the Hessenberg step (full Arnoldi,
-    or a circle basis loaded from JSON) O(n^2).  The matrix is float64 for
-    a real basis on real points.
+    three-term steps are O(n) per point, the Hessenberg step (full Arnoldi)
+    O(n^2).  The matrix is float64 for a real basis on real points.
     """
     return _run_recurrence(basis, points, diagonal=False)
 

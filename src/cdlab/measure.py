@@ -1,11 +1,9 @@
 """Finite quadrature representations of positive measures on the plane.
 
-A measure is a list of complex nodes with positive weights plus metadata:
-the largest joint moment degree the rule integrates exactly, and a support
+A measure is a list of complex nodes with positive weights plus a support
 tag used for closed-form dispatch downstream.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +24,11 @@ class QuadratureMeasure:
 
     nodes       complex points in the plane
     weights     strictly positive mass per node
-    exactness   largest d such that all moments z^a conj(z)^b, a+b <= d,
-                are integrated exactly (0 if unknown / discrete)
     support_tag one of "circle", "interval", "custom"
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    exactness: int
     support_tag: str
 
     def __post_init__(self):
@@ -63,7 +58,6 @@ class QuadratureMeasure:
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "exactness", int(self.exactness))
 
     def __len__(self):
         return self.nodes.size
@@ -78,31 +72,6 @@ class QuadratureMeasure:
         return complex(np.sum(vals * self.weights)) if np.iscomplexobj(vals) \
             else float(np.sum(vals * self.weights))
 
-    def to_dict(self):
-        return {
-            "nodes": [[z.real, z.imag] for z in self.nodes],
-            "weights": [float(w) for w in self.weights],
-            "support_tag": self.support_tag,
-            "exactness": self.exactness,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, doc):
-        nodes = np.array([complex(re, im) for re, im in doc["nodes"]])
-        return cls(
-            nodes=nodes,
-            weights=np.asarray(doc["weights"], dtype=float),
-            exactness=int(doc.get("exactness", 0)),
-            support_tag=doc["support_tag"],
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
 
 def circle_lebesgue(m):
     """Uniform probability measure on the unit circle, m equispaced atoms.
@@ -114,7 +83,7 @@ def circle_lebesgue(m):
         raise ValueError("m must be >= 1")
     nodes = np.exp(2j * np.pi * np.arange(m) / m)
     weights = np.full(m, 1.0 / m)
-    return QuadratureMeasure(nodes, weights, exactness=m - 1, support_tag=CIRCLE)
+    return QuadratureMeasure(nodes, weights, support_tag=CIRCLE)
 
 
 # The first ten positive zeros j_{0,k} of the Bessel function J_0
@@ -205,9 +174,7 @@ def interval_lebesgue(m):
     if m < 1:
         raise ValueError("m must be >= 1")
     x, w = _gauss_legendre(m)
-    return QuadratureMeasure(
-        x.astype(complex), w, exactness=2 * m - 1, support_tag=INTERVAL
-    )
+    return QuadratureMeasure(x.astype(complex), w, support_tag=INTERVAL)
 
 
 def arcsine(m):
@@ -218,13 +185,11 @@ def arcsine(m):
     x = np.cos((2 * a - 1) * np.pi / (2 * m))
     w = np.full(m, 1.0 / m)
     order = np.argsort(x)
-    return QuadratureMeasure(
-        x[order].astype(complex), w, exactness=2 * m - 1, support_tag=INTERVAL
-    )
+    return QuadratureMeasure(x[order].astype(complex), w, support_tag=INTERVAL)
 
 
 def from_points(nodes, weights):
-    """Discrete measure from user-supplied atoms (exactness unknown)."""
+    """Discrete measure from user-supplied atoms."""
     nodes = np.atleast_1d(np.asarray(nodes, dtype=complex))
     weights = np.atleast_1d(np.asarray(weights, dtype=float))
     if nodes.size == 0:
@@ -233,21 +198,18 @@ def from_points(nodes, weights):
         raise ValueError("nodes and weights must have equal length")
     if np.any(weights <= 0.0):
         raise ValueError("nonpositive weight")
-    return QuadratureMeasure(nodes, weights, exactness=0, support_tag=CUSTOM)
+    return QuadratureMeasure(nodes, weights, support_tag=CUSTOM)
 
 
 def scale_by(mu, g):
     """Tilt the measure by exp(-g): weight at node x becomes w(x)*exp(-g(x)).
 
-    Keeps the nodes and support tag.  Exactness is reset to 0 unless g is
-    identically zero on the nodes.
+    Keeps the nodes and support tag.
     """
     gvals = np.asarray(g(mu.nodes), dtype=float)
     if gvals.shape != mu.nodes.shape:
         raise ValueError("g must return one value per node")
     if not np.all(np.isfinite(gvals)):
         raise ValueError("g must be finite at every node")
-    new_w = mu.weights * np.exp(-gvals)
-    exact = mu.exactness if np.all(gvals == 0.0) else 0
-    return QuadratureMeasure(mu.nodes, new_w, exactness=exact,
+    return QuadratureMeasure(mu.nodes, mu.weights * np.exp(-gvals),
                              support_tag=mu.support_tag)

@@ -1,6 +1,6 @@
 """Compressions of multiplication operators to the polynomial subspace:
-assembly in an orthonormal basis, the classical Fourier and Legendre matrix
-families, Schatten norms, spectra, and functional calculus.
+assembly in an orthonormal basis, the Legendre matrix family, Schatten
+norms, spectra, and functional calculus.
 """
 
 from dataclasses import dataclass
@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _backend, symbols
-from ._csvio import write_csv
 from .basis import weighted_rows
 from .errors import NotHermitianError
 from .measure import _gauss_legendre
@@ -173,22 +172,6 @@ def toeplitz(basis, mu, f, symbol_desc=None):
                           asymmetry=asym)
 
 
-def classical_toeplitz(fourier, k, symbol_desc="fourier"):
-    """Constant-diagonal matrix entries[i,j] = a_{i-j} from Fourier
-    coefficients a_{-(k-1)}..a_{k-1} (array of length 2k-1, centered).
-    """
-    a = np.asarray(fourier, dtype=complex).ravel()
-    if a.size != 2 * k - 1:
-        raise ValueError(f"need 2k-1 = {2 * k - 1} coefficients, got {a.size}")
-    if np.max(np.abs(a - a[::-1].conj())) > 1e-12:
-        raise ValueError("coefficients violate conjugate symmetry a_{-j} = conj(a_j)")
-    idx = np.arange(k)
-    entries = a[(idx[:, None] - idx[None, :]) + (k - 1)]
-    asym = _hermitian_part_inplace(entries)
-    return ToeplitzMatrix(entries=entries, symbol_desc=symbol_desc, k=k,
-                          basis_id="classical-fourier", asymmetry=asym)
-
-
 def _normalized_legendre(x, n):
     """Columns L_0..L_{n-1} at the points x, with int L_i L_j dx = delta_ij."""
     vals = np.empty((x.shape[0], n))
@@ -241,10 +224,10 @@ def schatten_norm(a, p):
     p = 2 is the Frobenius norm over sqrt(n) and needs no SVD.  Any other p
     is taken as sigma_max ((1/n) sum (sigma_i / sigma_max)^p)^(1/p), so a
     large p neither underflows nor overflows, and p = inf gives sigma_max.
-    A zero matrix gives 0.0; an empty one, or a NaN or infinite entry,
-    raises ValueError.
+    A zero matrix gives 0.0; a p below 1 or NaN, an empty matrix, or a NaN
+    or infinite entry raises ValueError.
     """
-    if p < 1:
+    if not p >= 1:      # NaN fails this too
         raise ValueError("p must be >= 1")
     mat = a.entries if isinstance(a, ToeplitzMatrix) else np.asarray(a)
     if mat.size == 0:
@@ -351,42 +334,3 @@ def symbol_distance(basis, mu, f, g):
     t_f = toeplitz(basis, mu, f)
     t_g = toeplitz(basis, mu, g)
     return float(np.mean(np.abs(np.linalg.eigvalsh(t_f.entries - t_g.entries))))
-
-
-@dataclass(frozen=True)
-class SpectralBounds:
-    lambda_min: float
-    lambda_max: float
-    inf_f: float
-    sup_f: float
-
-
-def spectral_radius_bounds(a, f, mu):
-    """Extreme eigenvalues together with the symbol range over the nodes.
-
-    Checks the confinement inf f <= lambda_min <= lambda_max <= sup f (up to
-    roundoff slack) and raises if it fails.
-    """
-    eig = spectrum(a).eigenvalues
-    fv = _symbol_values(mu, f)
-    rec = SpectralBounds(lambda_min=float(eig[0]), lambda_max=float(eig[-1]),
-                         inf_f=float(fv.min()), sup_f=float(fv.max()))
-    eps = 1e-9 * (1.0 + float(np.max(np.abs(fv))))
-    if rec.lambda_min < rec.inf_f - eps or rec.lambda_max > rec.sup_f + eps:
-        raise ValueError(f"spectrum escapes the symbol range: {rec}")
-    return rec
-
-
-def write_matrix_csv(tm, path, measure_tag=""):
-    """Entry rows (i, j, re, im) tagged with k, symbol and measure."""
-    cols = range(tm.entries.shape[1])
-    blocks = ((i, cols, r.real, r.imag, tm.k, tm.symbol_desc, measure_tag)
-              for i, r in enumerate(tm.entries))
-    return write_csv(path, ["i", "j", "re", "im", "k", "symbol", "measure"], blocks)
-
-
-def write_spectrum_csv(tm, path, measure_tag=""):
-    """Eigenvalue rows (index, eigenvalue) tagged with k, symbol and measure."""
-    lam = spectrum(tm).eigenvalues
-    block = (range(len(lam)), lam, tm.k, tm.symbol_desc, measure_tag)
-    return write_csv(path, ["index", "eigenvalue", "k", "symbol", "measure"], [block])

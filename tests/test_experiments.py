@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -599,3 +600,16 @@ class TestEnvironment:
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "numpy"
+
+
+class TestExports:
+    def test_public_names_resolve_and_deleted_ones_do_not(self):
+        for name in cdlab.__all__:
+            assert getattr(cdlab, name) is not None, name
+        for name in ("classical_toeplitz", "spectral_radius_bounds", "SpectralBounds",
+                     "write_matrix_csv", "write_spectrum_csv"):
+            assert not hasattr(cdlab, name) and not hasattr(cdlab.operator, name), name
+        for cls in (cdlab.OrthonormalBasis, cdlab.QuadratureMeasure):
+            for name in ("to_dict", "to_json", "from_dict", "from_json"):
+                assert not hasattr(cls, name), (cls.__name__, name)
+        assert "exactness" not in {f.name for f in dataclasses.fields(cdlab.QuadratureMeasure)}

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cdlab import (
-    OrthonormalBasis,
     WeightedSpace,
     arc_indices,
     arcsine,
@@ -530,7 +529,7 @@ class TestBmConstant:
             vals.append(np.log(bm_constant(bs, default_eval_grid(mu))) / k)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("name", ["circle", "tilted-interval", "interval", "json-circle"])
+    @pytest.mark.parametrize("name", ["circle", "tilted-interval", "interval", "hessenberg-circle"])
     def test_blocks_give_the_whole_grid_maximum(self, monkeypatch, name):
         # 2560 grid points in blocks of 1024, with the peak moved to point
         # 1023, the last of the first block, and pushed 5% off the support
@@ -568,6 +567,16 @@ _BM_MEASURES = {
 }
 
 
+def hessenberg_circle(m, space):
+    """A basis on the m roots of unity, built as user-supplied points: the
+    custom tag takes full Arnoldi, so evaluation runs the Hessenberg step.
+    Returns it with the circle's own grid."""
+    ref = circle_lebesgue(m)
+    bs = orthonormalize(from_points(ref.nodes, ref.weights), space)
+    assert bs.route == "hessenberg"
+    return bs, default_eval_grid(ref)
+
+
 def _bm_case(name, k, m=None):
     """(basis, grid, rtol) on m nodes, by default max(4 k, 256).  rtol is 0
     where the running sum repeats the oracle's arithmetic: the Szego step,
@@ -593,11 +602,8 @@ def _bm_case(name, k, m=None):
         grid = 1.1 * np.sqrt(rng.uniform(0.0, 1.0, 8 * 300)) * np.exp(
             1j * rng.uniform(0.0, 2 * np.pi, 8 * 300))
         return bs, grid, 1e-13
-    # a circle basis loaded from JSON: full H and no szego_c
-    mu = circle_lebesgue(m)
-    bs = OrthonormalBasis.from_json(orthonormalize(mu, space).to_json())
-    assert bs.szego_c is None
-    return bs, default_eval_grid(mu), 1e-13
+    bs, grid = hessenberg_circle(m, space)
+    return bs, grid, 1e-13
 
 
 class TestBmRunningSum:
@@ -611,7 +617,7 @@ class TestBmRunningSum:
         assert abs(bm_constant(bs, grid) - want) <= rtol * want
 
     @pytest.mark.parametrize("name", ["tilted-interval", "metric-interval", "metric-circle",
-                                      "from-points", "json-circle"])
+                                      "from-points", "hessenberg-circle"])
     def test_equals_dense_oracle_on_other_bases(self, name):
         bs, grid, rtol = _bm_case(name, 21)
         want = _dense_bm_sums(bs, grid)
@@ -622,7 +628,7 @@ class TestBmRunningSum:
         assert abs(bm_constant(bs, grid) - np.max(want)) <= rtol * np.max(want)
 
     @pytest.mark.parametrize("name", ["circle", "interval", "tilted-interval", "metric-interval",
-                                      "metric-circle", "from-points", "json-circle"])
+                                      "metric-circle", "from-points", "hessenberg-circle"])
     def test_bit_identical_to_backend_call(self, name):
         bs, grid, _ = _bm_case(name, 21)
         pts = np.ascontiguousarray(grid, dtype=complex)
@@ -653,16 +659,14 @@ class TestBmRunningSum:
     def test_empty_grid_is_minus_infinity(self):
         mu, bs, _ = circle_setup(8)
         assert bm_constant(bs, np.array([], dtype=complex)) == -np.inf
-        assert bm_constant(OrthonormalBasis.from_json(bs.to_json()), []) == -np.inf
+        full, _ = hessenberg_circle(len(mu), bs.space)
+        assert bm_constant(full, []) == -np.inf
 
     def test_full_hessenberg_memory_is_one_window(self, monkeypatch):
         # a full H on a grid of 8 m points: the (grid, n) matrix would take
         # 8 MiB, one window of 256 points 512 KiB
-        mu = circle_lebesgue(512)
-        bs = OrthonormalBasis.from_json(
-            orthonormalize(mu, WeightedSpace(127, tensor_power=128)).to_json())
+        bs, grid = hessenberg_circle(512, WeightedSpace(127, tensor_power=128))
         monkeypatch.setattr(_backend, "_WINDOW_ENTRIES", 256 * 128)
-        grid = default_eval_grid(mu)
         tracemalloc.start()
         try:
             got = bm_constant(bs, grid)

@@ -113,7 +113,6 @@ class TestFromPoints:
         mu = from_points([1.0], [1.0])
         assert len(mu) == 1
         assert mu.support_tag == "custom"
-        assert mu.exactness == 0
 
     def test_two_atoms(self):
         mu = from_points([1.0, -1.0], [0.5, 0.5])
@@ -138,13 +137,11 @@ class TestScaleBy:
         nu = scale_by(mu, lambda z: np.zeros(z.shape))
         np.testing.assert_array_equal(nu.nodes, mu.nodes)
         np.testing.assert_array_equal(nu.weights, mu.weights)
-        assert nu.exactness == mu.exactness
 
     def test_constant_tilt_scales_weights(self):
         mu = interval_lebesgue(8)
         nu = scale_by(mu, lambda z: np.ones(z.shape))
         np.testing.assert_allclose(nu.weights, mu.weights * np.exp(-1.0), rtol=1e-15)
-        assert nu.exactness == 0
         assert nu.support_tag == mu.support_tag
 
     def test_nan_tilt_rejected(self):
@@ -156,36 +153,20 @@ class TestScaleBy:
 class TestValidation:
     def test_circle_tag_requires_unit_modulus(self):
         with pytest.raises(ValueError):
-            QuadratureMeasure(np.array([0.5 + 0j]), np.array([1.0]),
-                              exactness=0, support_tag="circle")
+            QuadratureMeasure(np.array([0.5 + 0j]), np.array([1.0]), support_tag="circle")
 
     def test_interval_tag_requires_real_nodes(self):
         with pytest.raises(ValueError):
-            QuadratureMeasure(np.array([0.1 + 0.1j]), np.array([1.0]),
-                              exactness=0, support_tag="interval")
+            QuadratureMeasure(np.array([0.1 + 0.1j]), np.array([1.0]), support_tag="interval")
 
     def test_interval_tag_requires_unit_box(self):
         with pytest.raises(ValueError):
-            QuadratureMeasure(np.array([1.5 + 0j]), np.array([1.0]),
-                              exactness=0, support_tag="interval")
+            QuadratureMeasure(np.array([1.5 + 0j]), np.array([1.0]), support_tag="interval")
 
     def test_nodes_are_immutable(self):
         mu = circle_lebesgue(4)
         with pytest.raises(ValueError):
             mu.nodes[0] = 0.0
-
-
-class TestJson:
-    @pytest.mark.parametrize("mk", [lambda: circle_lebesgue(6),
-                                    lambda: interval_lebesgue(5),
-                                    lambda: from_points([1j, -1j], [1.0, 2.0])])
-    def test_round_trip(self, mk):
-        mu = mk()
-        back = QuadratureMeasure.from_json(mu.to_json())
-        np.testing.assert_allclose(back.nodes, mu.nodes, atol=1e-16)
-        np.testing.assert_allclose(back.weights, mu.weights, rtol=1e-16)
-        assert back.support_tag == mu.support_tag
-        assert back.exactness == mu.exactness
 
 
 def test_newton_rule_agrees_with_reference_at_high_order():

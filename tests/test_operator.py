@@ -9,7 +9,6 @@ from cdlab import (
     algebra_defect,
     arcsine,
     circle_lebesgue,
-    classical_toeplitz,
     compose,
     defect_kernel_bound,
     diagonal_density,
@@ -24,7 +23,6 @@ from cdlab import (
     orthonormalize,
     scale_by,
     schatten_norm,
-    spectral_radius_bounds,
     spectral_statistic,
     spectrum,
     symbol_distance,
@@ -143,39 +141,6 @@ class TestToeplitzAssembly:
             toeplitz(bs, mu, lambda z: np.full(z.shape, np.nan))
 
 
-class TestClassicalToeplitz:
-    def test_unit_coefficient_gives_identity(self):
-        a = np.zeros(7, dtype=complex)
-        a[3] = 1.0
-        t = classical_toeplitz(a, 4)
-        np.testing.assert_allclose(t.entries, np.eye(4), atol=0)
-
-    def test_matches_quadrature_route_for_cosine(self):
-        k = 4
-        mu, bs = circle_basis(k)
-        a = np.zeros(2 * k - 1, dtype=complex)
-        a[k - 2] = a[k] = 0.5  # a_{-1} = a_1 = 1/2
-        t_cl = classical_toeplitz(a, k)
-        t_q = toeplitz(bs, mu, sym_cos)
-        np.testing.assert_allclose(t_cl.entries, t_q.entries, atol=1e-10)
-
-    def test_sine_coefficients_are_hermitian(self):
-        a = np.zeros(5, dtype=complex)
-        a[1], a[3] = -1j, 1j  # a_{-1} = -i, a_1 = i
-        t = classical_toeplitz(a, 3)
-        np.testing.assert_allclose(t.entries, t.entries.conj().T, atol=0)
-
-    def test_symmetry_violation_rejected(self):
-        a = np.zeros(5, dtype=complex)
-        a[1], a[3] = 1j, 1j
-        with pytest.raises(ValueError, match="symmetry"):
-            classical_toeplitz(a, 3)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            classical_toeplitz(np.zeros(4, dtype=complex), 3)
-
-
 class TestLegendreToeplitz:
     def test_unit_symbol_gives_identity(self):
         t = legendre_toeplitz(sym_one, 6)
@@ -282,6 +247,9 @@ class TestSchattenNorms:
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
             schatten_norm(np.eye(3), 0.5)
+        # NaN compares false with 1 either way
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            schatten_norm(np.eye(3), float("nan"))
 
     @pytest.mark.filterwarnings("error")
     def test_large_p_does_not_overflow(self):
@@ -358,9 +326,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("k", [4, 16, 64])
     def test_tridiagonal_closed_form(self, k):
-        a = np.zeros(2 * k - 1, dtype=complex)
-        a[k - 2] = a[k] = 0.5
-        t = classical_toeplitz(a, k)
+        t = 0.5 * (np.eye(k, k, 1) + np.eye(k, k, -1))
         want = np.sort(np.cos(np.arange(1, k + 1) * np.pi / (k + 1)))
         np.testing.assert_allclose(spectrum(t).eigenvalues, want, atol=1e-10)
 
@@ -526,87 +492,28 @@ class TestSymbolDistance:
         assert abs(d - want) <= 0.02
 
 
-class TestExports:
-    def test_matrix_csv(self, tmp_path):
-        import csv as csvmod
-
-        from cdlab import write_matrix_csv
-
-        mu, bs = circle_basis(3)
-        t = toeplitz(bs, mu, sym_cos)
-        path = tmp_path / "mat.csv"
-        write_matrix_csv(t, path, measure_tag="circle")
-        with open(path) as fh:
-            rows = list(csvmod.reader(fh))
-        assert rows[0] == ["i", "j", "re", "im", "k", "symbol", "measure"]
-        assert len(rows) == 1 + 9
-        assert rows[2][:2] == ["0", "1"]
-        assert float(rows[2][2]) == pytest.approx(0.5)
-        assert rows[2][6] == "circle"
-
-    def test_spectrum_csv(self, tmp_path):
-        import csv as csvmod
-
-        from cdlab import write_spectrum_csv
-
-        mu, bs = circle_basis(4)
-        t = toeplitz(bs, mu, sym_cos)
-        write_spectrum_csv(t, tmp_path / "spec.csv", measure_tag="circle")
-        with open(tmp_path / "spec.csv") as fh:
-            rows = list(csvmod.reader(fh))
-        assert rows[0] == ["index", "eigenvalue", "k", "symbol", "measure"]
-        got = [float(r[1]) for r in rows[1:]]
-        want = np.sort(np.cos(np.arange(1, 5) * np.pi / 5))
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    @pytest.mark.parametrize("basis", [circle_basis, interval_basis])
-    def test_exports_match_csv_writer_bytes(self, tmp_path, basis):
-        # the symbol and measure tags need csv's quoting: commas and quotes
-        import csv as csvmod
-
-        from cdlab import write_matrix_csv, write_spectrum_csv
-
-        mu, bs = basis(6)
-        desc, f = resolve_symbol("poly:1,0,2")
-        t = toeplitz(bs, mu, f, symbol_desc=desc)
-        tag = 'circle, "tilted"'
-        matrix_rows = [(i, j, v.real, v.imag, t.k, desc, tag)
-                       for i, r in enumerate(t.entries) for j, v in enumerate(r.tolist())]
-        spectrum_rows = [(i, v, t.k, desc, tag)
-                         for i, v in enumerate(spectrum(t).eigenvalues.tolist())]
-        for write, header, rows in (
-                (write_matrix_csv, ["i", "j", "re", "im", "k", "symbol", "measure"], matrix_rows),
-                (write_spectrum_csv, ["index", "eigenvalue", "k", "symbol", "measure"],
-                 spectrum_rows)):
-            with open(tmp_path / "want.csv", "w", newline="") as fh:
-                out = csvmod.writer(fh)
-                out.writerow(header)
-                out.writerows(rows)
-            got = write(t, tmp_path / "got.csv", measure_tag=tag).read_bytes()
-            assert got == (tmp_path / "want.csv").read_bytes()
-            assert b'"poly:1,0,2","circle, ""tilted"""\r\n' in got
-
-
 class TestSpectralRadiusBounds:
+    """The spectrum of T(f) lies in [min f, max f] over the nodes."""
+
     def test_constant_symbol(self):
         mu, bs = circle_basis(8)
-        rec = spectral_radius_bounds(toeplitz(bs, mu, lambda z: np.full(z.shape, 2.5)),
-                                     lambda z: np.full(z.shape, 2.5), mu)
-        assert rec.lambda_min == pytest.approx(2.5, abs=1e-10)
-        assert rec.lambda_max == pytest.approx(2.5, abs=1e-10)
+        lam = spectrum(toeplitz(bs, mu, lambda z: np.full(z.shape, 2.5))).eigenvalues
+        assert lam[0] == pytest.approx(2.5, abs=1e-10)
+        assert lam[-1] == pytest.approx(2.5, abs=1e-10)
 
     def test_circle_cosine_peak_eigenvalue(self):
         k = 64
         mu, bs = circle_basis(k)
-        rec = spectral_radius_bounds(toeplitz(bs, mu, sym_cos), sym_cos, mu)
-        assert 0.99 < rec.lambda_max <= 1.0
-        assert abs(rec.lambda_max - np.cos(np.pi / (k + 1))) <= 1e-10
+        lam = spectrum(toeplitz(bs, mu, sym_cos)).eigenvalues
+        assert 0.99 < lam[-1] <= 1.0
+        assert abs(lam[-1] - np.cos(np.pi / (k + 1))) <= 1e-10
 
     def test_interval_coordinate_confined(self):
         mu, bs = interval_basis(32)
-        rec = spectral_radius_bounds(toeplitz(bs, mu, sym_x), sym_x, mu)
-        assert rec.inf_f - 1e-9 <= rec.lambda_min
-        assert rec.lambda_max <= rec.sup_f + 1e-9
+        lam = spectrum(toeplitz(bs, mu, sym_x)).eigenvalues
+        x = mu.nodes.real
+        assert x.min() - 1e-9 <= lam[0]
+        assert lam[-1] <= x.max() + 1e-9
 
 
 def quadrature_oracle(bs, mu, f):
