@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measure import _require_count
+
 CIRCLE_UNIFORM = "circle_uniform"
 ARCSINE = "arcsine"
 
@@ -23,8 +25,7 @@ class EquilibriumMeasure:
     def __post_init__(self):
         if self.kind not in (CIRCLE_UNIFORM, ARCSINE):
             raise ValueError(f"unknown equilibrium kind {self.kind!r}")
-        if self.quadrature_order < 1:
-            raise ValueError("quadrature_order must be >= 1")
+        _require_count("quadrature_order", self.quadrature_order)
 
 
 def equilibrium_for(mu):

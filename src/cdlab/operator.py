@@ -10,7 +10,7 @@ import numpy as np
 from . import _backend, symbols
 from .basis import weighted_rows
 from .errors import NotHermitianError
-from .measure import _gauss_legendre
+from .measure import _gauss_legendre, _require_count
 
 _HERM_TOL = 1e-8
 # rows per block of a Hermitian pass: its temporaries are two blocks
@@ -191,10 +191,10 @@ def legendre_toeplitz(f, k, m=None, symbol_desc=None):
     """Matrix a_{ij} = int_{-1}^{1} f(x) L_i(x) L_j(x) dx over the normalized
     Legendre polynomials, by a Gauss-Legendre rule of order m (default 4k).
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    _require_count("k", k)
     if m is None:
         m = 4 * k
+    _require_count("m", m)
     if m < k:
         raise ValueError(f"quadrature order m={m} too small for k={k}")
     x, w = _gauss_legendre(m)

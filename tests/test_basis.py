@@ -370,6 +370,14 @@ class TestClosedFormCertificate:
         assert (closed_form_accepts(route), probe_accepts(route), gram_accepts(route)) \
             == (True, True, True)
 
+    @pytest.mark.parametrize("k", [64, 1024, 4096])
+    def test_gauss_legendre_passes_with_a_margin_of_ten(self, k):
+        # the rule at m = 4k nodes, as the interval tables build it, up to
+        # k = 4096 (m = 16384); Q is 512 MiB there
+        route = rule_route("interval", 4 * k, k)
+        assert _closed_form_defect(route) <= _closed_form_tol(k) / 10
+        assert _probe_defect(route[0]) <= _closed_form_tol(k) / 10
+
     @pytest.mark.parametrize("name, site", MUTATIONS)
     def test_coefficient_off_by_two_tau_is_rejected(self, name, site):
         # the Gram check reads Q only, so it cannot see a coefficient of H

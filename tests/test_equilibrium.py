@@ -62,3 +62,13 @@ class TestIntegrate:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             EquilibriumMeasure("halfplane")
+
+    # 2.5 integrated x^2 to 0.5833 and True to 3.7e-33
+    @pytest.mark.parametrize("order", [2.5, float("nan"), True, 0, -3])
+    def test_non_integer_order_rejected(self, order):
+        with pytest.raises(ValueError, match="quadrature_order must be an integer >= 1"):
+            EquilibriumMeasure(ARCSINE, quadrature_order=order)
+
+    def test_numpy_integer_order_accepted(self):
+        nu = EquilibriumMeasure(ARCSINE, quadrature_order=np.int64(8))
+        assert abs(integrate(nu, lambda x: x ** 2) - 0.5) <= 1e-15

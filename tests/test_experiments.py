@@ -375,9 +375,9 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     def test_unconverged_gauss_legendre_is_exit_3(self, tmp_path, capsys, monkeypatch):
-        pair = cdlab.measure._legendre_pair
-        monkeypatch.setattr("cdlab.measure._legendre_pair",
-                            lambda m, x: (pair(m, x)[0], 4.0 * pair(m, x)[1]))
+        evaluate = cdlab.measure._legendre_theta
+        monkeypatch.setattr("cdlab.measure._legendre_theta",
+                            lambda *args: (evaluate(*args)[0], 4.0 * evaluate(*args)[1]))
         out = tmp_path / "szego.csv"
         assert main(["szego", "--k", "8", "--measure", "interval", "--out", str(out)]) == 3
         err = capsys.readouterr().err

@@ -214,7 +214,7 @@ def bessel_j0(x):
 
 
 class TestGaussLegendre:
-    @pytest.mark.parametrize("m", [*range(1, 65), 255, 256, 257, 1024, 2048])
+    @pytest.mark.parametrize("m", [*range(1, 65), 255, 256, 257, 1024, 2048, 4096])
     def test_matches_newton_reference(self, m):
         x, w = measure._gauss_legendre(m)
         x_ref, w_ref = newton_reference(m)
@@ -228,19 +228,36 @@ class TestGaussLegendre:
         if m % 2:
             assert x[m // 2] == 0.0 and not np.signbit(x[m // 2])
 
-    @pytest.mark.parametrize("m", [23, 64, 255, 256, 2048])
-    def test_three_recurrences_over_half_the_nodes(self, monkeypatch, m):
-        # two Newton sweeps and the weight sweep, each over ceil(m/2) nodes
-        pair = measure._legendre_pair
+    @pytest.mark.parametrize("m", [23, 64, 255, 256, 2048, 4096, 16384])
+    def test_at_most_three_evaluations(self, monkeypatch, m):
+        # at most two Newton sweeps and the weight sweep, each over ceil(m/2)
+        # nodes
+        evaluate = measure._legendre_theta
         sizes = []
 
-        def counted(degree, x):
-            sizes.append(x.size)
-            return pair(degree, x)
+        def counted(*args):
+            sizes.append(args[1].size)
+            return evaluate(*args)
 
-        monkeypatch.setattr(measure, "_legendre_pair", counted)
+        monkeypatch.setattr(measure, "_legendre_theta", counted)
         measure._gauss_legendre(m)
-        assert sizes == [(m + 1) // 2] * 3
+        assert 2 <= len(sizes) <= 3
+        assert sizes == [(m + 1) // 2] * len(sizes)
+
+    @pytest.mark.parametrize("m", sorted({*range(64, 16385, 251), 65, 127, 1023, 16383, 16384}))
+    def test_few_nodes_take_the_cosine_series(self, monkeypatch, m):
+        # the O(m) cosine series serves only the nodes nearest the endpoint,
+        # where Stieltjes' series has not converged
+        cosines = measure._legendre_cosines
+        sizes = []
+
+        def counted(degree, theta):
+            sizes.append(theta.size)
+            return cosines(degree, theta)
+
+        monkeypatch.setattr(measure, "_legendre_cosines", counted)
+        measure._gauss_legendre(m)
+        assert sizes and max(sizes) <= 16
 
     def test_bessel_zeros(self):
         z = measure._J0_ZEROS
@@ -252,12 +269,48 @@ class TestGaussLegendre:
         assert np.max(np.abs(np.diff(z) - np.pi)) < 0.05
 
     def test_newton_failure_is_reported(self, monkeypatch):
-        pair = measure._legendre_pair
+        evaluate = measure._legendre_theta
 
-        def wrong_derivative(m, x):
-            p, dp = pair(m, x)
+        def wrong_derivative(*args):
+            p, dp = evaluate(*args)
             return p, 4.0 * dp
 
-        monkeypatch.setattr(measure, "_legendre_pair", wrong_derivative)
+        monkeypatch.setattr(measure, "_legendre_theta", wrong_derivative)
         with pytest.raises(CdlabError, match=r"m=40 did not converge .*max \|dx\| = "):
             measure._gauss_legendre(40)
+
+    @pytest.mark.parametrize("m", [2048, 16384])
+    def test_end_weights_match_the_cosine_series(self, m):
+        # the two outermost nodes, refined in extended precision by Newton on
+        # P_m(cos t) = sum_j g_j g_{m-j} cos((m - 2j) t), g_j = binom(2j, j)/4^j,
+        # and their weights 2/(dP_m/dt)^2 there
+        x, w = measure._gauss_legendre(m)
+        j = np.arange(m + 1, dtype=np.longdouble)
+        g = np.cumprod(np.concatenate(([1.0], (j[1:] - 0.5) / j[1:])))
+        a = g * g[::-1]
+        freq = m - 2 * j
+        for i in (0, 1):
+            t = np.arccos(np.longdouble(-x[i]))
+            for _ in range(3):
+                dp = -np.sum(a * freq * np.sin(freq * t))
+                t -= np.sum(a * np.cos(freq * t)) / dp
+            dp = -np.sum(a * freq * np.sin(freq * t))
+            assert abs(w[i] / float(2 / dp ** 2) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("m", [4096, 16384])
+    def test_even_moments(self, m):
+        x, w = measure._gauss_legendre(m)
+        for j in range(9):
+            assert abs(np.sum(w * x ** (2 * j)) - 2.0 / (2 * j + 1)) <= 1e-15
+
+
+class TestIntegerCount:
+    @pytest.mark.parametrize("build", [circle_lebesgue, interval_lebesgue, arcsine])
+    @pytest.mark.parametrize("m", [2.5, float("nan"), 4.0, True, False, "8", None])
+    def test_non_integer_rejected(self, build, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            build(m)
+
+    @pytest.mark.parametrize("build", [circle_lebesgue, interval_lebesgue, arcsine])
+    def test_numpy_integers_accepted(self, build):
+        assert len(build(np.int64(5))) == 5

@@ -183,6 +183,12 @@ class TestLegendreToeplitz:
         with pytest.raises(ValueError):
             legendre_toeplitz(sym_x, 8, m=4)
 
+    # 2.5 raised TypeError inside numpy, NaN "arange: cannot compute length"
+    @pytest.mark.parametrize("m", [2.5, float("nan"), True, 0])
+    def test_non_integer_quadrature_rejected(self, m):
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            legendre_toeplitz(sym_x, 1, m=m)
+
     # k=0 raised ZeroDivisionError, k=-1 blamed the quadrature order m=-4
     @pytest.mark.parametrize("k", [0, -1])
     def test_nonpositive_k_rejected(self, k):
