@@ -12,26 +12,31 @@ takes one of three routes, chosen from the nodes:
   off the nodes is O(n) per point;
 - any other nodes: full Arnoldi, O(m n^2).
 
-A structured result is certified before it is kept.  When its recurrence
-matches the closed form of a classical rule (roots of unity, Gauss-Legendre
-or Gauss-Chebyshev, read from the route and h0) to tau(n) = 4 (n + 2) eps,
-an O(n) check, and its node values pass an O(m n) probe of Q*Q = I to
-tau(n), it is kept.  Otherwise (a metric weight, a tilt, any other nodes,
-too few nodes for the closed form, or a probe that fails) its node values
-must be orthonormal to max |Q*Q - I| <= 1e-13, an O(m n^2) product.  Full
-Arnoldi decides when that fails too, or when the structured recurrence
-breaks down.
+A structured result is certified before it is kept.  Its build holds a
+window of two columns, O(m) memory beside H, and probes Q*Q = I as it
+forms each column, in O(m n).  When its recurrence matches the closed form
+of a classical rule (roots of unity, Gauss-Legendre or Gauss-Chebyshev,
+read from the route and h0) to tau(n) = 4 (n + 2) eps, an O(n) check, and
+the probe reads tau(n) or less, it is kept, and no Q was ever formed.
+Otherwise (a metric weight, a tilt, any other nodes, too few nodes for the
+closed form, or a probe that fails) the build runs again with Q stored,
+and its node values must be orthonormal to max |Q*Q - I| <= 1e-13, an
+O(m n^2) product.  Full Arnoldi decides when that fails too, or when the
+structured recurrence breaks down.
 
 A basis is its route ("szego", "three_term" or "hessenberg") and its
 recurrence, run one step past n so that H = T(z) = Q* Z Q (Z Q = Q H +
 r e_n^T, the residual r unnormalized, 0 on n nodes; the basis keeps |r|^2
-and Q*(z r)), plus the cached orthonormal evaluations on the defining
-nodes.  `orthonormalize` is its only constructor.
+and Q*(z r)), plus the columns of Q its build kept: the last two, which
+the Christoffel-Darboux masses read, or all n when the build stored Q.
+Its node values Q are built on first read when it kept two columns, and
+cached read-only.  `orthonormalize` is its only constructor.
 """
 
 import hashlib
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,12 +97,15 @@ class OrthonormalBasis:
     space: WeightedSpace
     hessenberg: np.ndarray = field(repr=False)
     const_norm: float = field(repr=False)
-    node_values: np.ndarray = field(repr=False)  # (m, n), orthonormal cols
+    # the columns of Q the build kept, column-major: all n, or the last two
+    # (q_{n-2}, q_{n-1}) of a certified Szego or three-term build
+    columns: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)
     node_weights: np.ndarray = field(repr=False)
     # the step evaluation runs: "szego" (the coupled step on the c_j in
     # szego_c, None on the other routes), "three_term" or "hessenberg"
     route: str = field(repr=False)
+    # the n Szego c_j, c_{n-1} that of the step past n
     szego_c: np.ndarray = field(repr=False)
     # |r|^2 and Q*(z r) of the step past n
     residual_sq: float = field(repr=False)
@@ -113,13 +121,35 @@ class OrthonormalBasis:
         return self.space.dimension
 
     @cached_property
+    def node_values(self):
+        """Q, (m, n) and read-only: the orthonormal columns on the defining
+        nodes.  A basis that kept only its last two columns builds Q on first
+        read, by running its route's build again with Q stored: the same
+        columns, bit for bit, at O(m n) time and memory."""
+        if self.columns.shape[1] == self.dimension:
+            return self.columns
+        q = _stored_q(self)
+        q.setflags(write=False)
+        return q
+
+    @cached_property
     def basis_id(self):
-        """Hash of the recurrence, taken once: H is read-only."""
+        """Hash of the O(n) data that determine H on the route, taken once:
+        the three diagonals of a three-term H, the c_j and rho_j of a Szego
+        one, a Hessenberg H whole.  All of them are read-only."""
         h = hashlib.sha1()
+        h.update(self.route.encode())
         h.update(np.int64(self.dimension).tobytes())
         h.update(np.int64(self.space.tensor_power).tobytes())
         h.update(np.float64(self.const_norm).tobytes())
-        h.update(self.hessenberg.tobytes())
+        if self.route == "three_term":
+            parts = [np.diagonal(self.hessenberg, d) for d in (-1, 0, 1)]
+        elif self.route == "szego":
+            parts = [self.szego_c, np.diagonal(self.hessenberg, -1)]
+        else:
+            parts = [self.hessenberg]
+        for part in parts:
+            h.update(part.tobytes())
         return h.hexdigest()[:16]
 
     def defined_on(self, mu):
@@ -129,10 +159,27 @@ class OrthonormalBasis:
                 and np.array_equal(self.node_weights, mu.weights))
 
 
-def _start(row_scale, n, dtype):
-    """Column-major Q with its first column, the normalized constant, the
-    zero Hessenberg matrix, both of the dtype, and the constant's norm h0."""
-    q = np.empty((row_scale.shape[0], n), dtype=dtype, order="F")
+class _Build(NamedTuple):
+    """What a recurrence build returns: the columns it kept (all n of Q,
+    column-major, or the last two), H = Q* Z Q, the norm h0 of the constant,
+    |r|^2 and Q*(z r) of the step past n, the n Szego c_j (None on the other
+    routes) and the streamed probe of its columns (see _Probe)."""
+
+    q: np.ndarray
+    hess: np.ndarray
+    h0: float
+    r_sq: float
+    z_r: np.ndarray
+    coef: object
+    probe: float
+
+
+def _start(row_scale, n, dtype, store_q):
+    """The build's column buffer, column-major, with q_0 (the normalized
+    constant) in its first column: all n columns of Q when store_q, else a
+    window of two.  Also the zero Hessenberg matrix, both of the dtype, and
+    the constant's norm h0."""
+    q = np.empty((row_scale.shape[0], n if store_q else min(n, 2)), dtype=dtype, order="F")
     v = row_scale.astype(dtype)
     h0 = np.linalg.norm(v)
     if h0 == 0.0:
@@ -141,47 +188,67 @@ def _start(row_scale, n, dtype):
     return q, np.zeros((n, n), dtype=dtype), h0
 
 
-def _arnoldi(z, row_scale, n, window=None):
+def _next_column(q, j):
+    """The buffer column that takes q_{j+1}.  A full window first moves its
+    columns one place to the front, dropping the oldest; a buffer of all n
+    columns never fills."""
+    if j + 1 >= q.shape[1]:
+        q[:, :-1] = q[:, 1:]
+    return q[:, min(j + 1, q.shape[1] - 1)]
+
+
+def _check_pivot(hn, pivot_max, j):
+    if hn < _RANK_TOL * pivot_max:
+        raise RankDeficientError(f"Gram matrix numerically rank-deficient at degree {j + 1}")
+    return max(pivot_max, hn)
+
+
+def _arnoldi(z, row_scale, n, window=None, store_q=True):
     """Modified Gram-Schmidt Arnoldi on {1, z, z^2, ...} in the weighted
     discrete inner product.  row_scale = sqrt(w) * exp(-k phi).
 
-    Returns (Q, H, h0, (|r|^2, Q*(z r))) in the dtype of z: Q has orthonormal
-    columns (poly values times row_scale), H = Q* Z Q, h0 the norm of the
-    constant, r the residual past n.  Breakdown of the subdiagonal below the
-    relative threshold: the measure cannot support the requested degree.
+    Returns a _Build in the dtype of z: Q has orthonormal columns (poly
+    values times row_scale), H = Q* Z Q, h0 the norm of the constant, r the
+    residual past n.  Breakdown of the subdiagonal below the relative
+    threshold: the measure cannot support the requested degree.
 
     window=None projects each new column on all earlier ones (O(m n^2)).
     window=w projects on the last w only, Q*(z r) too: on real nodes H is
     tridiagonal, so window=2 is the Lanczos/Stieltjes procedure, O(m n).
+    With store_q False, window=2 holds the last two columns only, O(m)
+    memory beside H, and keeps them; the columns are the same either way.
     """
-    q, hess, h0 = _start(row_scale, n, z.dtype)
+    q, hess, h0 = _start(row_scale, n, z.dtype, store_q or window is None)
+    m = q.shape[0]
+    probe = _Probe(m, n, z.dtype)
+    probe.add(q[:, 0])
+    v, tmp = np.empty(m, dtype=z.dtype), np.empty(m, dtype=z.dtype)
     pivot_max = h0
     for j in range(n):
+        base = max(j + 1 - q.shape[1], 0)      # the column q[:, 0] holds
         lo = 0 if window is None else max(j + 1 - window, 0)
-        v = z * q[:, j]
+        block = q[:, lo - base : j + 1 - base]
+        np.multiply(z, block[:, -1], out=v)
         # two Gram-Schmidt passes keep the columns orthonormal to ~eps;
         # Q*v is taken as conj(v* Q), which conjugates v instead of Q
         for _ in range(2):
-            proj = (v.conj() @ q[:, lo : j + 1]).conj()
-            v -= q[:, lo : j + 1] @ proj
+            proj = (v.conj() @ block).conj()
+            v -= np.matmul(block, proj, out=tmp)
             hess[lo : j + 1, j] += proj
         if j == n - 1:
             break
         hn = np.linalg.norm(v)
-        if hn < _RANK_TOL * pivot_max:
-            raise RankDeficientError(
-                f"Gram matrix numerically rank-deficient at degree {j + 1}"
-            )
-        pivot_max = max(pivot_max, hn)
+        pivot_max = _check_pivot(hn, pivot_max, j)
         hess[j + 1, j] = hn
-        q[:, j + 1] = v / hn
+        col = _next_column(q, j)
+        probe.add(np.divide(v, hn, out=col))
     # the step past n: r = v
     z_r = np.zeros(n, dtype=hess.dtype)
-    z_r[lo:] = ((z * v).conj() @ q[:, lo:]).conj()
-    return q, hess, float(h0), (float(np.vdot(v, v).real), z_r)
+    z_r[lo:] = ((z * v).conj() @ q[:, lo - base :]).conj()
+    return _Build(q, hess, float(h0), float(np.vdot(v, v).real), z_r, None, probe.defect)
 
 
-def _szego(z, row_scale, n):
+def _szego(z, row_scale, n, store_q=True):
     """Gragg's isometric Arnoldi: the Szego recurrence on unit-circle nodes.
 
     Multiplication by z is an isometry there, so z*phi_j is already
@@ -189,42 +256,46 @@ def _szego(z, row_scale, n):
     polynomial phi_j^*, finishes the step:
         c = <phi_j^*, z phi_j> = conj(alpha_j),   v = z phi_j - c phi_j^*.
     With s_j the coordinates of phi_j^* in phi_0..phi_j, the Hessenberg
-    column is H[:j+1, j] = c * s_j.  Returns (Q, H, h0, (|r|^2, Q*(z r)), c)
-    with all n c_j (c_{n-1} that of the step past n) and the breakdown test
-    of _arnoldi; O(m n) for Q, O(n^2) for H.  Past n,
-    z r = |r| (rho_n phi_{n+1} + c_n phi_n^*) with
+    column is H[:j+1, j] = c * s_j.  Returns a _Build with all n c_j
+    (c_{n-1} that of the step past n) and the breakdown test of _arnoldi;
+    O(m n) for Q, O(n^2) for H.  A step reads q_j only; with store_q False
+    the build holds and keeps the last two columns, O(m) memory beside H.
+    Past n, z r = |r| (rho_n phi_{n+1} + c_n phi_n^*) with
     phi_n^* = |r| phi_{n-1}^* - conj(c) r / |r|, so Q*(z r) takes O(m):
         Q*(z r) = <|r|^2 phi_{n-1}^* - conj(c) r, z r> s_{n-1}.
     """
-    q, hess, h0 = _start(row_scale, n, np.complex128)
+    q, hess, h0 = _start(row_scale, n, np.complex128, store_q)
+    m = q.shape[0]
+    probe = _Probe(m, n, np.complex128)
+    probe.add(q[:, 0])
     rev = q[:, 0].copy()            # phi_0^* = phi_0, a positive constant
+    zq, v, tmp = (np.empty(m, dtype=np.complex128) for _ in range(3))
     coef = np.empty(n, dtype=np.complex128)
     s = np.zeros(n, dtype=np.complex128)
     s[0] = 1.0
     pivot_max = h0
     for j in range(n):
-        zq = z * q[:, j]
+        np.multiply(z, q[:, min(j, q.shape[1] - 1)], out=zq)
         c = coef[j] = np.vdot(rev, zq)
-        v = zq - c * rev
+        np.subtract(zq, np.multiply(c, rev, out=v), out=v)
         hess[: j + 1, j] = c * s[: j + 1]
         if j == n - 1:
             break
         hn = np.linalg.norm(v)
-        if hn < _RANK_TOL * pivot_max:
-            raise RankDeficientError(
-                f"Gram matrix numerically rank-deficient at degree {j + 1}"
-            )
-        pivot_max = max(pivot_max, hn)
+        pivot_max = _check_pivot(hn, pivot_max, j)
         hess[j + 1, j] = hn
-        q[:, j + 1] = v / hn
+        col = _next_column(q, j)
+        probe.add(np.divide(v, hn, out=col))
         # phi_{j+1}^* = (phi_j^* - conj(c) z phi_j) / rho_j; with
         # z phi_j = hn phi_{j+1} + c phi_j^* and rho_j^2 = 1 - |c|^2 = hn^2
         # this is hn phi_j^* - conj(c) phi_{j+1}
         s[: j + 1] *= hn
         s[j + 1] = -np.conj(c)
-        rev = hn * rev - np.conj(c) * q[:, j + 1]
+        rev *= hn
+        rev -= np.multiply(np.conj(c), col, out=tmp)
     r_sq = float(np.vdot(v, v).real)
-    return q, hess, float(h0), (r_sq, np.vdot(r_sq * rev - np.conj(c) * v, z * v) * s), coef
+    z_r = np.vdot(r_sq * rev - np.conj(c) * v, z * v) * s
+    return _Build(q, hess, float(h0), r_sq, z_r, coef, probe.defect)
 
 
 def _orthonormality_defect(q):
@@ -265,7 +336,7 @@ def _gauss_rule(h0, n):
 
 def _closed_form_tol(n):
     """tau(n) = 4 (n + 2) eps, linear in n, for the closed form and the
-    probe of Q alike.  Both read up to ~0.7 (n + 2) eps on good bases of the
+    streamed probe alike.  Both read up to ~0.7 (n + 2) eps on good bases of the
     three rules (n = 1..64 and nine sizes to 4096, m = n + 2 and 4n; the Szego
     c_j on the roots of unity drift like ~0.2 n eps), so tau keeps a margin
     of 5.8 or more; a fixed 1e-13 would reject good bases near n = 4096,
@@ -274,7 +345,7 @@ def _closed_form_tol(n):
 
 
 def _closed_form_defect(route):
-    """max |coefficient - closed form| of a structured route's recurrence,
+    """max |coefficient - closed form| of a structured route's _Build,
     in O(n) with no n x n temporary.  Each coefficient is a product with a
     column of Q, so a column that overflowed leaves a NaN or inf here.
 
@@ -285,9 +356,9 @@ def _closed_form_defect(route):
     Q*(z r) = b_n^2 e_n.  A metric weight, a tilt or other nodes move the
     coefficients, and the check fails.
     """
-    _, hess, h0, (r_sq, z_r), coef = route
-    if coef is not None:
-        devs = (coef, np.diagonal(hess, -1) - 1.0, (h0 - 1.0, r_sq - 1.0), z_r)
+    hess, h0, r_sq, z_r = route.hess, route.h0, route.r_sq, route.z_r
+    if route.coef is not None:
+        devs = (route.coef, np.diagonal(hess, -1) - 1.0, (h0 - 1.0, r_sq - 1.0), z_r)
     else:
         h0_rule, b = _gauss_rule(h0, hess.shape[0])
         tail = b[-1] ** 2
@@ -309,35 +380,58 @@ def _probe_vector(n):
     return (z >> np.uint64(11)) * 2.0**-52 - 1.0
 
 
-def _probe_defect(q):
-    """max |Q*(Q x) - x| for the fixed x of _probe_vector: Q*Q = I probed in
-    O(m n), two matrix-vector products, with no n x n temporary and no copy
-    of Q.
+class _Probe:
+    """Q*Q = I probed as the build forms the columns, in O(m) memory: for
+    the fixed x of _probe_vector, column q_j adds |<q_j, y_j>| and
+    | |q_j|^2 - 1 |, with y_j = sum_{i<j} x_i q_i, and the probe reads the
+    largest of them (NaN if any is NaN).  These are the rows of L x, L the
+    strict lower triangle of Q*Q - I, and its diagonal; Q*Q - I is
+    Hermitian, so each of its entries is in one of them.
 
     The coefficients cannot show a loss of orthogonality: a column of Q
     that picks up e q_i, i outside the Lanczos window, moves them by O(e^2)
     only, and one spoiled after its step moves none.  Here an entry e of
-    Q*Q - I at (i, j) adds e x_j to row i; for x_j uniform on [-1, 1],
-    whatever the rest of the row, that row then reads below t with
+    Q*Q - I at (j, i), i < j, adds e x_i to row j; for x_i uniform on
+    [-1, 1], whatever the rest of the row, that row then reads below t with
     probability t / |e| or less.
     """
-    x = _probe_vector(q.shape[1])
-    y = q @ x
-    # Q* y as conj(y* Q), which conjugates y instead of Q
-    return float(np.max(np.abs((y.conj() @ q).conj() - x)))
+
+    def __init__(self, m, n, dtype):
+        self.x = _probe_vector(n)
+        self.y = np.zeros(m, dtype=dtype)
+        self.tmp = np.empty(m, dtype=dtype)
+        self.taken = 0
+        self.defect = 0.0
+
+    def add(self, col):
+        """Take q_j, j the number of columns taken so far."""
+        row = abs(np.vdot(col, self.y))
+        diag = abs(np.vdot(col, col).real - 1.0)
+        # np.maximum, unlike max(), propagates a NaN
+        self.defect = float(np.maximum(self.defect, np.maximum(row, diag)))
+        self.y += np.multiply(col, self.x[self.taken], out=self.tmp)
+        self.taken += 1
+
+
+def _run_route(route, nodes, row_scale, n, store_q):
+    """The build of a structured route: Szego on the nodes, or Lanczos
+    (window 2) on their real parts, in float64."""
+    if route == "szego":
+        return _szego(nodes, row_scale, n, store_q=store_q)
+    return _arnoldi(np.ascontiguousarray(nodes.real), row_scale, n, window=2, store_q=store_q)
 
 
 def _structured_arnoldi(mu, row_scale, n):
     """The Arnoldi basis by the recurrence the nodes allow, certified.
 
     Real nodes run Lanczos (window 2), nodes tagged circle run Szego; on
-    real nodes both run on the real parts, in float64.  A structured result
-    is kept if its recurrence matches a classical rule's closed form and
-    the probe of its Q passes, both to tau(n), in O(m n); or else if its
-    columns are orthonormal to max |Q*Q - I| <= _RANK_TOL, in O(m n^2).
-    Failing both, on breakdown, and for any other node set, full Arnoldi
-    decides.  Returns (route, (Q, H, h0, (|r|^2, Q*(z r)), c)): c holds the
-    n c_j of route "szego", and is None on "three_term" and "hessenberg".
+    real nodes both run on the real parts, in float64.  The build first
+    keeps two columns only.  Its result is kept if its recurrence matches a
+    classical rule's closed form and its streamed probe passes, both to
+    tau(n), in O(m n).  Otherwise the build runs again with Q stored, and
+    is kept if its columns are orthonormal to max |Q*Q - I| <= _RANK_TOL,
+    in O(m n^2).  Failing both, on breakdown, and for any other node set,
+    full Arnoldi decides.  Returns (route, _Build).
 
     On a rule's own nodes the probe should have nothing to catch.  Szego on
     the roots of unity multiplies by z, an isometry, and subtracts c_j ~ eps,
@@ -349,25 +443,25 @@ def _structured_arnoldi(mu, row_scale, n):
     """
     z = mu.nodes
     real = not np.any(z.imag)
-    if real:
-        z = np.ascontiguousarray(z.real)
     if real or mu.support_tag == "circle":
         route = "three_term" if real else "szego"
-        try:
-            # an overflow here gives a NaN that every check rejects, and full
-            # Arnoldi then builds the basis
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                built = ((*_arnoldi(z, row_scale, n, window=2), None) if real
-                         else _szego(z, row_scale, n))
-        except RankDeficientError:
-            pass
-        else:
-            tol = _closed_form_tol(n)
-            if _closed_form_defect(built) <= tol and _probe_defect(built[0]) <= tol:
-                return route, built
-            if _orthonormality_defect(built[0]) <= _RANK_TOL:
-                return route, built
-    return "hessenberg", (*_arnoldi(z, row_scale, n), None)
+        # an overflow here gives a NaN that every check rejects, and full
+        # Arnoldi then builds the basis
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            try:
+                built = _run_route(route, z, row_scale, n, store_q=False)
+            except RankDeficientError:
+                pass
+            else:
+                tol = _closed_form_tol(n)
+                if _closed_form_defect(built) <= tol and built.probe <= tol:
+                    return route, built
+                built = _run_route(route, z, row_scale, n, store_q=True)
+                if _orthonormality_defect(built.q) <= _RANK_TOL:
+                    return route, built
+    if real:
+        z = np.ascontiguousarray(z.real)
+    return "hessenberg", _arnoldi(z, row_scale, n)
 
 
 def _check_scale_range(space, mu, scale):
@@ -401,17 +495,23 @@ def orthonormalize(mu, space):
         scale = space.weight_scale(mu.nodes)
     _check_scale_range(space, mu, scale)
     row_scale = np.sqrt(mu.weights) * scale
-    route, (q, hess, h0, (r_sq, z_r), coef) = _structured_arnoldi(mu, row_scale, space.dimension)
+    route, built = _structured_arnoldi(mu, row_scale, space.dimension)
     return OrthonormalBasis(
         space=space,
-        hessenberg=np.ascontiguousarray(hess),
-        const_norm=h0, node_values=q,
+        hessenberg=np.ascontiguousarray(built.hess),
+        const_norm=built.h0, columns=built.q,
         nodes=np.asarray(mu.nodes),
         node_weights=np.asarray(mu.weights),
-        # evaluation reads c_0..c_{n-2}
-        route=route, szego_c=None if coef is None else coef[:-1],
-        residual_sq=r_sq, z_residual=z_r,
+        route=route, szego_c=built.coef,
+        residual_sq=built.r_sq, z_residual=built.z_r,
     )
+
+
+def _stored_q(basis):
+    """Q of a basis that kept only its last two columns: its route's build,
+    run again with Q stored on the row scale orthonormalize used."""
+    row_scale = np.sqrt(basis.node_weights) * basis.space.weight_scale(basis.nodes)
+    return _run_route(basis.route, basis.nodes, row_scale, basis.dimension, store_q=True).q
 
 
 def evaluate_basis(basis, points):
@@ -439,8 +539,9 @@ def _run_recurrence(basis, points, diagonal):
 
 def weighted_rows(basis, mu):
     """Q[a, i] = sqrt(w_a) * p_i(x_a) * exp(-k * phi(x_a)) on mu's nodes:
-    the cached (read-only) node values on the measure the basis was built
-    on, the recurrence on any other.  sqrt(w_a w_b) K(x_a, x_b) = (Q Q^*)[a, b]
+    the node values on the measure the basis was built on (read-only, and
+    built on first read when the basis kept only its last two columns), the
+    recurrence on any other.  sqrt(w_a w_b) K(x_a, x_b) = (Q Q^*)[a, b]
     and T(f) = Q^* F Q.
     """
     if basis.defined_on(mu):

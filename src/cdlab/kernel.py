@@ -5,7 +5,8 @@ diagonal densities and CSV exports for the heatmap.
 
 A mass over disjoint node sets A, B of a structured basis's own measure
 (the Szego or the three-term route; n >= 2) takes the Christoffel-Darboux
-formula: O(1) per entry from the last two columns of Q, O(|A| |B|) in all.
+formula: O(1) per entry from the last two columns of Q, which every basis
+keeps, O(|A| |B|) in all.
 Every other mass is ||Q_A Q_B^*||_F^2, O(|A| |B| n), which is also the
 reference the formula is tested against.
 """
@@ -85,8 +86,9 @@ def bergman_mass(basis, mu, idx_a, idx_b):
       n = 1, coincident nodes), and the reference the first is tested
       against.
 
-    Both sum blocks of A rows.  Beyond Q, the first holds O(|B|) memory,
-    the second O(|B| n).
+    Both sum blocks of A rows.  The first reads the basis's kept columns
+    and holds O(|B|) memory beyond them; the second reads the node values
+    and holds O(|B| n) beyond them.
     """
     m, n = len(mu), basis.dimension
     ia, ib = _node_indices(idx_a, m), _node_indices(idx_b, m)
@@ -126,8 +128,9 @@ def _cd_factors(basis):
     """(u, v, alpha, beta, c) with, for a != b on the basis's own nodes,
         |(Q Q^*)[a, b]|^2 = c (beta_a alpha_b - alpha_a beta_b)^2 / D_ab,
     D_ab = (u_a - u_b)^2 + (v_a - v_b)^2 (v is None for real nodes): all
-    real, from the last columns of the weighted rows Q.  None on the
-    "hessenberg" route, where no short recurrence gives the formula.
+    real, from the last two columns of the weighted rows Q, which the basis
+    keeps (basis.columns).  None on the "hessenberg" route, where no short
+    recurrence gives the formula.
 
     Each row of Q is a row of polynomial values times a positive factor
     (sqrt(w) and the metric weight), which rides on every column alike, so
@@ -143,15 +146,15 @@ def _cd_factors(basis):
     squares out), and |1 - z_a conj z_b| = |z_a - z_b|: alpha = Re g,
     beta = Im g and c = 4.
     """
-    q, z, n = basis.node_values, basis.nodes, basis.dimension
-    last = q[:, n - 1]
+    q, z, n = basis.columns, basis.nodes, basis.dimension
+    last = q[:, -1]
     if basis.route == "szego":
         g = last * z * np.exp(-0.5j * n * np.angle(z))
         return z.real, z.imag, g.real, g.imag, 4.0
     if basis.route != "three_term":
         return None
     x = z.real
-    return x, None, last, x * last - basis.hessenberg[n - 1, n - 2] * q[:, n - 2], 1.0
+    return x, None, last, x * last - basis.hessenberg[n - 1, n - 2] * q[:, -2], 1.0
 
 
 # entries per block of the Christoffel-Darboux mass: three float64 buffers

@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +13,15 @@ from cdlab import (
     QuadratureMeasure,
     RankDeficientError,
     WeightedSpace,
+    arc_indices,
     arcsine,
+    bergman_mass,
+    bm_constant,
     circle_lebesgue,
+    default_eval_grid,
     evaluate_basis,
     from_points,
+    interval_indices,
     interval_lebesgue,
     kernel_table,
     orthonormalize,
@@ -25,7 +32,7 @@ from cdlab import symbols
 from cdlab._backend import eval_recurrence
 from cdlab import basis as basis_module
 from cdlab.basis import (_arnoldi, _closed_form_defect, _closed_form_tol,
-                         _orthonormality_defect, _probe_defect, _szego)
+                         _orthonormality_defect, _Probe, _szego)
 
 SQRT_HALF = 0.7071067811865476      # 1/sqrt(2), hand Gram-Schmidt on {1, x}
 SQRT_3_OVER_2 = 1.224744871391589   # sqrt(3/2)
@@ -218,18 +225,17 @@ class TestStructuredRoutes:
         mu, space, row_scale = structured_setup(case, d)
         n = space.dimension
         bs = orthonormalize(mu, space)
-        q, hess, h0, _ = _arnoldi(mu.nodes, row_scale, n, window=None)
-        np.testing.assert_allclose(bs.node_values, q, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(bs.hessenberg, hess, rtol=0, atol=1e-12)
-        assert bs.const_norm == pytest.approx(h0, rel=1e-14)
+        full = _arnoldi(mu.nodes, row_scale, n, window=None)
+        np.testing.assert_allclose(bs.node_values, full.q, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bs.hessenberg, full.hess, rtol=0, atol=1e-12)
+        assert bs.const_norm == pytest.approx(full.h0, rel=1e-14)
         # the structured route's result was kept, not the full fallback;
         # on real nodes that route runs on the real parts
         if mu.support_tag == "circle":
-            _, route_hess, _, _, _ = _szego(mu.nodes, row_scale, n)
+            route = _szego(mu.nodes, row_scale, n)
         else:
-            real_nodes = np.ascontiguousarray(mu.nodes.real)
-            _, route_hess, _, _ = _arnoldi(real_nodes, row_scale, n, window=2)
-        np.testing.assert_array_equal(bs.hessenberg, route_hess)
+            route = _arnoldi(np.ascontiguousarray(mu.nodes.real), row_scale, n, window=2)
+        np.testing.assert_array_equal(bs.hessenberg, route.hess)
 
     @pytest.mark.parametrize("make_mu", [interval_lebesgue, arcsine])
     def test_gauss_rule_bases_are_exactly_tridiagonal(self, make_mu):
@@ -279,32 +285,41 @@ class TestStructuredRoutes:
 RULES = {"circle": circle_lebesgue, "interval": interval_lebesgue, "arcsine": arcsine}
 
 
-def rule_route(name, m, n, row_scale=None):
-    """The structured route for n columns on m nodes of the rule."""
+def rule_route(name, m, n, row_scale=None, store_q=True):
+    """The structured route's build for n columns on m nodes of the rule."""
     mu = RULES[name](m)
     row_scale = np.sqrt(mu.weights) if row_scale is None else row_scale
     if name == "circle":
-        return _szego(mu.nodes, row_scale, n)
-    return (*_arnoldi(np.ascontiguousarray(mu.nodes.real), row_scale, n, window=2), None)
+        return _szego(mu.nodes, row_scale, n, store_q=store_q)
+    return _arnoldi(np.ascontiguousarray(mu.nodes.real), row_scale, n, window=2,
+                    store_q=store_q)
 
 
 def closed_form_accepts(route):
-    return _closed_form_defect(route) <= _closed_form_tol(route[1].shape[0])
+    return _closed_form_defect(route) <= _closed_form_tol(route.hess.shape[0])
 
 
 def probe_accepts(route):
-    return _probe_defect(route[0]) <= _closed_form_tol(route[1].shape[0])
+    return route.probe <= _closed_form_tol(route.hess.shape[0])
 
 
 def gram_accepts(route):
-    return _orthonormality_defect(route[0]) <= 1e-13
+    return _orthonormality_defect(route.q) <= 1e-13
+
+
+def streamed_probe(q):
+    """The probe fed the columns of q in order, as a build forms them."""
+    probe = _Probe(*q.shape, q.dtype)
+    for j in range(q.shape[1]):
+        probe.add(q[:, j])
+    return probe.defect
 
 
 def perturbed(route, where, delta):
     """A copy of the route with one recurrence coefficient moved by delta."""
-    q, hess, h0, (r_sq, z_r), coef = route
-    hess, z_r = hess.copy(), z_r.copy()
-    coef = None if coef is None else coef.copy()
+    hess, z_r = route.hess.copy(), route.z_r.copy()
+    coef = None if route.coef is None else route.coef.copy()
+    h0, r_sq = route.h0, route.r_sq
     n = hess.shape[0]
     j = n // 2
     if where == "h0":
@@ -323,15 +338,16 @@ def perturbed(route, where, delta):
         coef[j] += delta
     elif where == "c_last":
         coef[-1] += delta
-    return q, hess, h0, (r_sq, z_r), coef
+    return route._replace(hess=hess, h0=h0, r_sq=r_sq, z_r=z_r, coef=coef)
 
 
-def spoiled(route, j, eps):
-    """A copy of the route whose column j picked up eps q_0 after its step:
-    the coefficients are untouched, and Q*Q - I reads eps at (0, j)."""
-    q = route[0].copy(order="F")
-    q[:, j] += eps * q[:, 0]
-    return (q, *route[1:])
+def spoiled(route, j, eps, i=0):
+    """A copy of the stored route whose column j picked up eps q_i after
+    its step, its probe streamed over the spoiled columns: the coefficients
+    are untouched, and Q*Q - I reads eps at (i, j)."""
+    q = route.q.copy(order="F")
+    q[:, j] += eps * q[:, i]
+    return route._replace(q=q, probe=streamed_probe(q))
 
 
 def recorded(monkeypatch, name):
@@ -373,10 +389,11 @@ class TestClosedFormCertificate:
     @pytest.mark.parametrize("k", [64, 1024, 4096])
     def test_gauss_legendre_passes_with_a_margin_of_ten(self, k):
         # the rule at m = 4k nodes, as the interval tables build it, up to
-        # k = 4096 (m = 16384); Q is 512 MiB there
-        route = rule_route("interval", 4 * k, k)
+        # k = 4096 (m = 16384), holding two columns: Q would be 512 MiB there
+        route = rule_route("interval", 4 * k, k, store_q=False)
+        assert route.q.shape == (4 * k, 2)
         assert _closed_form_defect(route) <= _closed_form_tol(k) / 10
-        assert _probe_defect(route[0]) <= _closed_form_tol(k) / 10
+        assert route.probe <= _closed_form_tol(k) / 10
 
     @pytest.mark.parametrize("name, site", MUTATIONS)
     def test_coefficient_off_by_two_tau_is_rejected(self, name, site):
@@ -414,19 +431,31 @@ class TestClosedFormCertificate:
         assert not probe_accepts(route)
         assert not gram_accepts(route)
 
+    # column j picks up eps q_i, i >= 1; j = 63 is the last column
+    @pytest.mark.parametrize("i, j", [(1, 2), (1, 32), (31, 32), (1, 63), (32, 63), (62, 63)])
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_lost_orthogonality_to_a_later_column_is_caught(self, name, eps, i, j):
+        route = spoiled(rule_route(name, 256, 64), j, eps, i)
+        assert closed_form_accepts(route)
+        assert not probe_accepts(route)
+        assert not gram_accepts(route)
+
     @pytest.mark.parametrize("name", sorted(RULES))
     def test_spoiled_route_falls_back_to_full_arnoldi(self, name, monkeypatch):
-        if name == "circle":
-            real = _szego
-            monkeypatch.setattr("cdlab.basis._szego", lambda *a: spoiled(real(*a), 32, 1e-9))
-        else:
-            real = _arnoldi
-            monkeypatch.setattr("cdlab.basis._arnoldi",
-                                lambda *a, window=None: (spoiled((*real(*a, window=2), None), 32,
-                                                                 1e-9)[:4] if window
-                                                         else real(*a, window=window)))
+        # both runs of the structured build return column 32 spoiled: the
+        # streamed probe rejects the first, the Gram check the rerun
+        real = basis_module._run_route
+
+        def spoiled_run(route, nodes, row_scale, n, store_q):
+            full = spoiled(real(route, nodes, row_scale, n, store_q=True), 32, 1e-9)
+            return full if store_q else full._replace(q=full.q[:, -2:])
+
+        monkeypatch.setattr("cdlab.basis._run_route", spoiled_run)
+        grams = recorded(monkeypatch, "_orthonormality_defect")
         bs = orthonormalize(RULES[name](256), WeightedSpace(63))
-        assert bs.szego_c is None
+        assert bs.route == "hessenberg" and bs.szego_c is None
+        assert len(grams) == 1 and grams[0] > 1e-10
         assert node_defect(bs.node_values) <= 1e-14
 
     def test_probe_imports_no_random_generator(self):
@@ -524,9 +553,78 @@ class TestClosedFormCertificate:
 
         monkeypatch.setattr("cdlab.basis._orthonormality_defect", gram)
         for k in ks:
-            bs = orthonormalize(RULES[name](max(per_k * k, 256)),
-                                WeightedSpace(k - 1, tensor_power=k))
+            m = max(per_k * k, 256)
+            bs = orthonormalize(RULES[name](m), WeightedSpace(k - 1, tensor_power=k))
             assert (bs.szego_c is not None) == (name == "circle")
+            assert bs.columns.shape == (m, 2)
+
+
+class TestKeptColumns:
+    """A certified Szego or three-term basis keeps its last two columns;
+    Q is built on first read of node_values, by the same build with Q
+    stored."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
+    @pytest.mark.parametrize("case", ["circle", "interval", "arcsine", "tilted-circle",
+                                      "tilted-interval", "circle-metric-weight"])
+    def test_window_build_equals_the_stored_build(self, case, n):
+        # the window changes where columns are held, not the arithmetic:
+        # the reports read H, the c_j, the step past n and the last columns
+        mu, space, row_scale = structured_setup(case, n - 1)
+        run = basis_module._run_route
+        route = "szego" if mu.support_tag == "circle" else "three_term"
+        window = run(route, mu.nodes, row_scale, n, store_q=False)
+        stored = run(route, mu.nodes, row_scale, n, store_q=True)
+        assert window.q.shape == (len(mu), min(n, 2)) and stored.q.shape == (len(mu), n)
+        assert window.q.tobytes() == stored.q[:, -2:].tobytes()
+        for name in ("hess", "z_r") + (("coef",) if route == "szego" else ()):
+            assert getattr(window, name).tobytes() == getattr(stored, name).tobytes(), name
+        assert (window.h0, window.r_sq, window.probe) == (stored.h0, stored.r_sq, stored.probe)
+        # the probe inside the build is the probe fed the columns in order
+        assert window.probe == streamed_probe(stored.q)
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_node_values_are_built_on_first_read(self, name):
+        mu = RULES[name](256)
+        bs = orthonormalize(mu, WeightedSpace(63))
+        assert bs.columns.shape == (256, 2) and "node_values" not in vars(bs)
+        q = bs.node_values
+        assert q is bs.node_values and not q.flags.writeable
+        stored = rule_route(name, 256, 64).q
+        assert q.tobytes() == stored.tobytes() and q.flags.f_contiguous
+        assert q[:, -2:].tobytes() == bs.columns.tobytes()
+
+    @pytest.mark.parametrize("make_mu", [circle_lebesgue, interval_lebesgue])
+    def test_certified_build_holds_no_q(self, make_mu):
+        # n = 1024 on 16384 nodes: H is 16 MiB (complex), Q would be 256 MiB
+        mu = make_mu(16384)
+        tracemalloc.start()
+        try:
+            bs = orthonormalize(mu, WeightedSpace(1023))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bs.columns.shape == (16384, 2)
+        assert peak < 40 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize("name", ["circle", "interval"])
+    def test_recurrence_consumers_never_build_q(self, name, monkeypatch):
+        mu = RULES[name](512)
+        bs = orthonormalize(mu, WeightedSpace(127, tensor_power=128))
+
+        def rerun(*args, **kwargs):
+            raise AssertionError("a build ran again")
+
+        monkeypatch.setattr("cdlab.basis._szego", rerun)
+        monkeypatch.setattr("cdlab.basis._arnoldi", rerun)
+        if name == "circle":
+            ia, ib = arc_indices(mu, 0.0, np.pi / 2), arc_indices(mu, np.pi, 1.5 * np.pi)
+        else:
+            ia, ib = interval_indices(mu, -1.0, -0.5), interval_indices(mu, 0.5, 1.0)
+        assert 0.0 < bergman_mass(bs, mu, ia, ib) < 1.0
+        assert toeplitz(bs, mu, symbols.sym_x2).entries.shape == (128, 128)
+        assert bm_constant(bs, default_eval_grid(mu)) > 0.0
+        assert "node_values" not in vars(bs)
 
 
 def step_past_n_case(name, m, n):
@@ -638,7 +736,7 @@ class TestSzegoEvaluation:
     def test_equals_hessenberg_evaluation(self, case, d, radius):
         mu, space, _ = structured_setup(case, d)
         bs = orthonormalize(mu, space)
-        assert bs.szego_c.shape == (d,)
+        assert bs.szego_c.shape == (d + 1,)
         pts = off_node_circle(radius)
         ref = eval_recurrence_reference(pts, space.weight_scale(pts), bs.const_norm,
                                         bs.hessenberg)
@@ -829,7 +927,33 @@ class TestBasisId:
 
     def test_value_is_the_recurrence_hash(self):
         bs = orthonormalize(circle_lebesgue(32), WeightedSpace(3, tensor_power=4))
-        h = hashlib.sha1()
-        for part in (np.int64(4), np.int64(4), np.float64(bs.const_norm), bs.hessenberg):
+        h = hashlib.sha1(b"szego")
+        for part in (np.int64(4), np.int64(4), np.float64(bs.const_norm), bs.szego_c,
+                     np.diagonal(bs.hessenberg, -1)):
             h.update(part.tobytes())
         assert bs.basis_id == h.hexdigest()[:16]
+
+    @pytest.mark.parametrize("case", ["interval", "circle", "points"])
+    def test_every_entry_of_the_route_moves_the_id(self, case):
+        # the entries that determine H on the route: the three diagonals of
+        # a three-term H, every Szego c_j (c_{n-1} is in H's last column
+        # only) and rho_j, every entry of a Hessenberg H
+        n = 8
+        mu = {"interval": interval_lebesgue(32), "circle": circle_lebesgue(32),
+              "points": complex_atoms()}[case]
+        bs = orthonormalize(mu, WeightedSpace(n - 1))
+        assert bs.route == {"interval": "three_term", "circle": "szego"}.get(case, "hessenberg")
+        if bs.route == "three_term":
+            sites = [("hessenberg", (i, j)) for j in range(n) for i in range(max(j - 1, 0), j + 2)]
+        elif bs.route == "szego":
+            sites = [("hessenberg", (j + 1, j)) for j in range(n)] + [("szego_c", (j,))
+                                                                      for j in range(n)]
+        else:
+            sites = [("hessenberg", (i, j)) for j in range(n) for i in range(j + 2)]
+        sites = [(name, at) for name, at in sites if max(at) < n]
+        ids = {bs.basis_id}
+        for name, at in sites:
+            arr = getattr(bs, name).copy()
+            arr[at] += 1e-15 * max(1.0, abs(arr[at]))
+            ids.add(dataclasses.replace(bs, **{name: arr}).basis_id)
+        assert len(ids) == len(sites) + 1

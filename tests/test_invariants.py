@@ -69,6 +69,6 @@ class TestRandomMeasures:
 
     def test_route_matches_full_arnoldi(self, kind, seed):
         _, mu, bs = random_setup(kind, seed)
-        q, hess, _, _ = _arnoldi(mu.nodes, np.sqrt(mu.weights), bs.dimension)
-        np.testing.assert_allclose(bs.node_values, q, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(bs.hessenberg, hess, rtol=0, atol=1e-12)
+        full = _arnoldi(mu.nodes, np.sqrt(mu.weights), bs.dimension)
+        np.testing.assert_allclose(bs.node_values, full.q, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bs.hessenberg, full.hess, rtol=0, atol=1e-12)
