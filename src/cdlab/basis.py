@@ -30,7 +30,10 @@ r e_n^T, the residual r unnormalized, 0 on n nodes; the basis keeps |r|^2
 and Q*(z r)), plus the columns of Q its build kept: the last two, which
 the Christoffel-Darboux masses read, or all n when the build stored Q.
 Its node values Q are built on first read when it kept two columns, and
-cached read-only.  `orthonormalize` is its only constructor.
+cached read-only.  `orthonormalize` is its only constructor.  No other
+module but `_backend` reads how the recurrence is stored: the operator and
+kernel modules take what they need of it from `recurrence_toeplitz` and
+`cd_factors`.
 """
 
 import hashlib
@@ -42,6 +45,7 @@ import numpy as np
 
 from . import _backend
 from .errors import RankDeficientError
+from .measure import _real_values
 
 _RANK_TOL = 1e-13
 
@@ -82,12 +86,7 @@ class WeightedSpace:
         return np.exp(-self.tensor_power * self._phi(pts))
 
     def _phi(self, pts):
-        phi = np.asarray(self.metric_weight(pts), dtype=float)
-        if phi.shape != pts.shape:
-            raise ValueError("metric_weight must return one value per point")
-        if not np.all(np.isfinite(phi)):
-            raise ValueError("metric_weight must be finite at every point")
-        return phi
+        return _real_values("metric_weight", self.metric_weight, pts)
 
 
 @dataclass(frozen=True)
@@ -549,3 +548,77 @@ def weighted_rows(basis, mu):
     rows = evaluate_basis(basis, mu.nodes)
     rows *= np.sqrt(mu.weights)[:, None]
     return rows
+
+
+def recurrence_toeplitz(basis, terms):
+    """Q* F Q for the polynomial symbol sum c u^a v^b (u = Re z, v = Im z,
+    a + b <= 2) on the measure the basis was built on, from the recurrence
+    run one step past n: Z Q = Q T(z) + r e_n^T on the nodes, whence
+        T(z^2)         = T(z)^2 + Q*(z r) e_n^T,
+        T(conj(z) z)   = T(z)* T(z) + |r|^2 e_n e_n^T,
+    and T(conj(z)) = T(z)*.  u and v follow from (z +- conj(z))/2.
+    On real nodes (a float64 basis) v = 0 and conj(z) = z, so T(u^2) =
+    T(z^2), and T(f) is real.
+    """
+    t_z = basis.hessenberg
+    real = not np.iscomplexobj(t_z)
+    if real:
+        terms = {(a, b): c for (a, b), c in terms.items() if b == 0}
+    c = {ab: terms.get(ab, 0.0) for ab in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
+    degree = max((a + b for a, b in terms), default=0)
+    if degree == 0:
+        return c[0, 0] * np.eye(basis.dimension, dtype=t_z.dtype)
+    if degree == 2:
+        t_z2 = t_z @ t_z
+        t_z2[:, -1] += basis.z_residual
+    if real:
+        raw = c[1, 0] * t_z
+        if degree == 2:
+            raw += c[2, 0] * t_z2
+    else:
+        # T(f) = P + P* + gamma T(conj(z) z), with
+        # P = (c_u - i c_v)/2 T(z) + (c_uu - c_vv - i c_uv)/4 T(z^2)
+        half = (c[1, 0] - 1j * c[0, 1]) / 2 * t_z
+        if degree == 2:
+            half += (c[2, 0] - c[0, 2] - 1j * c[1, 1]) / 4 * t_z2
+        raw = half + half.conj().T
+        gamma = (c[2, 0] + c[0, 2]) / 2
+        if gamma:
+            t_zz = t_z.conj().T @ t_z
+            t_zz[-1, -1] += basis.residual_sq
+            raw += gamma * t_zz
+    raw[np.diag_indices(basis.dimension)] += c[0, 0]
+    return raw
+
+
+def cd_factors(basis):
+    """(u, v, alpha, beta, c) with, for a != b on the basis's own nodes,
+        |(Q Q^*)[a, b]|^2 = c (beta_a alpha_b - alpha_a beta_b)^2 / D_ab,
+    D_ab = (u_a - u_b)^2 + (v_a - v_b)^2 (v is None for real nodes): all
+    real, from the last two columns of the weighted rows Q, which the basis
+    keeps (basis.columns).  None on the "hessenberg" route, where no short
+    recurrence gives the formula.
+
+    Each row of Q is a row of polynomial values times a positive factor
+    (sqrt(w) and the metric weight), which rides on every column alike, so
+    the CD formulas hold for (Q Q^*)[a, b] as for K_n(x_a, x_b).  Three-term
+    route (real nodes): with b = H[n-1, n-2] the recurrence gives
+        (x_a - x_b) (Q Q^*)[a, b] = beta_a alpha_b - alpha_a beta_b,
+    alpha = q_{n-1}, beta = x q_{n-1} - b q_{n-2}; c = 1.  Szego route
+    (circle nodes): with |z| = 1, phi^*_{n-1}(z) = z^{n-1} conj phi_{n-1}(z),
+    and Simon's formula becomes
+        (1 - z_a conj z_b) (Q Q^*)[a, b]
+            = -2i lambda_a conj(lambda_b) Im(g_a conj g_b),
+    g = conj(lambda) z q_{n-1}, lambda^2 = z^n (either root; the sign
+    squares out), and |1 - z_a conj z_b| = |z_a - z_b|: alpha = Re g,
+    beta = Im g and c = 4.
+    """
+    q, z, n = basis.columns, basis.nodes, basis.dimension
+    last = q[:, -1]
+    if basis.route == "szego":
+        g = last * z * np.exp(-0.5j * n * np.angle(z))
+        return z.real, z.imag, g.real, g.imag, 4.0
+    if basis.route != "three_term":
+        return None
+    x = z.real
+    return x, None, last, x * last - basis.hessenberg[n - 1, n - 2] * q[:, -2], 1.0

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import _require_count
+from .measure import _real_values, _require_count, arcsine, circle_lebesgue
 
 CIRCLE_UNIFORM = "circle_uniform"
 ARCSINE = "arcsine"
@@ -39,22 +39,20 @@ def equilibrium_for(mu):
     )
 
 
-def support_points(nu):
-    """The natural exact quadrature points of the measure (unit weights 1/m)."""
-    m = nu.quadrature_order
-    if nu.kind == CIRCLE_UNIFORM:
-        return np.exp(2j * np.pi * np.arange(m) / m)
-    a = np.arange(1, m + 1)
-    return np.cos((2 * a - 1) * np.pi / (2 * m))
-
-
 def integrate(nu, g):
     """Integral of g against the equilibrium measure.
 
-    circle_uniform: equispaced-angle average of g(e^{i theta});
-    arcsine: Gauss-Chebyshev average of g(x).  Both rules are exact for
-    (trigonometric) polynomials up to the quadrature order.
+    circle_uniform: the average of g over the roots of unity of
+    circle_lebesgue; arcsine: the average of g(x) over the real
+    Gauss-Chebyshev nodes of measure.arcsine, in decreasing order.  Both
+    rules are exact for (trigonometric) polynomials up to the quadrature
+    order.  g must give one finite real value per point (ValueError).
     """
-    pts = support_points(nu)
-    vals = np.asarray(g(pts), dtype=float)
-    return float(np.mean(vals))
+    m = nu.quadrature_order
+    if nu.kind == CIRCLE_UNIFORM:
+        pts = circle_lebesgue(m).nodes
+    else:
+        # x_a = cos((2a - 1) pi / 2m), a = 1..m: the mean's rounding
+        # depends on the order of the terms
+        pts = arcsine(m).nodes.real[::-1]
+    return float(np.mean(_real_values("g", g, pts)))

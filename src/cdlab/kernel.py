@@ -17,7 +17,8 @@ import numpy as np
 
 from . import _backend
 from ._csvio import write_csv
-from .basis import diagonal_kernel, weighted_rows
+from .basis import cd_factors, diagonal_kernel, weighted_rows
+from .measure import circle_lebesgue
 from .operator import _hermitian_part_inplace
 
 # dense m x m storage, for the heatmap export only; the cap keeps the table
@@ -80,7 +81,7 @@ def bergman_mass(basis, mu, idx_a, idx_b):
       was built on mu, n >= 2, and its route is "szego" (the circle) or
       "three_term" (Lanczos on real nodes).  Each entry then comes from the
       last columns of Q alone (Szego, Orthogonal Polynomials, 1939,
-      Thm 3.2.2; Simon, OPUC Part 1, 2005, Thm 2.2.7); see _cd_factors.
+      Thm 3.2.2; Simon, OPUC Part 1, 2005, Thm 2.2.7); see basis.cd_factors.
     - Q, O(|A| |B| n): ||Q_A Q_B^*||_F^2 summed by _backend.pair_mass, for
       every other case (overlapping sets, full Arnoldi, another measure,
       n = 1, coincident nodes), and the reference the first is tested
@@ -95,7 +96,7 @@ def bergman_mass(basis, mu, idx_a, idx_b):
     if ia.size == 0 or ib.size == 0:
         return 0.0
     if n >= 2 and basis.defined_on(mu) and _disjoint(ia, ib, m):
-        factors = _cd_factors(basis)
+        factors = cd_factors(basis)
         if factors is not None:
             total = _cd_pair_sum(*factors, ia, ib)
             # a node repeated in A and B leaves 0/0 here; the Q route has
@@ -122,39 +123,6 @@ def _disjoint(ia, ib, m):
     mask = np.zeros(m, dtype=bool)
     mask[ia] = True
     return not np.any(mask[ib])
-
-
-def _cd_factors(basis):
-    """(u, v, alpha, beta, c) with, for a != b on the basis's own nodes,
-        |(Q Q^*)[a, b]|^2 = c (beta_a alpha_b - alpha_a beta_b)^2 / D_ab,
-    D_ab = (u_a - u_b)^2 + (v_a - v_b)^2 (v is None for real nodes): all
-    real, from the last two columns of the weighted rows Q, which the basis
-    keeps (basis.columns).  None on the "hessenberg" route, where no short
-    recurrence gives the formula.
-
-    Each row of Q is a row of polynomial values times a positive factor
-    (sqrt(w) and the metric weight), which rides on every column alike, so
-    the CD formulas hold for (Q Q^*)[a, b] as for K_n(x_a, x_b).  Three-term
-    route (real nodes): with b = H[n-1, n-2] the recurrence gives
-        (x_a - x_b) (Q Q^*)[a, b] = beta_a alpha_b - alpha_a beta_b,
-    alpha = q_{n-1}, beta = x q_{n-1} - b q_{n-2}; c = 1.  Szego route
-    (circle nodes): with |z| = 1, phi^*_{n-1}(z) = z^{n-1} conj phi_{n-1}(z),
-    and Simon's formula becomes
-        (1 - z_a conj z_b) (Q Q^*)[a, b]
-            = -2i lambda_a conj(lambda_b) Im(g_a conj g_b),
-    g = conj(lambda) z q_{n-1}, lambda^2 = z^n (either root; the sign
-    squares out), and |1 - z_a conj z_b| = |z_a - z_b|: alpha = Re g,
-    beta = Im g and c = 4.
-    """
-    q, z, n = basis.columns, basis.nodes, basis.dimension
-    last = q[:, -1]
-    if basis.route == "szego":
-        g = last * z * np.exp(-0.5j * n * np.angle(z))
-        return z.real, z.imag, g.real, g.imag, 4.0
-    if basis.route != "three_term":
-        return None
-    x = z.real
-    return x, None, last, x * last - basis.hessenberg[n - 1, n - 2] * q[:, -2], 1.0
 
 
 # entries per block of the Christoffel-Darboux mass: three float64 buffers
@@ -232,12 +200,13 @@ def _row_sumsq(phi):
 def default_eval_grid(mu):
     """Grid _EVAL_GRID_FACTOR times denser than the quadrature, on the support.
 
-    circle: equispaced angles; interval: uniform including the endpoints
-    (where the diagonal kernel peaks); custom: the nodes themselves.
+    circle: the roots of unity of circle_lebesgue; interval: uniform
+    including the endpoints (where the diagonal kernel peaks); custom: the
+    nodes themselves.
     """
     m = _EVAL_GRID_FACTOR * len(mu)
     if mu.support_tag == "circle":
-        return np.exp(2j * np.pi * np.arange(m) / m)
+        return circle_lebesgue(m).nodes.copy()
     if mu.support_tag == "interval":
         return np.linspace(-1.0, 1.0, m).astype(complex)
     return np.asarray(mu.nodes)

@@ -80,6 +80,25 @@ def _require_count(name, value):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _real_values(name, f, points):
+    """f(points) as a float64 array of one finite value per point.  A complex
+    result is taken as its real part when no imaginary part exceeds 1e-12;
+    otherwise, and for any other shape or a non-finite value, ValueError
+    names f as `name`."""
+    vals = np.asarray(f(points))
+    if np.iscomplexobj(vals):
+        # written so that a NaN imaginary part fails too
+        if not np.max(np.abs(vals.imag), initial=0.0) <= 1e-12:
+            raise ValueError(f"{name} must be real at every point")
+        vals = vals.real
+    vals = vals.astype(float)
+    if vals.shape != np.shape(points):
+        raise ValueError(f"{name} must return one value per point")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{name} must be finite at every point")
+    return vals
+
+
 def circle_lebesgue(m):
     """Uniform probability measure on the unit circle, m equispaced atoms.
 
@@ -306,15 +325,7 @@ def arcsine(m):
 
 def from_points(nodes, weights):
     """Discrete measure from user-supplied atoms."""
-    nodes = np.atleast_1d(np.asarray(nodes, dtype=complex))
-    weights = np.atleast_1d(np.asarray(weights, dtype=float))
-    if nodes.size == 0:
-        raise ValueError("empty node list")
-    if nodes.shape != weights.shape:
-        raise ValueError("nodes and weights must have equal length")
-    if np.any(weights <= 0.0):
-        raise ValueError("nonpositive weight")
-    return QuadratureMeasure(nodes, weights, support_tag=CUSTOM)
+    return QuadratureMeasure(np.atleast_1d(nodes), np.atleast_1d(weights), support_tag=CUSTOM)
 
 
 def scale_by(mu, g):
@@ -322,10 +333,6 @@ def scale_by(mu, g):
 
     Keeps the nodes and support tag.
     """
-    gvals = np.asarray(g(mu.nodes), dtype=float)
-    if gvals.shape != mu.nodes.shape:
-        raise ValueError("g must return one value per node")
-    if not np.all(np.isfinite(gvals)):
-        raise ValueError("g must be finite at every node")
+    gvals = _real_values("g", g, mu.nodes)
     return QuadratureMeasure(mu.nodes, mu.weights * np.exp(-gvals),
                              support_tag=mu.support_tag)

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _backend, symbols
-from .basis import weighted_rows
+from .basis import WeightedSpace, orthonormalize, recurrence_toeplitz, weighted_rows
 from .errors import NotHermitianError
-from .measure import _gauss_legendre, _require_count
+from .measure import _real_values, _require_count, interval_lebesgue
 
 _HERM_TOL = 1e-8
 # rows per block of a Hermitian pass: its temporaries are two blocks
@@ -50,17 +50,7 @@ class SpectralMeasure:
 
 
 def _symbol_values(mu, f):
-    vals = np.asarray(f(mu.nodes))
-    if np.iscomplexobj(vals):
-        if np.max(np.abs(vals.imag)) > 1e-12:
-            raise ValueError("symbol must be real on the nodes")
-        vals = vals.real
-    vals = vals.astype(float)
-    if vals.shape != mu.nodes.shape:
-        raise ValueError("symbol must return one value per node")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("symbol must be finite on the nodes")
-    return vals
+    return _real_values("symbol", f, mu.nodes)
 
 
 def _symbol_name(f, override=None):
@@ -111,47 +101,6 @@ def _quadrature_raw(q, fvals):
     return np.conjugate(q.T @ scaled)
 
 
-def _recurrence_raw(basis, terms):
-    """Q* F Q for the polynomial symbol sum c u^a v^b (u = Re z, v = Im z,
-    a + b <= 2) on the measure the basis was built on, from the recurrence
-    run one step past n: Z Q = Q T(z) + r e_n^T on the nodes, whence
-        T(z^2)         = T(z)^2 + Q*(z r) e_n^T,
-        T(conj(z) z)   = T(z)* T(z) + |r|^2 e_n e_n^T,
-    and T(conj(z)) = T(z)*.  u and v follow from (z +- conj(z))/2.
-    On real nodes (a float64 basis) v = 0 and conj(z) = z, so T(u^2) =
-    T(z^2), and T(f) is real.
-    """
-    t_z = basis.hessenberg
-    real = not np.iscomplexobj(t_z)
-    if real:
-        terms = {(a, b): c for (a, b), c in terms.items() if b == 0}
-    c = {ab: terms.get(ab, 0.0) for ab in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
-    degree = max((a + b for a, b in terms), default=0)
-    if degree == 0:
-        return c[0, 0] * np.eye(basis.dimension, dtype=t_z.dtype)
-    if degree == 2:
-        t_z2 = t_z @ t_z
-        t_z2[:, -1] += basis.z_residual
-    if real:
-        raw = c[1, 0] * t_z
-        if degree == 2:
-            raw += c[2, 0] * t_z2
-    else:
-        # T(f) = P + P* + gamma T(conj(z) z), with
-        # P = (c_u - i c_v)/2 T(z) + (c_uu - c_vv - i c_uv)/4 T(z^2)
-        half = (c[1, 0] - 1j * c[0, 1]) / 2 * t_z
-        if degree == 2:
-            half += (c[2, 0] - c[0, 2] - 1j * c[1, 1]) / 4 * t_z2
-        raw = half + half.conj().T
-        gamma = (c[2, 0] + c[0, 2]) / 2
-        if gamma:
-            t_zz = t_z.conj().T @ t_z
-            t_zz[-1, -1] += basis.residual_sq
-            raw += gamma * t_zz
-    raw[np.diag_indices(basis.dimension)] += c[0, 0]
-    return raw
-
-
 def toeplitz(basis, mu, f, symbol_desc=None):
     """Matrix of the compressed multiplication by the real symbol f:
     entries[i,j] = sum_a f(x_a) p_j(x_a) conj(p_i(x_a)) e^{-2k phi} w_a.
@@ -163,7 +112,7 @@ def toeplitz(basis, mu, f, symbol_desc=None):
     """
     fvals = _symbol_values(mu, f)
     if isinstance(f, symbols.PolynomialSymbol) and basis.defined_on(mu):
-        raw = _recurrence_raw(basis, f.terms)
+        raw = recurrence_toeplitz(basis, f.terms)
     else:
         raw = _quadrature_raw(weighted_rows(basis, mu), fvals)
     asym = _hermitian_part_inplace(raw)
@@ -172,24 +121,11 @@ def toeplitz(basis, mu, f, symbol_desc=None):
                           asymmetry=asym)
 
 
-def _normalized_legendre(x, n):
-    """Columns L_0..L_{n-1} at the points x, with int L_i L_j dx = delta_ij."""
-    vals = np.empty((x.shape[0], n))
-    p_prev = np.ones_like(x)
-    vals[:, 0] = p_prev
-    if n > 1:
-        p = x.copy()
-        vals[:, 1] = p
-        for j in range(2, n):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-            vals[:, j] = p
-    vals *= np.sqrt((2 * np.arange(n) + 1) / 2.0)
-    return vals
-
-
 def legendre_toeplitz(f, k, m=None, symbol_desc=None):
     """Matrix a_{ij} = int_{-1}^{1} f(x) L_i(x) L_j(x) dx over the normalized
-    Legendre polynomials, by a Gauss-Legendre rule of order m (default 4k).
+    Legendre polynomials, by a Gauss-Legendre rule of order m (default 4k):
+    `toeplitz` on the Lanczos basis of interval_lebesgue(m), whose
+    polynomials are the L_i.
     """
     _require_count("k", k)
     if m is None:
@@ -197,17 +133,9 @@ def legendre_toeplitz(f, k, m=None, symbol_desc=None):
     _require_count("m", m)
     if m < k:
         raise ValueError(f"quadrature order m={m} too small for k={k}")
-    x, w = _gauss_legendre(m)
-    fvals = np.asarray(f(x.astype(complex)))
-    if np.iscomplexobj(fvals):
-        fvals = fvals.real
-    if not np.all(np.isfinite(fvals)):
-        raise ValueError("symbol must be finite on the quadrature nodes")
-    leg = _normalized_legendre(x, k)
-    raw = leg.T @ ((fvals * w)[:, None] * leg)
-    asym = _hermitian_part_inplace(raw)
-    return ToeplitzMatrix(entries=raw, symbol_desc=_symbol_name(f, symbol_desc),
-                          k=k, basis_id="legendre", asymmetry=asym)
+    mu = interval_lebesgue(m)
+    basis = orthonormalize(mu, WeightedSpace(k - 1, tensor_power=k))
+    return toeplitz(basis, mu, f, symbol_desc)
 
 
 def compose(a, b):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import os
@@ -896,6 +897,12 @@ class TestWeightedSpaceValidation:
         with pytest.raises(ValueError):
             orthonormalize(mu, space)
 
+    # a complex phi lost its imaginary part with a ComplexWarning
+    def test_complex_weight_rejected(self):
+        space = WeightedSpace(2, metric_weight=lambda z: z)
+        with pytest.raises(ValueError, match="metric_weight must be real at every point"):
+            orthonormalize(circle_lebesgue(8), space)
+
     def test_underflowed_metric_scale_is_rank_deficient(self):
         # exp(-4 * 400 x^2) is zero or subnormal near the ends of [-1, 1]:
         # the basis would be orthonormal on a truncated measure
@@ -957,3 +964,18 @@ class TestBasisId:
             arr[at] += 1e-15 * max(1.0, abs(arr[at]))
             ids.add(dataclasses.replace(bs, **{name: arr}).basis_id)
         assert len(ids) == len(sites) + 1
+
+
+# how a basis stores its recurrence, which only cdlab.basis and
+# cdlab._backend read
+RECURRENCE_FIELDS = {"hessenberg", "szego_c", "columns", "residual_sq", "z_residual", "route"}
+
+
+@pytest.mark.parametrize("module", ["operator", "kernel", "experiments"])
+def test_module_reads_no_recurrence_field(module):
+    path = os.path.join(os.path.dirname(cdlab.__file__), f"{module}.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    reads = sorted(f"{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in RECURRENCE_FIELDS)
+    assert reads == []

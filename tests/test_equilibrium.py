@@ -49,6 +49,16 @@ class TestIntegrate:
         nu = EquilibriumMeasure(CIRCLE_UNIFORM)
         assert abs(integrate(nu, lambda z: np.real(z) ** 2) - 0.5) <= 1e-12
 
+    # a complex g lost its imaginary part with a ComplexWarning, and the
+    # mean of three values was returned as the integral
+    @pytest.mark.parametrize("g, message", [
+        (lambda z: 1j * z.real, "g must be real at every point"),
+        (lambda z: z[:3].real, "g must return one value per point"),
+    ], ids=["complex", "short"])
+    def test_bad_integrand_rejected(self, g, message):
+        with pytest.raises(ValueError, match=message):
+            integrate(EquilibriumMeasure(CIRCLE_UNIFORM, quadrature_order=64), g)
+
     @pytest.mark.parametrize("j", range(1, 9))
     def test_arcsine_even_moments_central_binomial(self, j):
         # closed form C(2j, j)/4^j; oracle: the same quadrature at 10x order

@@ -119,7 +119,8 @@ class TestFromPoints:
         assert abs(mu.total_mass - 1.0) <= 1e-15
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError, match="onpositive"):
+        # from_points leaves its checks to QuadratureMeasure
+        with pytest.raises(ValueError, match="weights must be finite and strictly positive"):
             from_points([1.0], [-1.0])
 
     def test_length_mismatch_rejected(self):
@@ -148,6 +149,32 @@ class TestScaleBy:
         mu = circle_lebesgue(4)
         with pytest.raises(ValueError):
             scale_by(mu, lambda z: np.where(z.real > 0, np.nan, 0.0))
+
+    # a complex tilt lost its imaginary part with a ComplexWarning
+    def test_complex_tilt_rejected(self):
+        with pytest.raises(ValueError, match="g must be real at every point"):
+            scale_by(circle_lebesgue(16), lambda z: z)
+
+
+class TestRealValues:
+    """measure._real_values, the one check of a user function's values."""
+
+    def test_rounding_level_imaginary_part_is_dropped(self):
+        pts = circle_lebesgue(8).nodes
+        vals = measure._real_values("f", lambda z: z.real + 1e-13j, pts)
+        assert vals.dtype == np.float64
+        np.testing.assert_array_equal(vals, pts.real)
+
+    @pytest.mark.parametrize("f, message", [
+        (lambda z: z.real + 1j, "f must be real at every point"),
+        (lambda z: z.real + complex(0.0, np.nan), "f must be real at every point"),
+        (lambda z: 2.0, "f must return one value per point"),
+        (lambda z: np.ones(z.size + 1), "f must return one value per point"),
+        (lambda z: np.full(z.shape, np.inf), "f must be finite at every point"),
+    ], ids=["complex", "nan-imaginary", "scalar", "too-many", "inf"])
+    def test_rejected(self, f, message):
+        with pytest.raises(ValueError, match=message):
+            measure._real_values("f", f, circle_lebesgue(8).nodes)
 
 
 class TestValidation:

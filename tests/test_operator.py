@@ -157,12 +157,40 @@ class TestLegendreToeplitz:
         np.testing.assert_allclose(t.entries, [[1.0 / 3.0, 0.0], [0.0, 3.0 / 5.0]],
                                    atol=1e-14)
 
-    def test_agrees_with_quadrature_basis_route(self):
+    def test_agrees_with_dense_legendre_quadrature(self):
+        # an independent dense route: Legendre values from legvander on
+        # leggauss nodes, normalized, and the m x k product
         k = 9
-        mu, bs = interval_basis(k)
-        t_leg = legendre_toeplitz(sym_x2, k)
-        t_q = toeplitz(bs, mu, sym_x2)
-        np.testing.assert_allclose(t_leg.entries, t_q.entries, atol=1e-10)
+        x, w = np.polynomial.legendre.leggauss(4 * k)
+        leg = np.polynomial.legendre.legvander(x, k - 1) * np.sqrt(np.arange(k) + 0.5)
+        want = leg.T @ ((w * x * x)[:, None] * leg)
+        np.testing.assert_allclose(legendre_toeplitz(sym_x2, k).entries, want, atol=1e-10)
+
+    # the recurrence gives T(1) = I exactly and T(x) = J to rounding; a dense
+    # product of Legendre values misses both by ~1e-13 at k = 1024
+    def test_exact_at_large_k(self):
+        k = 1024
+        assert np.array_equal(legendre_toeplitz(sym_one, k).entries, np.eye(k))
+        b = jacobi_offdiag(k)
+        err = np.max(np.abs(legendre_toeplitz(sym_x, k).entries - np.diag(b, 1) - np.diag(b, -1)))
+        assert err <= 1e-14
+
+    def test_composes_with_toeplitz_on_the_same_space(self):
+        k = 6
+        mu, bs = interval_basis(k, m=4 * k)
+        t_leg = legendre_toeplitz(sym_x, k)
+        assert t_leg.basis_id == bs.basis_id
+        np.testing.assert_allclose(compose(t_leg, toeplitz(bs, mu, sym_x)),
+                                   t_leg.entries @ t_leg.entries, rtol=0, atol=1e-15)
+
+    # a complex symbol lost its imaginary part, and a scalar was broadcast
+    @pytest.mark.parametrize("f, message", [
+        (lambda z: z.real + 1j, "symbol must be real at every point"),
+        (lambda z: 2.0, "symbol must return one value per point"),
+    ], ids=["complex", "scalar"])
+    def test_bad_symbol_rejected(self, f, message):
+        with pytest.raises(ValueError, match=message):
+            legendre_toeplitz(f, 3)
 
     def test_entries_match_independent_quadrature_oracle(self):
         k = 6
