@@ -9,6 +9,14 @@ formula: O(1) per entry from the last two columns of Q, which every basis
 keeps, O(|A| |B|) in all.
 Every other mass is ||Q_A Q_B^*||_F^2, O(|A| |B| n), which is also the
 reference the formula is tested against.
+
+The sup of the diagonal kernel over an evaluation grid of M points
+(bm_constant) also has two routes.  On the M roots of unity of the circle
+grid, with no metric weight, B_n(z, z) is a trigonometric polynomial of
+degree n - 1: the recurrence runs on every s-th point, N = M / s >= 2n - 1
+of them, and zero-padded FFT interpolation fills the rest,
+O(N n + M log M).  Every other grid takes the running sum of
+basis.diagonal_kernel at each point, O(M n).
 """
 
 from dataclasses import dataclass
@@ -182,10 +190,62 @@ def bm_constant(basis, eval_grid):
     for the space: the diagonal kernel is the extremal ratio at each point.
     A NaN on the grid gives NaN (ValueError under a metric weight), an
     overflow inf or NaN without a warning, and an empty grid -inf.
+
+    Two routes, the same sup up to rounding (see _grid_diagonal):
+
+    - Sampled, O(N n + M log M): when the grid is circle_lebesgue(M).nodes
+      bit for bit and the space has no metric weight.  On |z| = 1 each
+      |p_j(z)|^2 = p_j(z) pbar_j(1/z), pbar_j with conjugated coefficients,
+      so B_n(z, z) = sum_{j<n} |p_j(z)|^2 is a real trigonometric
+      polynomial of degree n - 1, and 2n - 1 equispaced samples determine
+      it (Zygmund, Trigonometric Series, 1959, Ch. X).  The recurrence runs
+      on every s-th point, s the largest power of two dividing M with
+      N = M / s >= 2n - 1; rfft, the coefficients from n on set to zero,
+      and irfft at length M give the rest of the grid.  Each sample keeps
+      its own value.  On the CLI's default nodes, m = max(4k, 256) and
+      M = 8m, N <= 4n - 2.
+    - Direct, O(M n): basis.diagonal_kernel's running sum at every point,
+      on any other grid (the interval's, a reordered or perturbed circle),
+      under a metric weight, when s would be 1, and whenever the sampled
+      route gives a value that is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = diagonal_kernel(basis, eval_grid)
+        sums = _grid_diagonal(basis, eval_grid)
     return float(np.max(sums)) if sums.size else -np.inf
+
+
+def _grid_diagonal(basis, grid):
+    """B_k(x, x) at every grid point, by the sampled route where it applies
+    and gives finite values, else by the direct running sum."""
+    pts = np.asarray(grid)
+    step = _sample_step(basis, pts)
+    if step > 1:
+        samples = diagonal_kernel(basis, pts[::step])
+        # numpy.fft is imported on first use, not with cdlab
+        coef = np.fft.rfft(samples)
+        coef[basis.dimension :] = 0.0
+        sums = np.fft.irfft(coef, n=len(pts))
+        # irfft divides by M, where the samples' own inverse divides by N = M / s
+        sums *= step
+        sums[::step] = samples
+        if np.all(np.isfinite(sums)):
+            return sums
+    return diagonal_kernel(basis, pts)
+
+
+def _sample_step(basis, pts):
+    """s of the sampled route: the largest power of two dividing M =
+    len(pts) with M / s >= 2n - 1, when pts is circle_lebesgue(M).nodes
+    bit for bit and the space has no metric weight; 1 otherwise."""
+    if basis.space.metric_weight is not None or pts.dtype != complex or pts.ndim != 1:
+        return 1
+    m, least = pts.shape[0], 2 * basis.dimension - 1
+    step = 1
+    while m % (2 * step) == 0 and m // (2 * step) >= least:
+        step *= 2
+    if step > 1 and pts.tobytes() != circle_lebesgue(m).nodes.tobytes():
+        return 1
+    return step
 
 
 def _row_sumsq(phi):

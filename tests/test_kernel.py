@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -26,6 +29,7 @@ from cdlab import (
     write_density_csv,
     write_heatmap_csv,
 )
+import cdlab
 from cdlab import _backend, kernel
 from cdlab.basis import diagonal_kernel, weighted_rows
 from cdlab.symbols import sym_one
@@ -552,6 +556,11 @@ class TestBmConstant:
         assert abs(got - k * k / 2.0) <= 1e-9 * k * k
 
 
+def tau(n):
+    """4 (n + 2) eps, the rounding bound of an n-step recurrence."""
+    return 4 * (n + 2) * np.finfo(float).eps
+
+
 def _dense_bm_sums(bs, grid):
     """The oracle: B_k(x, x) at every grid point, summed over the rows of
     the dense evaluate_basis matrix."""
@@ -614,7 +623,11 @@ class TestBmRunningSum:
     def test_equals_dense_oracle(self, name, k):
         bs, grid, rtol = _bm_case(name, k)
         want = float(np.max(_dense_bm_sums(bs, grid)))
-        assert abs(bm_constant(bs, grid) - want) <= rtol * want
+        direct = float(np.max(diagonal_kernel(bs, grid)))
+        assert abs(direct - want) <= rtol * want
+        # the circle's own grid takes the sampled route (TestBmSampledRoute)
+        tol = tau(bs.dimension) if name == "circle" else rtol
+        assert abs(bm_constant(bs, grid) - direct) <= tol * direct
 
     @pytest.mark.parametrize("name", ["tilted-interval", "metric-interval", "metric-circle",
                                       "from-points", "hessenberg-circle"])
@@ -636,7 +649,11 @@ class TestBmRunningSum:
                                         bs.hessenberg, bs.route, bs.szego_c, diagonal=True)
         sums = diagonal_kernel(bs, grid)
         assert sums.tobytes() == want.tobytes()
-        assert np.float64(bm_constant(bs, grid)).tobytes() == np.max(want).tobytes()
+        if name in ("circle", "hessenberg-circle"):
+            # the circle's own grid takes the sampled route (TestBmSampledRoute)
+            assert abs(bm_constant(bs, grid) - np.max(want)) <= tau(bs.dimension) * np.max(want)
+        else:
+            assert np.float64(bm_constant(bs, grid)).tobytes() == np.max(want).tobytes()
 
     @pytest.mark.parametrize("entries", [None, 9 * 1024], ids=["one-block", "blocks"])
     @pytest.mark.parametrize("at", [0, 1500])
@@ -664,17 +681,137 @@ class TestBmRunningSum:
 
     def test_full_hessenberg_memory_is_one_window(self, monkeypatch):
         # a full H on a grid of 8 m points: the (grid, n) matrix would take
-        # 8 MiB, one window of 256 points 512 KiB
+        # 8 MiB, one window of 256 points 512 KiB.  diagonal_kernel, since
+        # bm_constant samples this grid
         bs, grid = hessenberg_circle(512, WeightedSpace(127, tensor_power=128))
         monkeypatch.setattr(_backend, "_WINDOW_ENTRIES", 256 * 128)
         tracemalloc.start()
         try:
-            got = bm_constant(bs, grid)
+            got = float(np.max(diagonal_kernel(bs, grid)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert abs(got - 128.0) <= 1e-10
         assert peak < 2 ** 20
+
+
+def _sampled_case(name, k, m):
+    """(basis, grid) with the circle's own grid of 8 m points: the uniform
+    circle, a tilted circle, or full Arnoldi on the roots of unity."""
+    space = WeightedSpace(k - 1, tensor_power=k)
+    if name == "hessenberg-circle":
+        return hessenberg_circle(m, space)
+    mu = circle_lebesgue(m)
+    if name == "tilted-circle":
+        mu = scale_by(mu, lambda z: 1.0 + 0.5 * z.real)
+    return orthonormalize(mu, space), default_eval_grid(mu)
+
+
+def _node_counts(k):
+    """m a power of two (the smallest >= max(4 k, 256)), m = k + 2 and an odd m."""
+    return {"pow2": 1 << (max(4 * k, 256) - 1).bit_length(), "k+2": k + 2, "odd": (k + 2) | 1}
+
+
+@pytest.fixture
+def recurrence_points(monkeypatch):
+    """The number of points of every _backend.eval_recurrence call."""
+    seen = []
+    run = _backend.eval_recurrence
+
+    def spy(z, *args, **kwargs):
+        seen.append(len(z))
+        return run(z, *args, **kwargs)
+
+    monkeypatch.setattr(_backend, "eval_recurrence", spy)
+    return seen
+
+
+class TestBmSampledRoute:
+    """bm_constant on circle_lebesgue(M).nodes: the recurrence on N = M / s
+    points, the rest of the grid by FFT interpolation."""
+
+    # the Hessenberg step is O(n^2) per point, so its direct sum over a grid
+    # of 8 m points would take seconds at k = 1024
+    @pytest.mark.parametrize("nodes", ["pow2", "k+2", "odd"])
+    @pytest.mark.parametrize("name, k", [
+        (name, k) for name in ("circle", "tilted-circle", "hessenberg-circle")
+        for k in (1, 2, 3, 16, 255, 256, 1024) if (name, k) != ("hessenberg-circle", 1024)])
+    def test_matches_the_running_sum_at_every_point(self, name, k, nodes):
+        bs, grid = _sampled_case(name, k, _node_counts(k)[nodes])
+        assert kernel._sample_step(bs, grid) > 1
+        want = diagonal_kernel(bs, grid)
+        got = kernel._grid_diagonal(bs, grid)
+        assert np.max(np.abs(got - want) / want) <= tau(k)
+        assert abs(bm_constant(bs, grid) - np.max(want)) <= tau(k) * np.max(want)
+
+    @pytest.mark.parametrize("k", [3, 16, 255])
+    @pytest.mark.parametrize("name", ["circle", "tilted-circle", "hessenberg-circle"])
+    def test_samples_keep_their_own_values(self, name, k):
+        bs, grid = _sampled_case(name, k, _node_counts(k)["pow2"])
+        step = kernel._sample_step(bs, grid)
+        got = kernel._grid_diagonal(bs, grid)
+        assert got[::step].tobytes() == diagonal_kernel(bs, grid[::step]).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 16, 255, 256, 1024])
+    def test_recurrence_runs_on_2n_to_4n_points(self, recurrence_points, k):
+        mu = circle_lebesgue(max(4 * k, 256))
+        bs = orthonormalize(mu, WeightedSpace(k - 1, tensor_power=k))
+        bm_constant(bs, default_eval_grid(mu))
+        assert len(recurrence_points) == 1
+        assert 2 * k - 1 <= recurrence_points[0] <= 4 * k - 2
+
+    def _perturbed_grid(self, how):
+        k = 16
+        space = WeightedSpace(k - 1, tensor_power=k)
+        if how == "interval":
+            mu = interval_lebesgue(256)
+            return orthonormalize(mu, space), default_eval_grid(mu)
+        if how == "metric-weight":
+            bs, grid, _ = _bm_case("metric-circle", k)
+            return bs, grid
+        mu = circle_lebesgue(256)
+        bs, grid = orthonormalize(mu, space), default_eval_grid(mu)
+        if how == "nan":
+            grid[5] = np.nan
+        elif how == "scaled":
+            grid[5] *= 1.05
+        elif how == "reversed":
+            grid = grid[::-1]
+        return bs, grid
+
+    @pytest.mark.parametrize("how", ["metric-weight", "nan", "scaled", "reversed", "interval"])
+    def test_any_other_grid_runs_on_every_point(self, recurrence_points, how):
+        bs, grid = self._perturbed_grid(how)
+        got = bm_constant(bs, grid)
+        assert recurrence_points == [len(grid)]
+        if how == "nan":
+            assert np.isnan(got)
+        else:
+            assert got == float(np.max(diagonal_kernel(bs, grid)))
+
+    def test_overflow_runs_on_every_point(self, recurrence_points):
+        # Legendre polynomials grow like (1 + sqrt 2)^j on the circle: at
+        # n = 420 their squares pass the float64 range at some samples
+        bs = orthonormalize(interval_lebesgue(1680), WeightedSpace(419))
+        grid = default_eval_grid(circle_lebesgue(512))
+        assert bm_constant(bs, grid) == np.inf
+        assert recurrence_points == [len(grid) // kernel._sample_step(bs, grid), len(grid)]
+
+    def test_closed_form_at_large_k(self):
+        # B_n(z, z) = n on the circle for the Lebesgue basis
+        k = 2048
+        mu = circle_lebesgue(8192)
+        bs = orthonormalize(mu, WeightedSpace(k - 1, tensor_power=k))
+        assert abs(bm_constant(bs, default_eval_grid(mu)) - k) <= k * tau(k)
+
+    def test_import_loads_no_fft(self):
+        # numpy.fft is imported on the first sampled bm_constant, not with cdlab
+        code = "import sys, cdlab; print('numpy.fft' not in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cdlab.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
 
 
 class TestRegions:
