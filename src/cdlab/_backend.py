@@ -1,5 +1,5 @@
-"""The hot inner loops: basis recurrence evaluation and pairwise kernel-mass
-reductions, in vectorized numpy.
+"""The hot inner loops: basis recurrence evaluation, products of banded
+matrices and pairwise kernel-mass reductions, in vectorized numpy.
 
 Callers use them as module attributes (`_backend.pair_mass(...)`), so the
 benchmark's tracer can wrap each loop in one place.  Every reduction has a
@@ -18,22 +18,24 @@ _MASS_BLOCK = 1024
 _STEP_COLUMNS = {"szego": 1, "three_term": 2}
 
 
-def eval_recurrence(z, scale, const_norm, hess, route, szego_c=None, *, diagonal=False):
+def eval_recurrence(z, scale, const_norm, route, coef, sub, *, diagonal=False):
     """Evaluate the orthonormal-polynomial columns at the points z.
 
     Runs the recurrence of the route from the constant 1/const_norm, then
     scales row a by scale[a] (the metric weight factor).  Returns a
-    (len(z), n) array, in float64 when H is float64 and the complex points
-    z are real.
+    (len(z), n) array, in float64 when coef is float64 and the complex
+    points z are real.  sub holds the n - 1 norms h_j = H[j+1, j] of H =
+    T(z), on every route; coef holds what else a step reads of it.
 
-    Route "hessenberg" runs q_{j+1} = (z*q_j - sum_i H[i,j]*q_i) / H[j+1,j]
-    over every column, O(n^2) per point; "three_term" runs it on a
-    tridiagonal H over columns max(0, j-1)..j, O(n).  "szego" runs the
-    coupled Szego step on szego_c, the c_j of the route (see basis._szego),
-    O(n) per point:
+    Route "hessenberg" runs q_{j+1} = (z*q_j - sum_i H[i,j]*q_i) / h_j
+    over every column, O(n^2) per point, coef the whole H.  "three_term"
+    runs it over columns max(0, j-1)..j, O(n), coef H's band on and above
+    the diagonal, (2, n), column j = (H[j-1, j], H[j, j]).  "szego" runs
+    the coupled Szego step on coef, the c_j of the route (see
+    basis._szego), O(n) per point:
         q_{j+1} = (z*q_j - c_j*q_j^*) / rho_j,
         q_{j+1}^* = rho_j*q_j^* - conj(c_j)*q_{j+1},
-    with rho_j = H[j+1,j] and q_0^* = q_0.  H[:j+1, j] = c_j*s_j, where s_j
+    with rho_j = h_j and q_0^* = q_0.  H[:j+1, j] = c_j*s_j, where s_j
     holds the coordinates of q_j^*, so it gives the same columns.
 
     diagonal=True returns instead the per-point sum over the columns of
@@ -41,44 +43,45 @@ def eval_recurrence(z, scale, const_norm, hess, route, szego_c=None, *, diagonal
     recurrence run in a window of the columns one step reads (see
     _diagonal): no (len(z), n) array is formed.
     """
-    n = hess.shape[0]
-    if not np.iscomplexobj(hess) and not np.any(z.imag):
+    n = sub.shape[0] + 1
+    if not np.iscomplexobj(coef) and not np.any(z.imag):
         z = np.ascontiguousarray(z.real)
     if diagonal:
-        return _diagonal(z, scale, const_norm, hess, route, szego_c)
+        return _diagonal(z, scale, const_norm, route, coef, sub)
     out = np.empty((z.shape[0], n), dtype=z.dtype, order="F")
     out[:, 0] = 1.0 / const_norm
-    for _ in _columns(z, out, hess, route, szego_c):
+    for _ in _columns(z, out, route, coef, sub):
         pass
     out *= scale[:, None]
     return out
 
 
-def _columns(z, win, hess, route, szego_c):
+def _columns(z, win, route, coef, sub):
     """Run the route's recurrence at the points z in the window win, whose
     column 0 holds q_0, and yield the columns q_0, ..., q_{n-1} in turn,
-    each a view of win that the next step may overwrite.  A step reads
-    szego_c (Szego) or the last `band` columns of H (see _STEP_COLUMNS).
+    each a view of win that the next step may overwrite.  A step reads the
+    norm sub[j] and coef: the c_j (Szego), or column j of the band
+    (three-term) or of H (Hessenberg), over the last `band` columns (see
+    _STEP_COLUMNS).
 
     win holds consecutive columns, the oldest in win[:, 0].  When it is
     full, the last `band` columns (all that the next step reads) move to
     its front.  A window with n columns never moves: it is then the whole
     (len(z), n) matrix.
     """
-    n, width = hess.shape[0], win.shape[1]
+    n, width = sub.shape[0] + 1, win.shape[1]
     band = _STEP_COLUMNS.get(route, n)
     base = 0            # the column held in win[:, 0]
     tmp = np.empty_like(win[:, 0])
     # every route builds a real, positive subdiagonal h.  numpy divides a
     # complex by h as (re, im) * (1 / h), up to the sign of a zero part, so
     # each step scales the float parts by 1 / h, at a fraction of the cost
-    sub = hess.diagonal(-1).real
     inv_sub = (1.0 / sub).tolist()
     yield win[:, 0]
     if route == "szego":
         rev = win[:, 0].copy()
         rho = sub.tolist()
-        coef = szego_c.tolist()
+        c_j = coef.tolist()
     for j in range(n - 1):
         if j + 1 - base == width:
             win[:, :band] = win[:, width - band:]
@@ -88,10 +91,14 @@ def _columns(z, win, hess, route, szego_c):
         np.multiply(z, win[:, j - base], out=col)
         if route != "szego":
             lo = max(0, j + 1 - band)
-            col -= np.matmul(win[:, lo - base : j + 1 - base], hess[lo : j + 1, j], out=tmp)
+            # coef is C-ordered, so h is a strided vector: OpenBLAS's gemv
+            # then adds the products one column at a time, where for a
+            # contiguous h it fuses two, and the columns would round apart
+            h = coef[lo : j + 1, j] if route == "hessenberg" else coef[lo - j - 1 :, j]
+            col -= np.matmul(win[:, lo - base : j + 1 - base], h, out=tmp)
             parts *= inv_sub[j]
         else:
-            c = coef[j]
+            c = c_j[j]
             col -= np.multiply(rev, c, out=tmp)
             parts *= inv_sub[j]
             rev *= rho[j]
@@ -108,7 +115,7 @@ _WINDOW_ENTRIES = 1 << 19
 _SLACK = 8
 
 
-def _diagonal(z, scale, const_norm, hess, route, szego_c):
+def _diagonal(z, scale, const_norm, route, coef, sub):
     """Per-point sum of |q_j|^2 over the columns of the recurrence started
     from q_0 = scale / const_norm.
 
@@ -119,7 +126,7 @@ def _diagonal(z, scale, const_norm, hess, route, szego_c):
     of _WINDOW_ENTRIES / width, so memory is O(block * band), whatever the
     number of points.
     """
-    n = hess.shape[0]
+    n = sub.shape[0] + 1
     real = not np.iscomplexobj(z)
     width = min(n, _STEP_COLUMNS.get(route, n) + _SLACK)
     block = max(1, _WINDOW_ENTRIES // width)
@@ -134,7 +141,7 @@ def _diagonal(z, scale, const_norm, hess, route, szego_c):
         win, sq, im2 = window[: zb.shape[0]], sq_buf[: zb.shape[0]], im2_buf[: zb.shape[0]]
         win[:, 0] = scale[lo : lo + block] * (1.0 / const_norm)
         acc = sums[lo : lo + block]
-        for j, q in enumerate(_columns(zb, win, hess, route, szego_c)):
+        for j, q in enumerate(_columns(zb, win, route, coef, sub)):
             np.square(q.real, out=sq)
             if not real:
                 sq += np.square(q.imag, out=im2)
@@ -143,6 +150,21 @@ def _diagonal(z, scale, const_norm, hess, route, szego_c):
             else:
                 acc[...] = sq
     return sums
+
+
+def band_product(a, b):
+    """A B from banded A and B held by rows: a[i, wa + d] = A[i, i + d] for
+    |d| <= wa, zero where i + d is off the matrix, and b likewise.  Returns
+    A B by rows, (n, 2 (wa + wb) + 1), in O(n wa wb); each entry sums its
+    products in the order of d."""
+    n, wa, wb = a.shape[0], a.shape[1] // 2, b.shape[1] // 2
+    padded = np.zeros((n + 2 * wa, b.shape[1]), dtype=b.dtype)
+    padded[wa : wa + n] = b
+    out = np.zeros((n, 2 * (wa + wb) + 1), dtype=np.result_type(a, b))
+    # A[i, i + d] B[i + d, i + d + e] adds to row i at offset d + e
+    for p in range(2 * wa + 1):
+        out[:, p : p + 2 * wb + 1] += a[:, p, None] * padded[p : p + n]
+    return out
 
 
 def _abs2_blocks(q, idx_a, idx_b):

@@ -13,11 +13,12 @@ takes one of three routes, chosen from the nodes:
 - any other nodes: full Arnoldi, O(m n^2).
 
 A structured result is certified before it is kept.  Its build holds a
-window of two columns, O(m) memory beside H, and probes Q*Q = I as it
-forms each column, in O(m n).  When its recurrence matches the closed form
-of a classical rule (roots of unity, Gauss-Legendre or Gauss-Chebyshev,
-read from the route and h0) to tau(n) = 4 (n + 2) eps, an O(n) check, and
-the probe reads tau(n) or less, it is kept, and no Q was ever formed.
+window of two columns and O(n) coefficients, O(m) memory, and probes
+Q*Q = I as it forms each column, in O(m n).  When its recurrence matches
+the closed form of a classical rule (roots of unity, Gauss-Legendre or
+Gauss-Chebyshev, read from the route and h0) to tau(n) = 4 (n + 2) eps,
+an O(n) check, and the probe reads tau(n) or less, it is kept, and no Q
+was ever formed.
 Otherwise (a metric weight, a tilt, any other nodes, too few nodes for the
 closed form, or a probe that fails) the build runs again with Q stored,
 and its node values must be orthonormal to max |Q*Q - I| <= 1e-13, an
@@ -29,7 +30,12 @@ recurrence, run one step past n so that H = T(z) = Q* Z Q (Z Q = Q H +
 r e_n^T, the residual r unnormalized, 0 on n nodes; the basis keeps |r|^2
 and Q*(z r)), plus the columns of Q its build kept: the last two, which
 the Christoffel-Darboux masses read, or all n when the build stored Q.
-Its node values Q are built on first read when it kept two columns, and
+Of the recurrence it keeps what its route's step reads, O(n) on the
+structured routes: the n - 1 norms H[j+1, j] on every route, and the two
+other diagonals of a three-term H, the Szego c_j, or a Hessenberg H whole.
+The dense H of a structured route is formed on first read of
+`hessenberg`, and cached read-only; only the circle's T(f) reads it.  Its
+node values Q are built on first read when it kept two columns, and
 cached read-only.  `orthonormalize` is its only constructor.  No other
 module but `_backend` reads how the recurrence is stored: the operator and
 kernel modules take what they need of it from `recurrence_toeplitz` and
@@ -37,6 +43,7 @@ kernel modules take what they need of it from `recurrence_toeplitz` and
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
@@ -94,7 +101,6 @@ class OrthonormalBasis:
     """Orthonormal basis of a WeightedSpace w.r.t. a quadrature measure."""
 
     space: WeightedSpace
-    hessenberg: np.ndarray = field(repr=False)
     const_norm: float = field(repr=False)
     # the columns of Q the build kept, column-major: all n, or the last two
     # (q_{n-2}, q_{n-1}) of a certified Szego or three-term build
@@ -102,10 +108,19 @@ class OrthonormalBasis:
     nodes: np.ndarray = field(repr=False)
     node_weights: np.ndarray = field(repr=False)
     # the step evaluation runs: "szego" (the coupled step on the c_j in
-    # szego_c, None on the other routes), "three_term" or "hessenberg"
+    # szego_c), "three_term" or "hessenberg"
     route: str = field(repr=False)
-    # the n Szego c_j, c_{n-1} that of the step past n
+    # the recurrence, as the route's step reads it (see _step_inputs): the
+    # n - 1 norms H[j+1, j], on every route (the Szego rho_j)
+    h_sub: np.ndarray = field(repr=False)
+    # three-term: H on and above its diagonal in band storage, (2, n),
+    # column j = (H[j-1, j], H[j, j]) with H[-1, 0] = 0, the projections of
+    # step j; None on the other routes
+    h_band: np.ndarray = field(repr=False)
+    # the n Szego c_j, c_{n-1} that of the step past n; None off that route
     szego_c: np.ndarray = field(repr=False)
+    # the whole H of the "hessenberg" route (full Arnoldi); None off it
+    h_full: np.ndarray = field(repr=False)
     # |r|^2 and Q*(z r) of the step past n
     residual_sq: float = field(repr=False)
     z_residual: np.ndarray = field(repr=False)
@@ -132,6 +147,35 @@ class OrthonormalBasis:
         return q
 
     @cached_property
+    def hessenberg(self):
+        """H = T(z), (n, n), read-only and C-contiguous: kept whole on the
+        "hessenberg" route, formed on first read from the O(n) recurrence
+        on the others, bit for bit the H of a dense build.  A Szego H is
+        c_j s_j on and above its diagonal (see _szego), O(n^2)."""
+        if self.h_full is not None:
+            return self.h_full
+        n = self.dimension
+        if self.route == "three_term":
+            h = np.zeros((n, n))
+            np.fill_diagonal(h, self.h_band[1])
+            np.fill_diagonal(h[:, 1:], self.h_band[0, 1:])
+        else:
+            # row by row, each row contiguous: H[i, j] = c_j s_j[i] for
+            # j >= i, where s_j[i] is s_i[i] = -conj(c_{i-1}) (1 for i = 0)
+            # times rho_i, ..., rho_{j-1}, multiplied left to right as
+            # _szego's recurrence for s_j multiplies them
+            c = self.szego_c
+            h = np.zeros((n, n), dtype=np.complex128)
+            chain = np.empty(n, dtype=np.complex128)
+            chain[1:] = self.h_sub
+            for i in range(n):
+                chain[i] = -np.conj(c[i - 1]) if i else 1.0
+                np.multiply(c[i:], np.multiply.accumulate(chain[i:]), out=h[i, i:])
+        np.fill_diagonal(h[1:], self.h_sub)
+        h.setflags(write=False)
+        return h
+
+    @cached_property
     def basis_id(self):
         """Hash of the O(n) data that determine H on the route, taken once:
         the three diagonals of a three-term H, the c_j and rho_j of a Szego
@@ -142,11 +186,12 @@ class OrthonormalBasis:
         h.update(np.int64(self.space.tensor_power).tobytes())
         h.update(np.float64(self.const_norm).tobytes())
         if self.route == "three_term":
-            parts = [np.diagonal(self.hessenberg, d) for d in (-1, 0, 1)]
+            parts = [self.h_sub, self.h_band[1], self.h_band[0, 1:]]
         elif self.route == "szego":
-            parts = [self.szego_c, np.diagonal(self.hessenberg, -1)]
+            # rho_j as H holds them, complex with a zero imaginary part
+            parts = [self.szego_c, self.h_sub.astype(np.complex128)]
         else:
-            parts = [self.hessenberg]
+            parts = [self.h_full]
         for part in parts:
             h.update(part.tobytes())
         return h.hexdigest()[:16]
@@ -160,31 +205,43 @@ class OrthonormalBasis:
 
 class _Build(NamedTuple):
     """What a recurrence build returns: the columns it kept (all n of Q,
-    column-major, or the last two), H = Q* Z Q, the norm h0 of the constant,
-    |r|^2 and Q*(z r) of the step past n, the n Szego c_j (None on the other
-    routes) and the streamed probe of its columns (see _Probe)."""
+    column-major, or the last two), the n - 1 norms H[j+1, j], the rest of
+    H as the build holds it (a full Arnoldi H whole; with a window w the
+    projections in band storage, (w, n), column j = H[j+1-w : j+1, j]; the
+    n Szego c_j), the norm h0 of the constant, |r|^2 and Q*(z r) of the
+    step past n, and the streamed probe of its columns (see _Probe).  Each
+    of hess, band and coef is None where the build does not hold it."""
 
     q: np.ndarray
-    hess: np.ndarray
+    sub: np.ndarray
+    hess: object
+    band: object
+    coef: object
     h0: float
     r_sq: float
     z_r: np.ndarray
-    coef: object
     probe: float
+
+
+def _norm(v):
+    """np.linalg.norm(v) of a vector, by the formula numpy uses, without
+    the wrapper's checks: sqrt(v.v), or sqrt(re.re + im.im) if complex."""
+    if v.dtype.kind == "c":
+        return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    return math.sqrt(v.dot(v))
 
 
 def _start(row_scale, n, dtype, store_q):
     """The build's column buffer, column-major, with q_0 (the normalized
     constant) in its first column: all n columns of Q when store_q, else a
-    window of two.  Also the zero Hessenberg matrix, both of the dtype, and
-    the constant's norm h0."""
+    window of two, of the dtype.  Also the constant's norm h0."""
     q = np.empty((row_scale.shape[0], n if store_q else min(n, 2)), dtype=dtype, order="F")
     v = row_scale.astype(dtype)
-    h0 = np.linalg.norm(v)
+    h0 = _norm(v)
     if h0 == 0.0:
         raise RankDeficientError("measure has no mass under the metric weight")
     q[:, 0] = v / h0
-    return q, np.zeros((n, n), dtype=dtype), h0
+    return q, h0
 
 
 def _next_column(q, j):
@@ -211,40 +268,47 @@ def _arnoldi(z, row_scale, n, window=None, store_q=True):
     residual past n.  Breakdown of the subdiagonal below the relative
     threshold: the measure cannot support the requested degree.
 
-    window=None projects each new column on all earlier ones (O(m n^2)).
-    window=w projects on the last w only, Q*(z r) too: on real nodes H is
-    tridiagonal, so window=2 is the Lanczos/Stieltjes procedure, O(m n).
-    With store_q False, window=2 holds the last two columns only, O(m)
-    memory beside H, and keeps them; the columns are the same either way.
+    window=None projects each new column on all earlier ones (O(m n^2)),
+    and fills H whole.  window=w projects on the last w only, Q*(z r) too,
+    and keeps the n projections of w coefficients each, O(n w): on real
+    nodes H is tridiagonal, so window=2 is the Lanczos/Stieltjes procedure,
+    O(m n).  With store_q False, window=2 holds the last two columns only,
+    O(m) memory, and keeps them; the columns are the same either way.
     """
-    q, hess, h0 = _start(row_scale, n, z.dtype, store_q or window is None)
+    q, h0 = _start(row_scale, n, z.dtype, store_q or window is None)
     m = q.shape[0]
+    real = not np.iscomplexobj(z)
     probe = _Probe(m, n, z.dtype)
     probe.add(q[:, 0])
+    hess = np.zeros((n, n), dtype=z.dtype) if window is None else None
+    band = None if window is None else np.zeros((window, n), dtype=z.dtype)
+    sub = np.empty(n - 1)
     v, tmp = np.empty(m, dtype=z.dtype), np.empty(m, dtype=z.dtype)
     pivot_max = h0
     for j in range(n):
         base = max(j + 1 - q.shape[1], 0)      # the column q[:, 0] holds
         lo = 0 if window is None else max(j + 1 - window, 0)
         block = q[:, lo - base : j + 1 - base]
+        h_col = hess[lo : j + 1, j] if band is None else band[lo - j - 1 :, j]
         np.multiply(z, block[:, -1], out=v)
         # two Gram-Schmidt passes keep the columns orthonormal to ~eps;
         # Q*v is taken as conj(v* Q), which conjugates v instead of Q
         for _ in range(2):
-            proj = (v.conj() @ block).conj()
-            v -= np.matmul(block, proj, out=tmp)
-            hess[lo : j + 1, j] += proj
+            proj = block.T.dot(v) if real else block.T.dot(v.conj()).conj()
+            v -= np.dot(block, proj, out=tmp)
+            h_col += proj
         if j == n - 1:
             break
-        hn = np.linalg.norm(v)
+        hn = sub[j] = _norm(v)
         pivot_max = _check_pivot(hn, pivot_max, j)
-        hess[j + 1, j] = hn
+        if hess is not None:
+            hess[j + 1, j] = hn
         col = _next_column(q, j)
         probe.add(np.divide(v, hn, out=col))
     # the step past n: r = v
-    z_r = np.zeros(n, dtype=hess.dtype)
+    z_r = np.zeros(n, dtype=z.dtype)
     z_r[lo:] = ((z * v).conj() @ q[:, lo - base :]).conj()
-    return _Build(q, hess, float(h0), float(np.vdot(v, v).real), z_r, None, probe.defect)
+    return _Build(q, sub, hess, band, None, h0, float(np.vdot(v, v).real), z_r, probe.defect)
 
 
 def _szego(z, row_scale, n, store_q=True):
@@ -256,45 +320,47 @@ def _szego(z, row_scale, n, store_q=True):
         c = <phi_j^*, z phi_j> = conj(alpha_j),   v = z phi_j - c phi_j^*.
     With s_j the coordinates of phi_j^* in phi_0..phi_j, the Hessenberg
     column is H[:j+1, j] = c * s_j.  Returns a _Build with all n c_j
-    (c_{n-1} that of the step past n) and the breakdown test of _arnoldi;
-    O(m n) for Q, O(n^2) for H.  A step reads q_j only; with store_q False
-    the build holds and keeps the last two columns, O(m) memory beside H.
-    Past n, z r = |r| (rho_n phi_{n+1} + c_n phi_n^*) with
+    (c_{n-1} that of the step past n) and the n - 1 rho_j = H[j+1, j], and
+    the breakdown test of _arnoldi; O(m n).  A step reads q_j only; with
+    store_q False the build holds and keeps the last two columns, O(m)
+    memory.  Past n, z r = |r| (rho_n phi_{n+1} + c_n phi_n^*) with
     phi_n^* = |r| phi_{n-1}^* - conj(c) r / |r|, so Q*(z r) takes O(m):
         Q*(z r) = <|r|^2 phi_{n-1}^* - conj(c) r, z r> s_{n-1}.
     """
-    q, hess, h0 = _start(row_scale, n, np.complex128, store_q)
+    q, h0 = _start(row_scale, n, np.complex128, store_q)
     m = q.shape[0]
     probe = _Probe(m, n, np.complex128)
     probe.add(q[:, 0])
     rev = q[:, 0].copy()            # phi_0^* = phi_0, a positive constant
     zq, v, tmp = (np.empty(m, dtype=np.complex128) for _ in range(3))
     coef = np.empty(n, dtype=np.complex128)
-    s = np.zeros(n, dtype=np.complex128)
-    s[0] = 1.0
+    sub = np.empty(n - 1)
     pivot_max = h0
     for j in range(n):
         np.multiply(z, q[:, min(j, q.shape[1] - 1)], out=zq)
         c = coef[j] = np.vdot(rev, zq)
         np.subtract(zq, np.multiply(c, rev, out=v), out=v)
-        hess[: j + 1, j] = c * s[: j + 1]
         if j == n - 1:
             break
-        hn = np.linalg.norm(v)
+        hn = sub[j] = _norm(v)
         pivot_max = _check_pivot(hn, pivot_max, j)
-        hess[j + 1, j] = hn
         col = _next_column(q, j)
         probe.add(np.divide(v, hn, out=col))
         # phi_{j+1}^* = (phi_j^* - conj(c) z phi_j) / rho_j; with
         # z phi_j = hn phi_{j+1} + c phi_j^* and rho_j^2 = 1 - |c|^2 = hn^2
         # this is hn phi_j^* - conj(c) phi_{j+1}
-        s[: j + 1] *= hn
-        s[j + 1] = -np.conj(c)
         rev *= hn
         rev -= np.multiply(np.conj(c), col, out=tmp)
     r_sq = float(np.vdot(v, v).real)
+    # s_{n-1}: s_0 = e_0 and s_{j+1} = (rho_j s_j, -conj(c_j)), the
+    # coordinates of phi_{j+1}^* = rho_j phi_j^* - conj(c_j) phi_{j+1}
+    s = np.zeros(n, dtype=np.complex128)
+    s[0] = 1.0
+    for j in range(n - 1):
+        s[: j + 1] *= sub[j]
+        s[j + 1] = -np.conj(coef[j])
     z_r = np.vdot(r_sq * rev - np.conj(c) * v, z * v) * s
-    return _Build(q, hess, float(h0), r_sq, z_r, coef, probe.defect)
+    return _Build(q, sub, None, None, coef, h0, r_sq, z_r, probe.defect)
 
 
 def _orthonormality_defect(q):
@@ -349,21 +415,20 @@ def _closed_form_defect(route):
     column of Q, so a column that overflowed leaves a NaN or inf here.
 
     Szego, against the roots of unity: h0 = 1, the n c_j = 0 (H's upper
-    triangle is c_j s_j), rho_j = subdiag(H) = 1, and the step past n
-    |r|^2 = 1 and Q*(z r) = 0.  Lanczos, against the Gauss rule h0 points
-    to: h0, a_j = diag(H), b_j on both off-diagonals of H, |r|^2 = b_n^2 and
-    Q*(z r) = b_n^2 e_n.  A metric weight, a tilt or other nodes move the
-    coefficients, and the check fails.
+    triangle is c_j s_j), rho_j = 1, and the step past n |r|^2 = 1 and
+    Q*(z r) = 0.  Lanczos, against the Gauss rule h0 points to: h0, a_j =
+    diag(H), b_j on both off-diagonals of H (the norms, and the projections
+    above), |r|^2 = b_n^2 and Q*(z r) = b_n^2 e_n.  A metric weight, a tilt
+    or other nodes move the coefficients, and the check fails.
     """
-    hess, h0, r_sq, z_r = route.hess, route.h0, route.r_sq, route.z_r
+    sub, h0, r_sq, z_r = route.sub, route.h0, route.r_sq, route.z_r
     if route.coef is not None:
-        devs = (route.coef, np.diagonal(hess, -1) - 1.0, (h0 - 1.0, r_sq - 1.0), z_r)
+        devs = (route.coef, sub - 1.0, (h0 - 1.0, r_sq - 1.0), z_r)
     else:
-        h0_rule, b = _gauss_rule(h0, hess.shape[0])
+        h0_rule, b = _gauss_rule(h0, z_r.shape[0])
         tail = b[-1] ** 2
-        devs = (np.diagonal(hess), np.diagonal(hess, -1) - b[:-1],
-                np.diagonal(hess, 1) - b[:-1], (h0 - h0_rule, r_sq - tail),
-                z_r[:-1], (z_r[-1] - tail,))
+        devs = (route.band[1], sub - b[:-1], route.band[0, 1:] - b[:-1],
+                (h0 - h0_rule, r_sq - tail), z_r[:-1], (z_r[-1] - tail,))
     # np.max propagates a NaN, unlike max()
     return float(np.max([np.max(np.abs(d), initial=0.0) for d in devs]))
 
@@ -399,17 +464,22 @@ class _Probe:
         self.x = _probe_vector(n)
         self.y = np.zeros(m, dtype=dtype)
         self.tmp = np.empty(m, dtype=dtype)
+        # the row and the diagonal term of each column taken
+        self.terms = np.zeros((2, n))
         self.taken = 0
-        self.defect = 0.0
 
     def add(self, col):
         """Take q_j, j the number of columns taken so far."""
-        row = abs(np.vdot(col, self.y))
-        diag = abs(np.vdot(col, col).real - 1.0)
-        # np.maximum, unlike max(), propagates a NaN
-        self.defect = float(np.maximum(self.defect, np.maximum(row, diag)))
-        self.y += np.multiply(col, self.x[self.taken], out=self.tmp)
+        j = self.taken
+        self.terms[0, j] = abs(np.vdot(col, self.y))
+        self.terms[1, j] = abs(np.vdot(col, col).real - 1.0)
+        self.y += np.multiply(col, self.x[j], out=self.tmp)
         self.taken += 1
+
+    @property
+    def defect(self):
+        # np.max, unlike max(), propagates a NaN
+        return float(np.max(self.terms[:, : self.taken], initial=0.0))
 
 
 def _run_route(route, nodes, row_scale, n, store_q):
@@ -496,13 +566,11 @@ def orthonormalize(mu, space):
     row_scale = np.sqrt(mu.weights) * scale
     route, built = _structured_arnoldi(mu, row_scale, space.dimension)
     return OrthonormalBasis(
-        space=space,
-        hessenberg=np.ascontiguousarray(built.hess),
-        const_norm=built.h0, columns=built.q,
+        space=space, const_norm=built.h0, columns=built.q,
         nodes=np.asarray(mu.nodes),
         node_weights=np.asarray(mu.weights),
-        route=route, szego_c=built.coef,
-        residual_sq=built.r_sq, z_residual=built.z_r,
+        route=route, h_sub=built.sub, h_band=built.band, szego_c=built.coef,
+        h_full=built.hess, residual_sq=built.r_sq, z_residual=built.z_r,
     )
 
 
@@ -529,11 +597,19 @@ def diagonal_kernel(basis, points):
     return _run_recurrence(basis, points, diagonal=True)
 
 
+def _step_inputs(basis):
+    """(route, coef, sub), the recurrence as _backend.eval_recurrence reads
+    it: coef is the (2, n) band of a three-term step, the Szego c_j, or the
+    whole H of a Hessenberg step, and sub the n - 1 norms."""
+    coef = {"three_term": basis.h_band, "szego": basis.szego_c}.get(basis.route, basis.h_full)
+    return basis.route, coef, basis.h_sub
+
+
 def _run_recurrence(basis, points, diagonal):
     pts = np.ascontiguousarray(np.atleast_1d(np.asarray(points, dtype=complex)))
     scale = np.ascontiguousarray(basis.space.weight_scale(pts))
-    return _backend.eval_recurrence(pts, scale, basis.const_norm, basis.hessenberg,
-                                    basis.route, basis.szego_c, diagonal=diagonal)
+    return _backend.eval_recurrence(pts, scale, basis.const_norm, *_step_inputs(basis),
+                                    diagonal=diagonal)
 
 
 def weighted_rows(basis, mu):
@@ -557,38 +633,73 @@ def recurrence_toeplitz(basis, terms):
         T(z^2)         = T(z)^2 + Q*(z r) e_n^T,
         T(conj(z) z)   = T(z)* T(z) + |r|^2 e_n e_n^T,
     and T(conj(z)) = T(z)*.  u and v follow from (z +- conj(z))/2.
-    On real nodes (a float64 basis) v = 0 and conj(z) = z, so T(u^2) =
-    T(z^2), and T(f) is real.
+
+    Three-term route: v = 0 and conj(z) = z on real nodes, T(x) = J is the
+    tridiagonal H, and T(x^2) = J^2 + |r|^2 e_n e_n^T, so T(f) has
+    bandwidth w = deg f.  Returns (rows, asymmetry), in O(n): rows, (n,
+    2w + 1) float64, holds T(f) by rows, rows[i, w + d] = T[i, i + d] (zero
+    off the matrix), each off-diagonal pair set to (raw_ij + raw_ji) / 2,
+    and asymmetry = max |raw_ij - raw_ji|.  On a complex H (the circle's
+    Szego route, full Arnoldi off the real line) returns the raw dense T(f),
+    not yet symmetrized, O(n^3).  None for a real full-Arnoldi H, which
+    has no recurrence form.
     """
+    if basis.route == "three_term":
+        return _three_term_toeplitz(basis, terms)
     t_z = basis.hessenberg
-    real = not np.iscomplexobj(t_z)
-    if real:
-        terms = {(a, b): c for (a, b), c in terms.items() if b == 0}
+    if not np.iscomplexobj(t_z):
+        return None
     c = {ab: terms.get(ab, 0.0) for ab in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
     degree = max((a + b for a, b in terms), default=0)
     if degree == 0:
         return c[0, 0] * np.eye(basis.dimension, dtype=t_z.dtype)
+    # T(f) = P + P* + gamma T(conj(z) z), with
+    # P = (c_u - i c_v)/2 T(z) + (c_uu - c_vv - i c_uv)/4 T(z^2)
+    half = (c[1, 0] - 1j * c[0, 1]) / 2 * t_z
     if degree == 2:
         t_z2 = t_z @ t_z
         t_z2[:, -1] += basis.z_residual
-    if real:
-        raw = c[1, 0] * t_z
-        if degree == 2:
-            raw += c[2, 0] * t_z2
-    else:
-        # T(f) = P + P* + gamma T(conj(z) z), with
-        # P = (c_u - i c_v)/2 T(z) + (c_uu - c_vv - i c_uv)/4 T(z^2)
-        half = (c[1, 0] - 1j * c[0, 1]) / 2 * t_z
-        if degree == 2:
-            half += (c[2, 0] - c[0, 2] - 1j * c[1, 1]) / 4 * t_z2
-        raw = half + half.conj().T
-        gamma = (c[2, 0] + c[0, 2]) / 2
-        if gamma:
-            t_zz = t_z.conj().T @ t_z
-            t_zz[-1, -1] += basis.residual_sq
-            raw += gamma * t_zz
+        half += (c[2, 0] - c[0, 2] - 1j * c[1, 1]) / 4 * t_z2
+    raw = half + half.conj().T
+    gamma = (c[2, 0] + c[0, 2]) / 2
+    if gamma:
+        t_zz = t_z.conj().T @ t_z
+        t_zz[-1, -1] += basis.residual_sq
+        raw += gamma * t_zz
     raw[np.diag_indices(basis.dimension)] += c[0, 0]
     return raw
+
+
+def _three_term_toeplitz(basis, terms):
+    """recurrence_toeplitz on the three-term route: (rows, asymmetry)."""
+    c = [terms.get((a, 0), 0.0) for a in range(3)]
+    degree = max((a for a, b in terms if b == 0), default=0)
+    n = basis.dimension
+    # H by rows: the norms below the diagonal, the projections on and above
+    h = np.zeros((n, 3))
+    h[1:, 0] = basis.h_sub
+    h[:, 1] = basis.h_band[1]
+    h[:-1, 2] = basis.h_band[0, 1:]
+    if degree == 0:
+        raw = np.zeros((n, 1))
+    elif degree == 1:
+        raw = c[1] * h
+    else:
+        h2 = _backend.band_product(h, h)
+        h2[-1, 2] += basis.residual_sq
+        raw = np.pad(c[1] * h, ((0, 0), (1, 1)))
+        raw += c[2] * h2
+    w = raw.shape[1] // 2
+    raw[:, w] += c[0]
+    asym = 0.0
+    for d in range(1, min(w, n - 1) + 1):
+        upper, lower = raw[: n - d, w + d], raw[d:, w - d]
+        # np.maximum, unlike max(), propagates a NaN
+        asym = np.maximum(asym, np.max(np.abs(upper - lower)))
+        upper += lower
+        upper *= 0.5
+        lower[...] = upper
+    return raw, float(asym)
 
 
 def cd_factors(basis):
@@ -621,4 +732,4 @@ def cd_factors(basis):
     if basis.route != "three_term":
         return None
     x = z.real
-    return x, None, last, x * last - basis.hessenberg[n - 1, n - 2] * q[:, -2], 1.0
+    return x, None, last, x * last - basis.h_sub[n - 2] * q[:, -2], 1.0

@@ -4,6 +4,7 @@ norms, spectra, and functional calculus.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,27 +18,49 @@ _HERM_TOL = 1e-8
 _HERM_BLOCK = 256
 
 
-@dataclass(frozen=True)
 class ToeplitzMatrix:
     """Hermitian matrix of the compressed multiplication operator, real
     symmetric on a real basis.
 
-    asymmetry records the max entry deviation from Hermitian symmetry seen
-    before the final symmetrization (quadrature noise diagnostic).
+    Read off a three-term recurrence, the matrix is held as its band only,
+    by rows (see basis.recurrence_toeplitz), and entries is formed on first
+    read; otherwise entries is the matrix.  Both are read-only.  asymmetry
+    records the max entry deviation from Hermitian symmetry seen before
+    the final symmetrization (quadrature noise diagnostic).
     """
 
-    entries: np.ndarray
-    symbol_desc: str
-    k: int
-    basis_id: str
-    asymmetry: float = 0.0
+    def __init__(self, entries, symbol_desc, k, basis_id, asymmetry=0.0):
+        if entries is not None:
+            entries.setflags(write=False)
+            self.__dict__["entries"] = entries
+        self._rows = None
+        self.symbol_desc = symbol_desc
+        self.k = k
+        self.basis_id = basis_id
+        self.asymmetry = asymmetry
 
-    def __post_init__(self):
-        self.entries.setflags(write=False)
+    @classmethod
+    def _banded(cls, rows, symbol_desc, k, basis_id, asymmetry):
+        """The matrix held by rows: rows[i, w + d] = T[i, i + d]."""
+        t = cls(None, symbol_desc, k, basis_id, asymmetry)
+        rows.setflags(write=False)
+        t._rows = rows
+        return t
+
+    @cached_property
+    def entries(self):
+        rows = self._rows
+        n, w = rows.shape[0], rows.shape[1] // 2
+        mat = np.zeros((n, n), dtype=rows.dtype)
+        for d in range(-min(w, n - 1), min(w, n - 1) + 1):
+            below, above = max(-d, 0), max(d, 0)
+            np.fill_diagonal(mat[below:, above:], rows[below : n - above, w + d])
+        mat.setflags(write=False)
+        return mat
 
     @property
     def dimension(self):
-        return self.entries.shape[0]
+        return self.entries.shape[0] if self._rows is None else self._rows.shape[0]
 
 
 @dataclass(frozen=True)
@@ -106,18 +129,24 @@ def toeplitz(basis, mu, f, symbol_desc=None):
     entries[i,j] = sum_a f(x_a) p_j(x_a) conj(p_i(x_a)) e^{-2k phi} w_a.
 
     A PolynomialSymbol (degree <= 2 in Re z, Im z) on the measure the basis
-    was built on is read off the basis recurrence (one n x n product per
-    degree-2 monomial); any other symbol, or a basis used on another
-    measure, takes the quadrature product Q* F Q, O(m n^2).
+    was built on is read off the basis recurrence: on a three-term basis
+    as its band, O(n), which is all the matrix holds until entries is read;
+    on a complex one as a dense matrix, one n x n product per degree-2
+    monomial.  Any other symbol, a basis used on another measure, or a real
+    full-Arnoldi basis takes the quadrature product Q* F Q, O(m n^2).
     """
     fvals = _symbol_values(mu, f)
+    name, k = _symbol_name(f, symbol_desc), basis.space.tensor_power
+    raw = None
     if isinstance(f, symbols.PolynomialSymbol) and basis.defined_on(mu):
         raw = recurrence_toeplitz(basis, f.terms)
-    else:
+    if isinstance(raw, tuple):
+        rows, asym = raw
+        return ToeplitzMatrix._banded(rows, name, k, basis.basis_id, asym)
+    if raw is None:
         raw = _quadrature_raw(weighted_rows(basis, mu), fvals)
     asym = _hermitian_part_inplace(raw)
-    return ToeplitzMatrix(entries=raw, symbol_desc=_symbol_name(f, symbol_desc),
-                          k=basis.space.tensor_power, basis_id=basis.basis_id,
+    return ToeplitzMatrix(entries=raw, symbol_desc=name, k=k, basis_id=basis.basis_id,
                           asymmetry=asym)
 
 
@@ -211,12 +240,16 @@ def spectral_statistic(a, g):
 
     For the registry's identity, square and cube this is (1/n) tr A^p,
     taken as tr A, ||A||_F^2 and <A, A^2>_F (A is Hermitian): no
-    eigensolve.  Any other g runs eigvalsh.
+    eigensolve.  A banded ToeplitzMatrix gives them from its band, in
+    O(n), with no n x n array.  Any other g runs eigvalsh.
     """
     power = next((p for fn, p in _TRACE_POWERS if fn is g), None)
     if power is None:
         eig = spectrum(a).eigenvalues
         return float(np.mean(np.asarray(g(eig), dtype=float)))
+    rows = a._rows if isinstance(a, ToeplitzMatrix) else None
+    if rows is not None:
+        return _band_trace_power(rows, power)
     mat = _as_hermitian(a)
     if power == 1:
         trace = np.trace(mat)
@@ -225,6 +258,23 @@ def spectral_statistic(a, g):
     else:
         trace = np.vdot(mat, mat @ mat)
     return float(trace.real / mat.shape[0])
+
+
+def _band_trace_power(rows, p):
+    """(1/n) tr A^p, p = 1, 2 or 3, of the real symmetric band held by rows
+    (rows[i, w + d] = A[i, i + d], zero off the matrix), in O(n): every
+    entry of A is in rows once, so tr A^2 = ||rows||^2, and tr A^3 =
+    <A, A^2>_F reads the band of A^2 that A covers."""
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("matrix entries must be finite")
+    w = rows.shape[1] // 2
+    if p == 1:
+        trace = rows[:, w].sum()
+    elif p == 2:
+        trace = np.vdot(rows, rows)
+    else:
+        trace = np.vdot(rows, _backend.band_product(rows, rows)[:, w : 3 * w + 1])
+    return float(trace / rows.shape[0])
 
 
 def functional_calculus(a, h):

@@ -33,7 +33,8 @@ from cdlab import symbols
 from cdlab._backend import eval_recurrence
 from cdlab import basis as basis_module
 from cdlab.basis import (_arnoldi, _closed_form_defect, _closed_form_tol,
-                         _orthonormality_defect, _Probe, _szego)
+                         _orthonormality_defect, _Probe, _step_inputs, _szego,
+                         diagonal_kernel)
 
 SQRT_HALF = 0.7071067811865476      # 1/sqrt(2), hand Gram-Schmidt on {1, x}
 SQRT_3_OVER_2 = 1.224744871391589   # sqrt(3/2)
@@ -236,7 +237,9 @@ class TestStructuredRoutes:
             route = _szego(mu.nodes, row_scale, n)
         else:
             route = _arnoldi(np.ascontiguousarray(mu.nodes.real), row_scale, n, window=2)
-        np.testing.assert_array_equal(bs.hessenberg, route.hess)
+        for kept, built in ((bs.h_sub, route.sub), (bs.h_band, route.band),
+                            (bs.szego_c, route.coef)):
+            np.testing.assert_array_equal(kept, built)
 
     @pytest.mark.parametrize("make_mu", [interval_lebesgue, arcsine])
     def test_gauss_rule_bases_are_exactly_tridiagonal(self, make_mu):
@@ -297,11 +300,11 @@ def rule_route(name, m, n, row_scale=None, store_q=True):
 
 
 def closed_form_accepts(route):
-    return _closed_form_defect(route) <= _closed_form_tol(route.hess.shape[0])
+    return _closed_form_defect(route) <= _closed_form_tol(route.z_r.shape[0])
 
 
 def probe_accepts(route):
-    return route.probe <= _closed_form_tol(route.hess.shape[0])
+    return route.probe <= _closed_form_tol(route.z_r.shape[0])
 
 
 def gram_accepts(route):
@@ -318,10 +321,11 @@ def streamed_probe(q):
 
 def perturbed(route, where, delta):
     """A copy of the route with one recurrence coefficient moved by delta."""
-    hess, z_r = route.hess.copy(), route.z_r.copy()
+    sub, z_r = route.sub.copy(), route.z_r.copy()
+    band = None if route.band is None else route.band.copy()
     coef = None if route.coef is None else route.coef.copy()
     h0, r_sq = route.h0, route.r_sq
-    n = hess.shape[0]
+    n = z_r.shape[0]
     j = n // 2
     if where == "h0":
         h0 += delta
@@ -330,16 +334,16 @@ def perturbed(route, where, delta):
     elif where == "z_r":
         z_r[-1] += delta
     elif where == "a_j":
-        hess[j, j] += delta
+        band[1, j] += delta
     elif where in ("b_j", "rho_j"):
-        hess[j + 1, j] += delta
+        sub[j] += delta
     elif where == "b_j-above":
-        hess[j, j + 1] += delta
+        band[0, j + 1] += delta
     elif where == "c_j":
         coef[j] += delta
     elif where == "c_last":
         coef[-1] += delta
-    return route._replace(hess=hess, h0=h0, r_sq=r_sq, z_r=z_r, coef=coef)
+    return route._replace(sub=sub, band=band, h0=h0, r_sq=r_sq, z_r=z_r, coef=coef)
 
 
 def spoiled(route, j, eps, i=0):
@@ -438,6 +442,16 @@ class TestClosedFormCertificate:
     @pytest.mark.parametrize("name", sorted(RULES))
     def test_lost_orthogonality_to_a_later_column_is_caught(self, name, eps, i, j):
         route = spoiled(rule_route(name, 256, 64), j, eps, i)
+        assert closed_form_accepts(route)
+        assert not probe_accepts(route)
+        assert not gram_accepts(route)
+
+    @pytest.mark.parametrize("j", [0, 32, 63])
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_lost_normalization_is_caught_by_the_probe(self, name, j):
+        # column j scaled by 1 + 1e-9 stays orthogonal to the others: only
+        # the probe's diagonal terms | |q_j|^2 - 1 | see it
+        route = spoiled(rule_route(name, 256, 64), j, 1e-9, i=j)
         assert closed_form_accepts(route)
         assert not probe_accepts(route)
         assert not gram_accepts(route)
@@ -578,7 +592,7 @@ class TestKeptColumns:
         stored = run(route, mu.nodes, row_scale, n, store_q=True)
         assert window.q.shape == (len(mu), min(n, 2)) and stored.q.shape == (len(mu), n)
         assert window.q.tobytes() == stored.q[:, -2:].tobytes()
-        for name in ("hess", "z_r") + (("coef",) if route == "szego" else ()):
+        for name in ("sub", "z_r") + (("coef",) if route == "szego" else ("band",)):
             assert getattr(window, name).tobytes() == getattr(stored, name).tobytes(), name
         assert (window.h0, window.r_sq, window.probe) == (stored.h0, stored.r_sq, stored.probe)
         # the probe inside the build is the probe fed the columns in order
@@ -607,6 +621,61 @@ class TestKeptColumns:
             tracemalloc.stop()
         assert bs.columns.shape == (16384, 2)
         assert peak < 40 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize("make_mu", [circle_lebesgue, interval_lebesgue])
+    def test_certified_build_keeps_o_n_coefficients(self, make_mu):
+        # n = 1024 on 16384 nodes: a dense H would be 16 MiB (complex) or
+        # 8 MiB (real); the window, the probe and the work vectors are ~3 MiB
+        mu = make_mu(16384)
+        tracemalloc.start()
+        try:
+            bs = orthonormalize(mu, WeightedSpace(1023))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bs.columns.shape == (16384, 2) and "hessenberg" not in vars(bs)
+        assert peak < 6 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize("case", sorted(STRUCTURED_CASES))
+    def test_hessenberg_is_formed_on_first_read(self, case):
+        # the H a dense build filled: column j of a Szego H is c_j s_j,
+        # s_j the coordinates of phi_j^* as the build multiplies them
+        mu, space, _ = structured_setup(case, 63)
+        bs = orthonormalize(mu, space)
+        assert "hessenberg" not in vars(bs)
+        h = bs.hessenberg
+        assert h is bs.hessenberg and not h.flags.writeable and h.flags.c_contiguous
+        want = np.zeros((64, 64), dtype=h.dtype)
+        np.fill_diagonal(want[1:], bs.h_sub)
+        if bs.route == "szego":
+            assert h.dtype == np.complex128
+            s = np.zeros(64, dtype=np.complex128)
+            s[0] = 1.0
+            for j, c in enumerate(bs.szego_c):
+                want[: j + 1, j] = c * s[: j + 1]
+                if j < 63:
+                    s[: j + 1] *= bs.h_sub[j]
+                    s[j + 1] = -np.conj(c)
+        else:
+            assert bs.route == "three_term" and h.dtype == np.float64
+            np.fill_diagonal(want, bs.h_band[1])
+            np.fill_diagonal(want[:, 1:], bs.h_band[0, 1:])
+        assert h.tobytes() == want.tobytes()
+
+    def test_circle_consumers_never_form_hessenberg(self, monkeypatch):
+        mu = circle_lebesgue(512)
+        bs = orthonormalize(mu, WeightedSpace(127, tensor_power=128))
+
+        def formed(self):
+            raise AssertionError("H was formed")
+
+        monkeypatch.setattr(basis_module.OrthonormalBasis, "hessenberg", property(formed))
+        ia, ib = arc_indices(mu, 0.0, np.pi / 2), arc_indices(mu, np.pi, 1.5 * np.pi)
+        assert 0.0 < bergman_mass(bs, mu, ia, ib) < 1.0
+        assert bm_constant(bs, default_eval_grid(mu)) > 0.0
+        assert bm_constant(bs, 1.05 * default_eval_grid(mu)) > 0.0
+        evaluate_basis(bs, mu.nodes[:7])
+        diagonal_kernel(bs, mu.nodes[:7])
 
     @pytest.mark.parametrize("name", ["circle", "interval"])
     def test_recurrence_consumers_never_build_q(self, name, monkeypatch):
@@ -722,8 +791,9 @@ class TestBandedEvaluation:
         # the full Hessenberg step
         route = bs.route if case == "interval" else "hessenberg"
         assert bs.route == ("three_term" if case == "interval" else "szego")
+        args = _step_inputs(bs) if route == "three_term" else (route, bs.hessenberg, bs.h_sub)
         np.testing.assert_array_equal(
-            eval_recurrence(pts, scale, bs.const_norm, bs.hessenberg, route),
+            eval_recurrence(pts, scale, bs.const_norm, *args),
             eval_recurrence_reference(pts, scale, bs.const_norm, bs.hessenberg))
 
 
@@ -802,11 +872,11 @@ class TestRoute:
         # the route, not H, decides which columns a step reads: entries
         # above the band of a "three_term" H are never read
         bs = orthonormalize(interval_lebesgue(128), WeightedSpace(31, tensor_power=32))
-        junk = bs.hessenberg + np.triu(np.full((32, 32), 1e3), 2)
+        junk = np.vstack([np.full((1, 32), 1e3), bs.h_band])
         pts = np.linspace(-1.0, 1.0, 101).astype(complex)
         args = (pts, np.ones(pts.size), bs.const_norm)
-        want = eval_recurrence(*args, bs.hessenberg, "three_term", diagonal=diagonal)
-        got = eval_recurrence(*args, junk, "three_term", diagonal=diagonal)
+        want = eval_recurrence(*args, "three_term", bs.h_band, bs.h_sub, diagonal=diagonal)
+        got = eval_recurrence(*args, "three_term", junk, bs.h_sub, diagonal=diagonal)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("route", ["three_term", "szego"])
@@ -818,8 +888,8 @@ class TestRoute:
         assert bs.route == route
         pts = off_node_circle(0.9)
         scale = np.ones(pts.size)
-        full = eval_recurrence(pts, scale, bs.const_norm, bs.hessenberg, "hessenberg")
-        short = eval_recurrence(pts, scale, bs.const_norm, bs.hessenberg, route, bs.szego_c)
+        full = eval_recurrence(pts, scale, bs.const_norm, "hessenberg", bs.hessenberg, bs.h_sub)
+        short = eval_recurrence(pts, scale, bs.const_norm, *_step_inputs(bs))
         assert max_relative_gap(short, full) <= 1e-12
 
 
@@ -951,12 +1021,13 @@ class TestBasisId:
         bs = orthonormalize(mu, WeightedSpace(n - 1))
         assert bs.route == {"interval": "three_term", "circle": "szego"}.get(case, "hessenberg")
         if bs.route == "three_term":
-            sites = [("hessenberg", (i, j)) for j in range(n) for i in range(max(j - 1, 0), j + 2)]
+            sites = [("h_sub", (j,)) for j in range(n - 1)] + [("h_band", (i, j)) for j in range(n)
+                                                               for i in (0, 1) if i or j]
         elif bs.route == "szego":
-            sites = [("hessenberg", (j + 1, j)) for j in range(n)] + [("szego_c", (j,))
-                                                                      for j in range(n)]
+            sites = [("h_sub", (j,)) for j in range(n - 1)] + [("szego_c", (j,))
+                                                               for j in range(n)]
         else:
-            sites = [("hessenberg", (i, j)) for j in range(n) for i in range(j + 2)]
+            sites = [("h_full", (i, j)) for j in range(n) for i in range(j + 2)]
         sites = [(name, at) for name, at in sites if max(at) < n]
         ids = {bs.basis_id}
         for name, at in sites:
@@ -968,7 +1039,8 @@ class TestBasisId:
 
 # how a basis stores its recurrence, which only cdlab.basis and
 # cdlab._backend read
-RECURRENCE_FIELDS = {"hessenberg", "szego_c", "columns", "residual_sq", "z_residual", "route"}
+RECURRENCE_FIELDS = {"hessenberg", "h_sub", "h_band", "h_full", "szego_c", "columns",
+                     "residual_sq", "z_residual", "route"}
 
 
 @pytest.mark.parametrize("module", ["operator", "kernel", "experiments"])

@@ -31,7 +31,7 @@ from cdlab import (
 )
 import cdlab
 from cdlab import _backend, kernel
-from cdlab.basis import diagonal_kernel, weighted_rows
+from cdlab.basis import _step_inputs, diagonal_kernel, weighted_rows
 from cdlab.symbols import sym_one
 
 
@@ -636,7 +636,7 @@ class TestBmRunningSum:
         want = _dense_bm_sums(bs, grid)
         got = _backend.eval_recurrence(np.ascontiguousarray(grid, dtype=complex),
                                        bs.space.weight_scale(grid), bs.const_norm,
-                                       bs.hessenberg, bs.route, bs.szego_c, diagonal=True)
+                                       *_step_inputs(bs), diagonal=True)
         assert np.max(np.abs(got - want) / want) <= rtol
         assert abs(bm_constant(bs, grid) - np.max(want)) <= rtol * np.max(want)
 
@@ -646,7 +646,7 @@ class TestBmRunningSum:
         bs, grid, _ = _bm_case(name, 21)
         pts = np.ascontiguousarray(grid, dtype=complex)
         want = _backend.eval_recurrence(pts, bs.space.weight_scale(pts), bs.const_norm,
-                                        bs.hessenberg, bs.route, bs.szego_c, diagonal=True)
+                                        *_step_inputs(bs), diagonal=True)
         sums = diagonal_kernel(bs, grid)
         assert sums.tobytes() == want.tobytes()
         if name in ("circle", "hessenberg-circle"):

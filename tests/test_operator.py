@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -760,6 +762,119 @@ class TestSymmetrize:
         else:
             with pytest.raises(want):
                 operator._as_hermitian(mat)
+
+
+BANDED_CASES = {
+    "gauss-legendre": interval_lebesgue,
+    "gauss-chebyshev": arcsine,
+    "tilted-interval": lambda m: scale_by(interval_lebesgue(m), lambda z: 1.5 * z.real),
+}
+BANDED_SPECS = ["one", "x", "x2", "const:-1.25", "poly:1,0.5,-3"]
+
+
+def banded_case(case, k):
+    mu = BANDED_CASES[case](4 * k)
+    bs = orthonormalize(mu, WeightedSpace(k - 1, tensor_power=k))
+    assert bs.route == "three_term"
+    return bs, mu
+
+
+def dense_copy(t):
+    """t held dense: the same entries, through the public constructor."""
+    return ToeplitzMatrix(t.entries.copy(), t.symbol_desc, t.k, t.basis_id)
+
+
+class TestBandedRoute:
+    """On the three-term route T(f) is read off the recurrence as its band,
+    and entries is formed from the band on first read."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 16, 256])
+    @pytest.mark.parametrize("case", sorted(BANDED_CASES))
+    def test_matches_quadrature_oracle(self, case, k):
+        bs, mu = banded_case(case, k)
+        for spec in BANDED_SPECS:
+            f = resolve_symbol(spec)[1]
+            t = toeplitz(bs, mu, f)
+            assert "entries" not in vars(t), spec
+            gap = max_relative_gap(t.entries, quadrature_oracle(bs, mu, f))
+            assert gap <= 1e-13, (spec, gap)
+            assert not t.entries.flags.writeable and t.dimension == k
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 16, 256])
+    @pytest.mark.parametrize("case", sorted(BANDED_CASES))
+    def test_degree_one_equals_the_symmetrized_hessenberg(self, case, k):
+        # T(f) = c1 H + c0 I before symmetrization, H = T(x) the tridiagonal
+        # Hessenberg matrix of the basis, formed on read
+        bs, mu = banded_case(case, k)
+        for spec in ("one", "x", "const:-1.25", "poly:0.5,-2"):
+            f = resolve_symbol(spec)[1]
+            c0, c1 = f.terms.get((0, 0), 0.0), f.terms.get((1, 0), 0.0)
+            raw = c1 * bs.hessenberg
+            raw[np.diag_indices(k)] += c0
+            t = toeplitz(bs, mu, f)
+            np.testing.assert_array_equal(t.entries, (raw + raw.T) * 0.5)
+            assert t.asymmetry == float(np.max(np.abs(raw - raw.T))), spec
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 16, 256])
+    @pytest.mark.parametrize("case", sorted(BANDED_CASES))
+    def test_trace_powers_match_the_dense_statistic(self, case, k):
+        bs, mu = banded_case(case, k)
+        for spec in BANDED_SPECS:
+            t = toeplitz(bs, mu, resolve_symbol(spec)[1])
+            for g in (spectral_identity, spectral_square, spectral_cube):
+                got = spectral_statistic(t, g)
+                want = spectral_statistic(dense_copy(t), g)
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (spec, g.__name__)
+
+    def test_legendre_square_trace_closed_form(self):
+        # (1/n) tr J^2 = (2/n) sum_{j<n} j^2 / (4 j^2 - 1) = (n - 1) / (2n - 1)
+        k = 2048
+        bs, mu = banded_case("gauss-legendre", k)
+        got = spectral_statistic(toeplitz(bs, mu, sym_x), spectral_square)
+        assert abs(got - (k - 1) / (2 * k - 1)) <= 4 * (k + 2) * np.finfo(float).eps
+
+    def test_statistic_holds_no_dense_matrix(self):
+        # n = 1024: entries would be 8 MiB, and the dense statistic forms two
+        mu = interval_lebesgue(4096)
+        bs = orthonormalize(mu, WeightedSpace(1023, tensor_power=1024))
+        tracemalloc.start()
+        try:
+            value = spectral_statistic(toeplitz(bs, mu, sym_x), spectral_square)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(value - 1023 / 2047) <= 1e-12
+        assert peak < 2**20, peak / 2**20
+
+    def test_nonfinite_band_is_rejected(self):
+        bs, mu = banded_case("gauss-legendre", 16)
+        t = toeplitz(bs, mu, sym_x)
+        rows = t._rows.copy()
+        rows[3, 0] = np.nan
+        bad = ToeplitzMatrix._banded(rows, "bad", 16, "test", 0.0)
+        for g in (spectral_identity, spectral_square, spectral_cube):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                spectral_statistic(bad, g)
+
+    @pytest.mark.parametrize("case", ["points-real", "another-measure"])
+    def test_other_bases_take_the_dense_route(self, case, monkeypatch):
+        if case == "points-real":
+            # Lanczos loses orthogonality here, and full Arnoldi builds a real H
+            bs, mu = recurrence_case("points-real", 64)
+            assert bs.route == "hessenberg" and not np.iscomplexobj(bs.hessenberg)
+        else:
+            bs, _ = banded_case("gauss-legendre", 32)
+            mu = scale_by(interval_lebesgue(128), lambda z: 0.7 * np.real(z) + 0.2)
+        calls = []
+        real = operator._quadrature_raw
+        monkeypatch.setattr(operator, "_quadrature_raw",
+                            lambda q, fvals: calls.append(1) or real(q, fvals))
+        for spec in BANDED_SPECS:
+            f = resolve_symbol(spec)[1]
+            t = toeplitz(bs, mu, f)
+            assert "entries" in vars(t)
+            assert max_relative_gap(t.entries, quadrature_oracle(bs, mu, f)) <= 1e-13
+        assert len(calls) == len(BANDED_SPECS)
 
 
 class TestQuadratureRouteKept:
