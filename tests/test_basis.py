@@ -283,16 +283,6 @@ class TestStructuredRoutes:
 RULES = {"circle": circle_lebesgue, "interval": interval_lebesgue, "arcsine": arcsine}
 
 
-def rule_route(name, m, n, row_scale=None, store_q=True):
-    """The structured route's build for n columns on m nodes of the rule."""
-    mu = RULES[name](m)
-    row_scale = np.sqrt(mu.weights) if row_scale is None else row_scale
-    if name == "circle":
-        return _szego(mu.nodes, row_scale, n, store_q=store_q)
-    return _arnoldi(np.ascontiguousarray(mu.nodes.real), row_scale, n, window=2,
-                    store_q=store_q)
-
-
 def case_route(case, d=63):
     """The structured build of a case of STRUCTURED_CASES on 4 (d + 1)
     nodes, with Q stored: Lanczos on real nodes, Szego on the circle."""
@@ -431,7 +421,6 @@ PROBE_CASES = {
 # kbench's bases: (rule, k values, nodes per k), at least 256 nodes
 KBENCH_SIZES = [("interval", (64, 128, 256, 512), 4), ("circle", (32, 64, 128, 256), 16),
                 ("circle", (32, 64, 128, 256, 512), 4), ("arcsine", (64, 128, 256, 512), 4)]
-RULE_SIZES = [(n, extra) for n in (1, 2, 5, 16, 64, 256) for extra in (2, "4n")] + [(1024, "4n")]
 
 
 class TestProbeCertificate:
@@ -447,19 +436,17 @@ class TestProbeCertificate:
         assert _probe_tol(4096) == pytest.approx(3.64e-12, rel=1e-2)
         assert _probe_tol(2050) - _probe_tol(1025) == 4 * 1025 * eps
 
-    @pytest.mark.parametrize("n, extra", RULE_SIZES)
+    @pytest.mark.parametrize("n, extra", [(n, extra) for n in (1, 2, 5, 16, 64, 256)
+                                          for extra in (2, "4n")] + [(1024, "4n")])
     @pytest.mark.parametrize("name", sorted(RULES))
-    def test_agrees_with_the_gram_check(self, name, n, extra):
-        route = rule_route(name, 4 * n if extra == "4n" else n + extra, n)
-        assert (probe_accepts(route), gram_accepts(route)) == (True, True)
-
-    @pytest.mark.parametrize("n, extra", RULE_SIZES)
-    @pytest.mark.parametrize("name", sorted(RULES))
-    def test_certified_basis_matches_the_closed_form(self, name, n, extra, monkeypatch):
+    def test_agrees_with_the_gram_check(self, name, n, extra, monkeypatch):
+        # the rule's basis is kept on its probe, with no Gram product; the
+        # Gram check passes it too, and its numbers match the closed form
         m = 4 * n if extra == "4n" else n + extra
         grams = recorded(monkeypatch, "_orthonormality_defect")
         bs = orthonormalize(RULES[name](m), WeightedSpace(n - 1))
         assert grams == [] and bs.columns.shape == (m, min(n, 2))
+        assert _orthonormality_defect(bs.node_values) <= 1e-13
         assert closed_form_defect(name, bs) <= _probe_tol(n)
 
     @pytest.mark.parametrize("k", [64, 1024, 4096])
@@ -489,11 +476,12 @@ class TestProbeCertificate:
         mu = RULES[name](256)
         row_scale = np.sqrt(mu.weights)
         row_scale[17] = np.nan
+        route = "szego" if name == "circle" else "three_term"
         with np.errstate(invalid="ignore"):
-            route = rule_route(name, 256, 64, row_scale)
-        assert np.isnan(route.h0) and np.all(np.isnan(route.sub))
-        assert not probe_accepts(route)
-        assert not gram_accepts(route)
+            built = basis_module._run_route(route, mu.nodes, row_scale, 64, store_q=True)
+        assert np.isnan(built.h0) and np.all(np.isnan(built.sub))
+        assert not probe_accepts(built)
+        assert not gram_accepts(built)
 
     # the three rules and the three measures no closed form fits
     @pytest.mark.parametrize("j", [1, 32, 63])
@@ -672,7 +660,7 @@ class TestKeptColumns:
         assert bs.columns.shape == (256, 2) and "node_values" not in vars(bs)
         q = bs.node_values
         assert q is bs.node_values and not q.flags.writeable
-        stored = rule_route(name, 256, 64).q
+        stored = case_route(name).q
         assert q.tobytes() == stored.tobytes() and q.flags.f_contiguous
         assert q[:, -2:].tobytes() == bs.columns.tobytes()
 
