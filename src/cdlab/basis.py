@@ -17,9 +17,9 @@ window of two columns and O(n) coefficients, O(m) memory, and probes
 Q*Q = I as it forms each column, in O(m n) (see _Probe).  When the probe
 reads tau(n) = 4 (n + 2) eps or less, whatever the measure, the result is
 kept, and no Q was ever formed.  Otherwise the build runs again with Q
-stored, and its node values must be orthonormal to max |Q*Q - I| <= 1e-13,
-an O(m n^2) product.  Full Arnoldi decides when that fails too, or when the
-structured recurrence breaks down.
+stored, unless the probe proves it would fail, and its node values must be
+orthonormal to max |Q*Q - I| <= 1e-13, an O(m n^2) product.  Full Arnoldi
+decides when that fails too, or when the structured recurrence breaks down.
 
 A basis is its route ("szego", "three_term" or "hessenberg") and its
 recurrence, run one step past n so that H = T(z) = Q* Z Q (Z Q = Q H +
@@ -30,7 +30,7 @@ Of the recurrence it keeps what its route's step reads, O(n) on the
 structured routes: the n - 1 norms H[j+1, j] on every route, and the two
 other diagonals of a three-term H, the Szego c_j, or a Hessenberg H whole.
 The dense H of a structured route is formed on first read of
-`hessenberg`, and cached read-only; only the circle's T(f) reads it.  Its
+`hessenberg`, and cached read-only; only the Szego T(f) reads it.  Its
 node values Q are built on first read when it kept two columns, and
 cached read-only.  `orthonormalize` is its only constructor.  No other
 module but `_backend` reads how the recurrence is stored: the operator and
@@ -452,9 +452,11 @@ def _structured_arnoldi(mu, row_scale, n):
     keeps two columns only.  Its result is kept if its streamed probe reads
     tau(n) or less, in O(m n), whatever the measure.  Otherwise the build
     runs again with Q stored, and is kept if its columns are orthonormal to
-    max |Q*Q - I| <= _RANK_TOL, in O(m n^2).  Failing both, on breakdown,
-    and for any other node set, full Arnoldi decides.  Returns (route,
-    _Build).
+    max |Q*Q - I| <= _RANK_TOL, in O(m n^2), unless the probe reads above
+    2 max(n - 1, 1) _RANK_TOL, or NaN: a probe row sums at most n - 1
+    entries of Q*Q - I, each times |x_i| < 1, so Gram must fail then (2
+    covers rounding).  Failing both, on breakdown, and for any other node
+    set, full Arnoldi decides.  Returns (route, _Build).
 
     Szego on the roots of unity multiplies by z, an isometry, and subtracts
     c_j ~ eps, so no error grows; under a weight far from constant the
@@ -481,9 +483,10 @@ def _structured_arnoldi(mu, row_scale, n):
             else:
                 if built.probe <= _probe_tol(n):
                     return route, built
-                built = _run_route(route, z, row_scale, n, store_q=True)
-                if _orthonormality_defect(built.q) <= _RANK_TOL:
-                    return route, built
+                if built.probe <= 2 * max(n - 1, 1) * _RANK_TOL:
+                    built = _run_route(route, z, row_scale, n, store_q=True)
+                    if _orthonormality_defect(built.q) <= _RANK_TOL:
+                        return route, built
     if real:
         z = np.ascontiguousarray(z.real)
     return "hessenberg", _arnoldi(z, row_scale, n)
@@ -586,43 +589,36 @@ def recurrence_toeplitz(basis, terms):
     """Q* F Q for the polynomial symbol sum c u^a v^b (u = Re z, v = Im z,
     a + b <= 2) on the measure the basis was built on, from the recurrence
     run one step past n: Z Q = Q T(z) + r e_n^T on the nodes, whence
-        T(z^2)         = T(z)^2 + Q*(z r) e_n^T,
-        T(conj(z) z)   = T(z)* T(z) + |r|^2 e_n e_n^T,
-    and T(conj(z)) = T(z)*.  u and v follow from (z +- conj(z))/2.
+    T(z^2) = T(z)^2 + Q*(z r) e_n^T.  u and v follow from (z +- conj(z))/2.
 
     Three-term route: v = 0 and conj(z) = z on real nodes, T(x) = J is the
     tridiagonal H, and T(x^2) = J^2 + |r|^2 e_n e_n^T, so T(f) has
     bandwidth w = deg f.  Returns (rows, asymmetry), in O(n): rows, (n,
     2w + 1) float64, holds T(f) by rows, rows[i, w + d] = T[i, i + d] (zero
     off the matrix), each off-diagonal pair set to (raw_ij + raw_ji) / 2,
-    and asymmetry = max |raw_ij - raw_ji|.  On a complex H (the circle's
-    Szego route, full Arnoldi off the real line) returns the raw dense T(f),
-    not yet symmetrized, O(n^3).  None for a real full-Arnoldi H, which
-    has no recurrence form.
+    and asymmetry = max |raw_ij - raw_ji|.  Szego route: |z| = 1 on the
+    nodes (the certificate checks it to working precision), so
+    T(conj(z) z) = I and T(f) = P + P* + (c_1 + (c_uu + c_vv)/2) I with
+    P = (c_u - i c_v)/2 T(z) + (c_uu - c_vv - i c_uv)/4 T(z^2): the dense
+    T(f), Hermitian bit for bit, O(n^2) plus O(n^3) for T(z^2).  None on
+    the "hessenberg" route (full Arnoldi), which has no recurrence form.
     """
     if basis.route == "three_term":
         return _three_term_toeplitz(basis, terms)
-    t_z = basis.hessenberg
-    if not np.iscomplexobj(t_z):
+    if basis.route != "szego":
         return None
     c = {ab: terms.get(ab, 0.0) for ab in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
-    degree = max((a + b for a, b in terms), default=0)
-    if degree == 0:
-        return c[0, 0] * np.eye(basis.dimension, dtype=t_z.dtype)
-    # T(f) = P + P* + gamma T(conj(z) z), with
-    # P = (c_u - i c_v)/2 T(z) + (c_uu - c_vv - i c_uv)/4 T(z^2)
+    t_z = basis.hessenberg
     half = (c[1, 0] - 1j * c[0, 1]) / 2 * t_z
-    if degree == 2:
+    c_z2 = (c[2, 0] - c[0, 2] - 1j * c[1, 1]) / 4
+    if c_z2:
         t_z2 = t_z @ t_z
         t_z2[:, -1] += basis.z_residual
-        half += (c[2, 0] - c[0, 2] - 1j * c[1, 1]) / 4 * t_z2
-    raw = half + half.conj().T
-    gamma = (c[2, 0] + c[0, 2]) / 2
-    if gamma:
-        t_zz = t_z.conj().T @ t_z
-        t_zz[-1, -1] += basis.residual_sq
-        raw += gamma * t_zz
-    raw[np.diag_indices(basis.dimension)] += c[0, 0]
+        half += c_z2 * t_z2
+    # P* + P, conjugating into a C-ordered buffer: no conjugate copy of P
+    raw = np.conjugate(half.T, out=np.empty_like(half, order="C"))
+    raw += half
+    raw[np.diag_indices(basis.dimension)] += c[0, 0] + (c[2, 0] + c[0, 2]) / 2
     return raw
 
 

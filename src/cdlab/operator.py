@@ -26,7 +26,8 @@ class ToeplitzMatrix:
     by rows (see basis.recurrence_toeplitz), and entries is formed on first
     read; otherwise entries is the matrix.  Both are read-only.  asymmetry
     records the max entry deviation from Hermitian symmetry seen before
-    the final symmetrization (quadrature noise diagnostic).
+    the final symmetrization (quadrature noise diagnostic), 0.0 on the
+    Szego route, whose matrix is Hermitian by construction.
     """
 
     def __init__(self, entries, symbol_desc, k, basis_id, asymmetry=0.0):
@@ -131,9 +132,9 @@ def toeplitz(basis, mu, f, symbol_desc=None):
     A PolynomialSymbol (degree <= 2 in Re z, Im z) on the measure the basis
     was built on is read off the basis recurrence: on a three-term basis
     as its band, O(n), which is all the matrix holds until entries is read;
-    on a complex one as a dense matrix, one n x n product per degree-2
-    monomial.  Any other symbol, a basis used on another measure, or a real
-    full-Arnoldi basis takes the quadrature product Q* F Q, O(m n^2).
+    on a Szego basis as a dense matrix, Hermitian by construction.  Any
+    other symbol, a basis used on another measure, or a full-Arnoldi basis
+    takes the quadrature product Q* F Q, O(m n^2), made Hermitian in place.
     """
     fvals = _symbol_values(mu, f)
     name, k = _symbol_name(f, symbol_desc), basis.space.tensor_power
@@ -143,9 +144,10 @@ def toeplitz(basis, mu, f, symbol_desc=None):
     if isinstance(raw, tuple):
         rows, asym = raw
         return ToeplitzMatrix._banded(rows, name, k, basis.basis_id, asym)
+    asym = 0.0
     if raw is None:
         raw = _quadrature_raw(weighted_rows(basis, mu), fvals)
-    asym = _hermitian_part_inplace(raw)
+        asym = _hermitian_part_inplace(raw)
     return ToeplitzMatrix(entries=raw, symbol_desc=name, k=k, basis_id=basis.basis_id,
                           asymmetry=asym)
 

@@ -418,6 +418,13 @@ PROBE_CASES = {
     "geometric-weights": lambda: (from_points(np.linspace(-1.0, 1.0, 1024),
                                               0.97 ** np.arange(1024)), WeightedSpace(127)),
 }
+# the cases that reach the Gram tier: those whose probe rules the Gram check
+# out, and those near the bound, which the Gram check decides
+GRAM_SKIPPED = ([f"atoms-{m}-seed={seed}" for m in (300, 1024) for seed in range(3)]
+                + ["atoms-128", "overflowing-metric-circle"]
+                + [f"two-clusters-seed={seed}" for seed in range(3)]
+                + [f"step-past-n-metric-circle-m={m}" for m in (65, 256)])
+GRAM_DECIDED = ["geometric-weights", "lanczos-fallback", "off-circle", "real-atoms"]
 # kbench's bases: (rule, k values, nodes per k), at least 256 nodes
 KBENCH_SIZES = [("interval", (64, 128, 256, 512), 4), ("circle", (32, 64, 128, 256), 16),
                 ("circle", (32, 64, 128, 256, 512), 4), ("arcsine", (64, 128, 256, 512), 4)]
@@ -513,12 +520,14 @@ class TestProbeCertificate:
 
     @pytest.mark.parametrize("case", sorted(STRUCTURED_CASES))
     def test_spoiled_route_falls_back_to_full_arnoldi(self, case, monkeypatch):
-        # both runs of the structured build return column 32 spoiled: the
-        # streamed probe rejects the first, the Gram check the rerun
+        # both runs of the structured build return column 32 spoiled by
+        # 1e-12: the streamed probe (~7.7e-13) rejects the first, but stays
+        # below the bound 2 (n - 1) 1e-13 that rules the Gram check out, and
+        # the Gram check rejects the rerun
         real = basis_module._run_route
 
         def spoiled_run(route, nodes, row_scale, n, store_q):
-            full = spoiled(real(route, nodes, row_scale, n, store_q=True), 32, 1e-9)
+            full = spoiled(real(route, nodes, row_scale, n, store_q=True), 32, 1e-12)
             return full if store_q else full._replace(q=full.q[:, -2:])
 
         monkeypatch.setattr("cdlab.basis._run_route", spoiled_run)
@@ -526,8 +535,33 @@ class TestProbeCertificate:
         mu, space, _ = structured_setup(case, 63)
         bs = orthonormalize(mu, space)
         assert bs.route == "hessenberg" and bs.szego_c is None
-        assert len(grams) == 1 and grams[0] > 1e-10
+        assert len(grams) == 1 and grams[0] > 5e-13
         assert node_defect(bs.node_values) <= 1e-14
+
+    @pytest.mark.parametrize("case", GRAM_SKIPPED + GRAM_DECIDED)
+    def test_gram_tier_runs_only_where_it_can_pass(self, case, monkeypatch):
+        # each probe row sums at most n - 1 entries of Q*Q - I, each times
+        # |x_i| < 1: a probe above 2 (n - 1) 1e-13, or NaN, proves that the
+        # Gram check fails, and full Arnoldi builds the basis at once
+        builds = recorded(monkeypatch, "_run_route")
+        grams = recorded(monkeypatch, "_orthonormality_defect")
+        mu, space = PROBE_CASES[case]()
+        bs = orthonormalize(mu, space)
+        n = space.dimension
+        bound = 2 * max(n - 1, 1) * 1e-13
+        assert bs.route == "hessenberg"
+        if case in GRAM_DECIDED:
+            assert builds[0].probe <= bound
+            assert len(builds) == 2 and len(grams) == 1 and grams[0] > 1e-13
+            return
+        assert len(builds) == 1 and grams == [] and not builds[0].probe <= bound
+        # the Gram check of a stored build rejects it too: the skip drops no
+        # basis that the Gram tier would keep
+        route = "szego" if np.any(mu.nodes.imag) else "three_term"
+        row_scale = np.sqrt(mu.weights) * space.weight_scale(mu.nodes)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            stored = basis_module._run_route(route, mu.nodes, row_scale, n, store_q=True)
+        assert not gram_accepts(stored)
 
     def test_probe_imports_no_random_generator(self):
         # importing numpy.random alone costs a few MiB of resident memory

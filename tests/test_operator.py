@@ -5,6 +5,7 @@ import pytest
 
 from cdlab import (
     NotHermitianError,
+    QuadratureMeasure,
     WeightedSpace,
     algebra_defect,
     arcsine,
@@ -459,11 +460,12 @@ class TestAlgebraDefect:
         mu, bs = circle_basis(8)
         assert algebra_defect(bs, mu, sym_one, sym_sin, 2) <= 1e-10
 
-    @pytest.mark.parametrize("k", [16, 32, 64])
+    @pytest.mark.parametrize("k", [16, 32, 64, 256, 1024])
     def test_cosine_defect_closed_form(self, k):
         mu, bs = circle_basis(k)
         got = algebra_defect(bs, mu, sym_cos, sym_cos, 2)
-        assert abs(got - 1.0 / np.sqrt(8.0 * k)) <= 1e-12
+        want = 1.0 / np.sqrt(8.0 * k)
+        assert abs(got - want) <= 1e-15 * want
 
     # on n nodes Q is square and unitary, so T(f) T(g) = T(f g) exactly
     @pytest.mark.parametrize("n", [1, 4, 32])
@@ -643,12 +645,22 @@ class TestRecurrenceRoute:
             assert gap <= 1e-13, (name, gap)
 
     @pytest.mark.parametrize("case", RECURRENCE_CASES)
-    def test_recurrence_route_reads_no_node_values(self, case):
-        bs, mu = recurrence_case(case, 16)
+    def test_recurrence_route_reads_no_node_values(self, case, monkeypatch):
+        # the random atoms at n = 64, where both run full Arnoldi
+        bs, mu = recurrence_case(case, 64 if case.startswith("points") else 16)
+        calls = []
+        real = operator._quadrature_raw
+        monkeypatch.setattr(operator, "_quadrature_raw",
+                            lambda q, fvals: calls.append(1) or real(q, fvals))
         for f in polynomial_symbols().values():
             toeplitz(bs, mu, f)
+        if case.startswith("points"):
+            # full Arnoldi has no recurrence form: every symbol takes the
+            # quadrature product, in the disk as on the real line
+            assert bs.route == "hessenberg" and len(calls) == len(polynomial_symbols())
+            return
         # node_values is cached on first read, so it was never read
-        assert "node_values" not in vars(bs)
+        assert calls == [] and "node_values" not in vars(bs)
         # a rule's certified basis kept its last two columns and never built Q
         if case in ("circle", "interval", "arcsine"):
             assert bs.columns.shape == (len(mu), 2)
@@ -685,8 +697,68 @@ class TestRecurrenceRoute:
         assert np.array_equal(t.entries, t.entries.conj().T)
 
 
+def radially_perturbed_circle(n, delta):
+    """circle_lebesgue(4 n) with each node moved out or in by a factor
+    1 +- delta, the signs drawn at random, still tagged circle."""
+    ref = circle_lebesgue(4 * n)
+    signs = np.random.default_rng(0).choice([-1.0, 1.0], 4 * n)
+    return QuadratureMeasure(ref.nodes * (1.0 + delta * signs), ref.weights,
+                             support_tag="circle")
+
+
+SZEGO_CASES = ["circle", "tilted-circle", "metric-circle"]
+
+
+class TestSzegoOperator:
+    """On the Szego route |z| = 1, so T(conj(z) z) = I and T(f) = P + P* +
+    (c_1 + gamma) I, Hermitian by construction: no symmetrizing pass."""
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("case", SZEGO_CASES)
+    def test_hermitian_by_construction(self, case, n, monkeypatch):
+        bs, mu = recurrence_case(case, n)
+        assert bs.route == "szego"
+
+        def no_pass(v):
+            raise AssertionError("Hermitian pass called")
+
+        monkeypatch.setattr(operator, "_hermitian_part_inplace", no_pass)
+        for name, f in polynomial_symbols().items():
+            t = toeplitz(bs, mu, f)
+            assert np.array_equal(t.entries, t.entries.conj().T), name
+            assert t.asymmetry == 0.0, name
+
+    def test_memory(self):
+        # n = 1024: one complex n x n array is 16 MiB; T(cos) takes P and
+        # the result, T(x^2) also T(z^2)
+        mu = circle_lebesgue(4096)
+        bs = orthonormalize(mu, WeightedSpace(1023, tensor_power=1024))
+        assert bs.hessenberg.shape == (1024, 1024)
+        for f, limit in ((sym_cos, 40), (sym_x2, 64)):
+            tracemalloc.start()
+            try:
+                t = toeplitz(bs, mu, f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert t.asymmetry == 0.0
+            assert peak < limit * 2**20, (f.__name__, peak / 2**20)
+
+    # Szego is kept up to delta = 1e-15, and at 1e-14 for n = 8 only; the
+    # other bases run full Arnoldi
+    @pytest.mark.parametrize("delta", [1e-16, 1e-15, 1e-14])
+    @pytest.mark.parametrize("n", [8, 64, 256, 1024])
+    def test_radially_perturbed_circle(self, n, delta):
+        # T(conj(z) z) = I is used only where the probe certified |z| = 1
+        mu = radially_perturbed_circle(n, delta)
+        bs = orthonormalize(mu, WeightedSpace(n - 1, tensor_power=n))
+        for f in (sym_x2, sym_cos, sym_sin, symbols.product(sym_cos, sym_cos)):
+            gap = max_relative_gap(toeplitz(bs, mu, f).entries, quadrature_oracle(bs, mu, f))
+            assert gap <= 1e-13, (bs.route, gap)
+
+
 class TestSymmetrize:
-    """The one Hermitian-part routine, behind every Toeplitz matrix and the
+    """The one Hermitian-part routine, behind the quadrature product and the
     kernel table, against the two-temporary formula."""
 
     @staticmethod
@@ -856,12 +928,14 @@ class TestBandedRoute:
             with pytest.raises(ValueError, match="matrix entries must be finite"):
                 spectral_statistic(bad, g)
 
-    @pytest.mark.parametrize("case", ["points-real", "another-measure"])
+    @pytest.mark.parametrize("case", ["points-real", "points-disk", "another-measure"])
     def test_other_bases_take_the_dense_route(self, case, monkeypatch):
-        if case == "points-real":
-            # Lanczos loses orthogonality here, and full Arnoldi builds a real H
-            bs, mu = recurrence_case("points-real", 64)
-            assert bs.route == "hessenberg" and not np.iscomplexobj(bs.hessenberg)
+        if case.startswith("points"):
+            # Lanczos loses orthogonality on the real atoms, and full Arnoldi
+            # builds a real H; in the disk it builds a complex one
+            bs, mu = recurrence_case(case, 64)
+            assert bs.route == "hessenberg"
+            assert np.iscomplexobj(bs.hessenberg) == (case == "points-disk")
         else:
             bs, _ = banded_case("gauss-legendre", 32)
             mu = scale_by(interval_lebesgue(128), lambda z: 0.7 * np.real(z) + 0.2)
