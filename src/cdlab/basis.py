@@ -16,16 +16,14 @@ A structured result is certified before it is kept.  Its build holds a
 window of two columns and O(n) coefficients, O(m) memory, and probes
 Q*Q = I as it forms each column, in O(m n) (see _Probe).  When the probe
 reads tau(n) = 4 (n + 2) eps or less, whatever the measure, the result is
-kept, and no Q was ever formed.  Otherwise the build runs again with Q
-stored, unless the probe proves it would fail, and its node values must be
-orthonormal to max |Q*Q - I| <= 1e-13, an O(m n^2) product.  Full Arnoldi
-decides when that fails too, or when the structured recurrence breaks down.
+kept, and no Q was ever formed.  Otherwise (a probe above tau(n), a NaN,
+or a breakdown of the structured recurrence) full Arnoldi builds the basis.
 
 A basis is its route ("szego", "three_term" or "hessenberg") and its
 recurrence, run one step past n so that H = T(z) = Q* Z Q (Z Q = Q H +
 r e_n^T, the residual r unnormalized, 0 on n nodes; the basis keeps |r|^2
 and Q*(z r)), plus the columns of Q its build kept: the last two, which
-the Christoffel-Darboux masses read, or all n when the build stored Q.
+the Christoffel-Darboux masses read, or all n on full Arnoldi.
 Of the recurrence it keeps what its route's step reads, O(n) on the
 structured routes: the n - 1 norms H[j+1, j] on every route, and the two
 other diagonals of a three-term H, the Szego c_j, or a Hessenberg H whole.
@@ -98,8 +96,9 @@ class OrthonormalBasis:
 
     space: WeightedSpace
     const_norm: float = field(repr=False)
-    # the columns of Q the build kept, column-major: all n, or the last two
-    # (q_{n-2}, q_{n-1}) of a certified Szego or three-term build
+    # the columns of Q the build kept, column-major: the last two
+    # (q_{n-2}, q_{n-1}) of a certified Szego or three-term build (all n
+    # when n <= 2), or all n of full Arnoldi
     columns: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)
     node_weights: np.ndarray = field(repr=False)
@@ -359,24 +358,6 @@ def _szego(z, row_scale, n, store_q=True):
     return _Build(q, sub, None, None, coef, h0, r_sq, z_r, probe.defect)
 
 
-def _orthonormality_defect(q):
-    """max |Q*Q - I| for a column-major Q, real or complex.
-
-    Q*Q is Hermitian, so only its upper triangle is formed, 128 columns at
-    a time: no conjugate copy of the whole of Q is made.
-    """
-    n = q.shape[1]
-    worst = 0.0
-    for lo in range(0, n, 128):
-        hi = min(lo + 128, n)
-        gram = q[:, :hi].T @ q[:, lo:hi].conj()     # conj of (Q*Q)[:hi, lo:hi]
-        gram[lo:hi] -= np.eye(hi - lo)
-        # np.maximum, unlike max(), propagates a NaN: a Q that overflowed
-        # is not orthonormal
-        worst = np.maximum(worst, np.max(np.abs(gram)))
-    return float(worst)
-
-
 def _probe_tol(n):
     """tau(n) = 4 (n + 2) eps, linear in n, the tolerance of the streamed
     probe.  It reads up to ~0.7 (n + 2) eps on good bases of the three
@@ -448,15 +429,11 @@ def _structured_arnoldi(mu, row_scale, n):
     """The Arnoldi basis by the recurrence the nodes allow, certified.
 
     Real nodes run Lanczos (window 2), nodes tagged circle run Szego; on
-    real nodes both run on the real parts, in float64.  The build first
-    keeps two columns only.  Its result is kept if its streamed probe reads
-    tau(n) or less, in O(m n), whatever the measure.  Otherwise the build
-    runs again with Q stored, and is kept if its columns are orthonormal to
-    max |Q*Q - I| <= _RANK_TOL, in O(m n^2), unless the probe reads above
-    2 max(n - 1, 1) _RANK_TOL, or NaN: a probe row sums at most n - 1
-    entries of Q*Q - I, each times |x_i| < 1, so Gram must fail then (2
-    covers rounding).  Failing both, on breakdown, and for any other node
-    set, full Arnoldi decides.  Returns (route, _Build).
+    real nodes both run on the real parts, in float64.  The build keeps
+    two columns only.  Its result is kept if its streamed probe reads
+    tau(n) or less, in O(m n), whatever the measure.  On a probe above
+    tau(n) or NaN, on breakdown, and for any other node set, full Arnoldi
+    builds the basis.  Returns (route, _Build).
 
     Szego on the roots of unity multiplies by z, an isometry, and subtracts
     c_j ~ eps, so no error grows; under a weight far from constant the
@@ -473,7 +450,7 @@ def _structured_arnoldi(mu, row_scale, n):
     real = not np.any(z.imag)
     if real or mu.support_tag == "circle":
         route = "three_term" if real else "szego"
-        # an overflow here gives a NaN that every check rejects, and full
+        # an overflow here gives a NaN that the probe rejects, and full
         # Arnoldi then builds the basis
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
@@ -483,10 +460,6 @@ def _structured_arnoldi(mu, row_scale, n):
             else:
                 if built.probe <= _probe_tol(n):
                     return route, built
-                if built.probe <= 2 * max(n - 1, 1) * _RANK_TOL:
-                    built = _run_route(route, z, row_scale, n, store_q=True)
-                    if _orthonormality_defect(built.q) <= _RANK_TOL:
-                        return route, built
     if real:
         z = np.ascontiguousarray(z.real)
     return "hessenberg", _arnoldi(z, row_scale, n)

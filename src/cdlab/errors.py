@@ -6,10 +6,13 @@ class CdlabError(Exception):
 
 
 class RankDeficientError(CdlabError):
-    """The Gram matrix is not numerically positive definite.
+    """The measure cannot carry the requested weighted polynomial space.
 
-    Raised when the measure's support is too small for the requested
-    polynomial degree (too few atoms, or atoms in degenerate position).
+    Raised when the Gram matrix is not numerically positive definite: the
+    measure's support is too small for the requested polynomial degree
+    (too few atoms, or atoms in degenerate position).  Also raised when
+    the measure has no mass under the metric weight, and when the metric
+    scale exp(-k phi) leaves the double range at a node.
     """
 
 

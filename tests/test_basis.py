@@ -32,8 +32,7 @@ from cdlab import (
 from cdlab import symbols
 from cdlab._backend import eval_recurrence
 from cdlab import basis as basis_module
-from cdlab.basis import (_arnoldi, _orthonormality_defect, _Probe, _probe_tol,
-                         _step_inputs, _szego, diagonal_kernel)
+from cdlab.basis import _arnoldi, _Probe, _probe_tol, _step_inputs, _szego, diagonal_kernel
 
 SQRT_HALF = 0.7071067811865476      # 1/sqrt(2), hand Gram-Schmidt on {1, x}
 SQRT_3_OVER_2 = 1.224744871391589   # sqrt(3/2)
@@ -46,6 +45,7 @@ def ortho_residual(basis, mu):
 
 
 def node_defect(q):
+    """max |Q*Q - I|, the dense reference (NaN if Q holds a NaN)."""
     return np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1])))
 
 
@@ -296,7 +296,7 @@ def probe_accepts(route):
 
 
 def gram_accepts(route):
-    return _orthonormality_defect(route.q) <= 1e-13
+    return node_defect(route.q) <= 1e-13
 
 
 def streamed_probe(q):
@@ -316,12 +316,28 @@ def spoiled(route, j, eps, i=0):
     return route._replace(q=q, probe=streamed_probe(q))
 
 
-def recorded(monkeypatch, name):
-    """Record each value cdlab.basis.<name> returns."""
-    calls, real = [], getattr(basis_module, name)
-    monkeypatch.setattr(f"cdlab.basis.{name}",
-                        lambda *a, **kw: calls.append(real(*a, **kw)) or calls[-1])
+def recorded_builds(monkeypatch):
+    """Record each structured build cdlab.basis runs, as (store_q, _Build)."""
+    calls, real = [], basis_module._run_route
+
+    def run(route, nodes, row_scale, n, store_q):
+        calls.append((store_q, real(route, nodes, row_scale, n, store_q=store_q)))
+        return calls[-1][1]
+
+    monkeypatch.setattr("cdlab.basis._run_route", run)
     return calls
+
+
+def one_windowed_build(builds):
+    """Whether one structured build ran, holding two columns (no Q stored)."""
+    return [store_q for store_q, _ in builds] == [False]
+
+
+def kept_on_one_build(builds, bs):
+    """Whether orthonormalize ran one structured build, holding two columns,
+    and kept it as built."""
+    return (one_windowed_build(builds) and bs.route != "hessenberg"
+            and bs.columns.shape[1] == min(bs.dimension, 2))
 
 
 # The recurrence of each classical rule in closed form (Gautschi, Orthogonal
@@ -418,13 +434,13 @@ PROBE_CASES = {
     "geometric-weights": lambda: (from_points(np.linspace(-1.0, 1.0, 1024),
                                               0.97 ** np.arange(1024)), WeightedSpace(127)),
 }
-# the cases that reach the Gram tier: those whose probe rules the Gram check
-# out, and those near the bound, which the Gram check decides
-GRAM_SKIPPED = ([f"atoms-{m}-seed={seed}" for m in (300, 1024) for seed in range(3)]
-                + ["atoms-128", "overflowing-metric-circle"]
-                + [f"two-clusters-seed={seed}" for seed in range(3)]
-                + [f"step-past-n-metric-circle-m={m}" for m in (65, 256)])
-GRAM_DECIDED = ["geometric-weights", "lanczos-fallback", "off-circle", "real-atoms"]
+# the cases whose probe reads above tau(n), or NaN, so that full Arnoldi
+# builds the basis; the other 19 keep their structured build
+FULL_ARNOLDI_CASES = ([f"atoms-{m}-seed={seed}" for m in (300, 1024) for seed in range(3)]
+                      + ["atoms-128", "overflowing-metric-circle"]
+                      + [f"two-clusters-seed={seed}" for seed in range(3)]
+                      + [f"step-past-n-metric-circle-m={m}" for m in (65, 256)]
+                      + ["geometric-weights", "lanczos-fallback", "off-circle", "real-atoms"])
 # kbench's bases: (rule, k values, nodes per k), at least 256 nodes
 KBENCH_SIZES = [("interval", (64, 128, 256, 512), 4), ("circle", (32, 64, 128, 256), 16),
                 ("circle", (32, 64, 128, 256, 512), 4), ("arcsine", (64, 128, 256, 512), 4)]
@@ -432,10 +448,10 @@ KBENCH_SIZES = [("interval", (64, 128, 256, 512), 4), ("circle", (32, 64, 128, 2
 
 class TestProbeCertificate:
     """A structured build whose streamed O(m n) probe of Q*Q = I reads
-    tau(n) or less is kept, whatever the measure; the Gram check
-    max |Q*Q - I| decides where it reads more, and full Arnoldi where that
-    fails too.  The closed forms of the classical rules are oracles of the
-    numbers a kept basis holds, not a gate."""
+    tau(n) or less is kept, whatever the measure; where it reads more, or
+    NaN, full Arnoldi builds the basis.  The dense max |Q*Q - I| <= 1e-13
+    (the Gram check) and the closed forms of the classical rules are
+    oracles of a kept basis, not a gate."""
 
     def test_tolerance_grows_linearly(self):
         eps = np.finfo(float).eps
@@ -447,34 +463,36 @@ class TestProbeCertificate:
                                           for extra in (2, "4n")] + [(1024, "4n")])
     @pytest.mark.parametrize("name", sorted(RULES))
     def test_agrees_with_the_gram_check(self, name, n, extra, monkeypatch):
-        # the rule's basis is kept on its probe, with no Gram product; the
-        # Gram check passes it too, and its numbers match the closed form
+        # the rule's basis is kept on its probe, as one build of two
+        # columns; the Gram check passes it too, and its numbers match the
+        # closed form
         m = 4 * n if extra == "4n" else n + extra
-        grams = recorded(monkeypatch, "_orthonormality_defect")
+        builds = recorded_builds(monkeypatch)
         bs = orthonormalize(RULES[name](m), WeightedSpace(n - 1))
-        assert grams == [] and bs.columns.shape == (m, min(n, 2))
-        assert _orthonormality_defect(bs.node_values) <= 1e-13
+        assert kept_on_one_build(builds, bs) and bs.columns.shape == (m, min(n, 2))
+        assert node_defect(bs.node_values) <= 1e-13
         assert closed_form_defect(name, bs) <= _probe_tol(n)
 
     @pytest.mark.parametrize("k", [64, 1024, 4096])
     def test_gauss_legendre_passes_with_a_margin_of_ten(self, k, monkeypatch):
         # the rule at m = 4k nodes, as the interval tables build it, up to
         # k = 4096 (m = 16384), holding two columns: Q would be 512 MiB there
-        builds = recorded(monkeypatch, "_run_route")
+        builds = recorded_builds(monkeypatch)
         bs = orthonormalize(interval_lebesgue(4 * k), WeightedSpace(k - 1))
-        assert len(builds) == 1 and bs.columns.shape == (4 * k, 2)
+        assert kept_on_one_build(builds, bs) and bs.columns.shape == (4 * k, 2)
         assert closed_form_defect("interval", bs) <= _probe_tol(k) / 10
-        assert builds[0].probe <= _probe_tol(k) / 10
+        assert builds[0][1].probe <= _probe_tol(k) / 10
 
     @pytest.mark.parametrize("case", sorted(PROBE_CASES))
     def test_probe_never_passes_where_gram_rejects(self, case, monkeypatch):
         # one hashed probe vector has sufficed: were a case found where it
         # passes and Gram rejects, a second vector would be the remedy
-        grams = recorded(monkeypatch, "_orthonormality_defect")
+        builds = recorded_builds(monkeypatch)
         bs = orthonormalize(*PROBE_CASES[case]())
-        if not grams and bs.route != "hessenberg":
+        if bs.route != "hessenberg":
             # kept on its probe alone: the Gram check passes it too
-            assert _orthonormality_defect(bs.node_values) <= 1e-13
+            assert kept_on_one_build(builds, bs)
+            assert node_defect(bs.node_values) <= 1e-13
 
     @pytest.mark.parametrize("name", sorted(RULES))
     def test_nan_in_the_route_is_rejected_by_all_three(self, name):
@@ -518,45 +536,42 @@ class TestProbeCertificate:
         assert not probe_accepts(route)
         assert not gram_accepts(route)
 
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
     @pytest.mark.parametrize("case", sorted(STRUCTURED_CASES))
-    def test_spoiled_route_falls_back_to_full_arnoldi(self, case, monkeypatch):
-        # both runs of the structured build return column 32 spoiled by
-        # 1e-12: the streamed probe (~7.7e-13) rejects the first, but stays
-        # below the bound 2 (n - 1) 1e-13 that rules the Gram check out, and
-        # the Gram check rejects the rerun
-        real = basis_module._run_route
+    def test_spoiled_route_falls_back_to_full_arnoldi(self, case, eps, monkeypatch):
+        # the structured build returns column 32 spoiled by eps: the
+        # streamed probe rejects it, and full Arnoldi builds the basis
+        real, probes = basis_module._run_route, []
 
         def spoiled_run(route, nodes, row_scale, n, store_q):
-            full = spoiled(real(route, nodes, row_scale, n, store_q=True), 32, 1e-12)
-            return full if store_q else full._replace(q=full.q[:, -2:])
+            assert not store_q
+            full = spoiled(real(route, nodes, row_scale, n, store_q=True), 32, eps)
+            probes.append(full.probe)
+            return full._replace(q=full.q[:, -2:])
 
         monkeypatch.setattr("cdlab.basis._run_route", spoiled_run)
-        grams = recorded(monkeypatch, "_orthonormality_defect")
         mu, space, _ = structured_setup(case, 63)
         bs = orthonormalize(mu, space)
+        assert len(probes) == 1 and probes[0] > _probe_tol(64)
         assert bs.route == "hessenberg" and bs.szego_c is None
-        assert len(grams) == 1 and grams[0] > 5e-13
         assert node_defect(bs.node_values) <= 1e-14
 
-    @pytest.mark.parametrize("case", GRAM_SKIPPED + GRAM_DECIDED)
-    def test_gram_tier_runs_only_where_it_can_pass(self, case, monkeypatch):
-        # each probe row sums at most n - 1 entries of Q*Q - I, each times
-        # |x_i| < 1: a probe above 2 (n - 1) 1e-13, or NaN, proves that the
-        # Gram check fails, and full Arnoldi builds the basis at once
-        builds = recorded(monkeypatch, "_run_route")
-        grams = recorded(monkeypatch, "_orthonormality_defect")
+    @pytest.mark.parametrize("case", sorted(PROBE_CASES))
+    def test_one_structured_build_decides_the_route(self, case, monkeypatch):
+        # each case runs one structured build, holding two columns, and its
+        # probe alone decides: kept, or full Arnoldi with all n columns
+        builds = recorded_builds(monkeypatch)
         mu, space = PROBE_CASES[case]()
         bs = orthonormalize(mu, space)
         n = space.dimension
-        bound = 2 * max(n - 1, 1) * 1e-13
-        assert bs.route == "hessenberg"
-        if case in GRAM_DECIDED:
-            assert builds[0].probe <= bound
-            assert len(builds) == 2 and len(grams) == 1 and grams[0] > 1e-13
+        assert one_windowed_build(builds)
+        assert (bs.route == "hessenberg") == (case in FULL_ARNOLDI_CASES)
+        if bs.route != "hessenberg":
+            assert bs.columns.shape == (len(mu), min(n, 2))
             return
-        assert len(builds) == 1 and grams == [] and not builds[0].probe <= bound
-        # the Gram check of a stored build rejects it too: the skip drops no
-        # basis that the Gram tier would keep
+        assert bs.columns.shape == (len(mu), n)
+        # the Gram check of the build with Q stored rejects it too: no basis
+        # that passes max |Q*Q - I| <= 1e-13 goes to full Arnoldi
         route = "szego" if np.any(mu.nodes.imag) else "three_term"
         row_scale = np.sqrt(mu.weights) * space.weight_scale(mu.nodes)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -595,18 +610,19 @@ class TestProbeCertificate:
         route = _szego(mu.nodes, np.sqrt(mu.weights), 41)
         assert not probe_accepts(route)
         assert not gram_accepts(route)
-        grams = recorded(monkeypatch, "_orthonormality_defect")
+        builds = recorded_builds(monkeypatch)
         bs = orthonormalize(mu, WeightedSpace(40))
-        assert len(grams) == 1 and bs.route == "hessenberg"
+        assert one_windowed_build(builds) and bs.route == "hessenberg"
         assert node_defect(bs.node_values) <= 1e-14
 
     def test_missed_closed_form_is_kept_by_the_probe(self, monkeypatch):
         # Gauss-Legendre nodes shrunk by 1e-9: b_j misses its closed form by
         # ~5e-10, and the probe keeps the windowed Lanczos build
-        grams = recorded(monkeypatch, "_orthonormality_defect")
+        builds = recorded_builds(monkeypatch)
         bs = orthonormalize(shrunk_interval(), WeightedSpace(63))
         assert 1e-10 < closed_form_defect("interval", bs) < 1e-9
-        assert grams == [] and bs.route == "three_term" and bs.columns.shape == (256, 2)
+        assert kept_on_one_build(builds, bs)
+        assert bs.route == "three_term" and bs.columns.shape == (256, 2)
 
     @pytest.mark.parametrize("case, tier", [
         ("tilted-interval", "probe"), ("tilted-circle", "probe"),
@@ -627,12 +643,13 @@ class TestProbeCertificate:
         else:
             name, _, extra = case.partition("-m=n")
             mu, space = RULES[name](n + int(extra or 0)), WeightedSpace(n - 1)
-        grams = recorded(monkeypatch, "_orthonormality_defect")
+        builds = recorded_builds(monkeypatch)
         bs = orthonormalize(mu, space)
         if tier == "probe":
-            assert grams == [] and bs.columns.shape == (len(mu), 2)
+            assert kept_on_one_build(builds, bs) and bs.columns.shape == (len(mu), 2)
         else:
-            assert len(grams) == 1 and grams[0] > 1e-13 and bs.route == "hessenberg"
+            assert one_windowed_build(builds)
+            assert not probe_accepts(builds[0][1]) and bs.route == "hessenberg"
 
     @pytest.mark.parametrize("name, m", [("interval", 32), ("arcsine", 32), ("circle", 34),
                                          ("interval-points", 128)])
@@ -640,25 +657,22 @@ class TestProbeCertificate:
         # n + 1 Gauss nodes integrate to degree 2n + 1, enough for the step
         # past n; the circle needs n + 2.  Nodes and weights of a rule handed
         # in as points pass too.
-        def gram(q):
-            raise AssertionError("the Gram product was formed")
-
-        monkeypatch.setattr("cdlab.basis._orthonormality_defect", gram)
+        builds = recorded_builds(monkeypatch)
         mu = RULES[name.partition("-")[0]](m)
         if name.endswith("points"):
             mu = from_points(mu.nodes, mu.weights)
         bs = orthonormalize(mu, WeightedSpace(30))
+        assert kept_on_one_build(builds, bs) and bs.columns.shape == (m, 2)
         assert (bs.szego_c is not None) == (name == "circle")
 
     @pytest.mark.parametrize("name, ks, per_k", KBENCH_SIZES)
     def test_rule_bases_need_no_gram_product(self, name, ks, per_k, monkeypatch):
-        def gram(q):
-            raise AssertionError("the Gram product was formed")
-
-        monkeypatch.setattr("cdlab.basis._orthonormality_defect", gram)
+        builds = recorded_builds(monkeypatch)
         for k in ks:
             m = max(per_k * k, 256)
+            builds.clear()
             bs = orthonormalize(RULES[name](m), WeightedSpace(k - 1, tensor_power=k))
+            assert kept_on_one_build(builds, bs)
             assert (bs.szego_c is not None) == (name == "circle")
             assert bs.columns.shape == (m, 2)
 
@@ -727,12 +741,9 @@ class TestKeptColumns:
 
     def test_tilted_circle_build_holds_no_q(self, monkeypatch):
         # n = 1024 on 4096 nodes of a tilted circle, which no closed form
-        # fits: the probe certifies the windowed build, so neither Q (64 MiB)
-        # nor its Gram product is formed
-        def gram(q):
-            raise AssertionError("the Gram product was formed")
-
-        monkeypatch.setattr("cdlab.basis._orthonormality_defect", gram)
+        # fits: the probe certifies the windowed build, so Q (64 MiB) is
+        # never formed
+        builds = recorded_builds(monkeypatch)
         mu, space, _ = structured_setup("tilted-circle", 1023)
         tracemalloc.start()
         try:
@@ -740,7 +751,7 @@ class TestKeptColumns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert bs.columns.shape == (4096, 2)
+        assert kept_on_one_build(builds, bs) and bs.columns.shape == (4096, 2)
         assert peak < 6 * 2**20, peak / 2**20
 
     @pytest.mark.parametrize("case", sorted(STRUCTURED_CASES))
