@@ -20,20 +20,20 @@ kept, and no Q was ever formed.  Otherwise (a probe above tau(n), a NaN,
 or a breakdown of the structured recurrence) full Arnoldi builds the basis.
 
 A basis is its route ("szego", "three_term" or "hessenberg") and its
-recurrence, run one step past n so that H = T(z) = Q* Z Q (Z Q = Q H +
-r e_n^T, the residual r unnormalized, 0 on n nodes; the basis keeps |r|^2
-and Q*(z r)), plus the columns of Q its build kept: the last two, which
-the Christoffel-Darboux masses read, or all n on full Arnoldi.
-Of the recurrence it keeps what its route's step reads, O(n) on the
-structured routes: the n - 1 norms H[j+1, j] on every route, and the two
-other diagonals of a three-term H, the Szego c_j, or a Hessenberg H whole.
-The dense H of a structured route is formed on first read of
-`hessenberg`, and cached read-only; only the Szego T(f) reads it.  Its
-node values Q are built on first read when it kept two columns, and
-cached read-only.  `orthonormalize` is its only constructor.  No other
-module but `_backend` reads how the recurrence is stored: the operator and
-kernel modules take what they need of it from `recurrence_toeplitz` and
-`cd_factors`.
+recurrence, run one step past n (Z Q = Q T(z) + r e_n^T, the residual r
+unnormalized, 0 on n nodes; the basis keeps |r|^2), plus the columns of Q
+its build kept: the last two, which the Christoffel-Darboux masses read, or
+all n on full Arnoldi.  Of the recurrence it keeps what its route's step
+reads, O(n) on the structured routes: the n - 1 norms H[j+1, j] on every
+route, and the two other diagonals of a three-term H, the Szego c_j (with
+c_n of the step past n), or a Hessenberg H whole.  Its node values Q are
+built on first read when it kept two columns, and cached read-only.
+`orthonormalize` is its only constructor.  No other module but `_backend`
+reads how the recurrence is stored: the operator and kernel modules take
+what they need from `recurrence_toeplitz`, `operator_frame`, `operator_rows`
+and `cd_factors`.  On its own measure a Szego basis writes operators in its
+CMV basis, which spans z^-floor((n-1)/2) P_{n-1}: unitarily similar on
+|z| = 1, with the spectra, traces and Schatten norms of the polynomial one.
 """
 
 import hashlib
@@ -112,13 +112,13 @@ class OrthonormalBasis:
     # column j = (H[j-1, j], H[j, j]) with H[-1, 0] = 0, the projections of
     # step j; None on the other routes
     h_band: np.ndarray = field(repr=False)
-    # the n Szego c_j, c_{n-1} that of the step past n; None off that route
+    # the n + 1 Szego c_j, c_{n-1} that of the step past n and c_n that of
+    # phi_n = r / |r| (0 where r = 0); None off that route
     szego_c: np.ndarray = field(repr=False)
     # the whole H of the "hessenberg" route (full Arnoldi); None off it
     h_full: np.ndarray = field(repr=False)
-    # |r|^2 and Q*(z r) of the step past n
+    # |r|^2 of the step past n
     residual_sq: float = field(repr=False)
-    z_residual: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         for f in fields(self):
@@ -142,39 +142,10 @@ class OrthonormalBasis:
         return q
 
     @cached_property
-    def hessenberg(self):
-        """H = T(z), (n, n), read-only and C-contiguous: kept whole on the
-        "hessenberg" route, formed on first read from the O(n) recurrence
-        on the others, bit for bit the H of a dense build.  A Szego H is
-        c_j s_j on and above its diagonal (see _szego), O(n^2)."""
-        if self.h_full is not None:
-            return self.h_full
-        n = self.dimension
-        if self.route == "three_term":
-            h = np.zeros((n, n))
-            np.fill_diagonal(h, self.h_band[1])
-            np.fill_diagonal(h[:, 1:], self.h_band[0, 1:])
-        else:
-            # row by row, each row contiguous: H[i, j] = c_j s_j[i] for
-            # j >= i, where s_j[i] is s_i[i] = -conj(c_{i-1}) (1 for i = 0)
-            # times rho_i, ..., rho_{j-1}, multiplied left to right as
-            # _szego's recurrence for s_j multiplies them
-            c = self.szego_c
-            h = np.zeros((n, n), dtype=np.complex128)
-            chain = np.empty(n, dtype=np.complex128)
-            chain[1:] = self.h_sub
-            for i in range(n):
-                chain[i] = -np.conj(c[i - 1]) if i else 1.0
-                np.multiply(c[i:], np.multiply.accumulate(chain[i:]), out=h[i, i:])
-        np.fill_diagonal(h[1:], self.h_sub)
-        h.setflags(write=False)
-        return h
-
-    @cached_property
     def basis_id(self):
         """Hash of the O(n) data that determine H on the route, taken once:
-        the three diagonals of a three-term H, the c_j and rho_j of a Szego
-        one, a Hessenberg H whole.  All of them are read-only."""
+        the three diagonals of a three-term H, the c_j (c_n too) and rho_j
+        of a Szego one, a Hessenberg H whole.  All of them are read-only."""
         h = hashlib.sha1()
         h.update(self.route.encode())
         h.update(np.int64(self.dimension).tobytes())
@@ -183,8 +154,7 @@ class OrthonormalBasis:
         if self.route == "three_term":
             parts = [self.h_sub, self.h_band[1], self.h_band[0, 1:]]
         elif self.route == "szego":
-            # rho_j as H holds them, complex with a zero imaginary part
-            parts = [self.szego_c, self.h_sub.astype(np.complex128)]
+            parts = [self.szego_c, self.h_sub]
         else:
             parts = [self.h_full]
         for part in parts:
@@ -203,9 +173,9 @@ class _Build(NamedTuple):
     column-major, or the last two), the n - 1 norms H[j+1, j], the rest of
     H as the build holds it (a full Arnoldi H whole; with a window w the
     projections in band storage, (w, n), column j = H[j+1-w : j+1, j]; the
-    n Szego c_j), the norm h0 of the constant, |r|^2 and Q*(z r) of the
-    step past n, and the streamed probe of its columns (see _Probe).  Each
-    of hess, band and coef is None where the build does not hold it."""
+    n + 1 Szego c_j), the norm h0 of the constant, |r|^2 of the step past
+    n, and the streamed probe of its columns (see _Probe).  Each of hess,
+    band and coef is None where the build does not hold it."""
 
     q: np.ndarray
     sub: np.ndarray
@@ -214,7 +184,6 @@ class _Build(NamedTuple):
     coef: object
     h0: float
     r_sq: float
-    z_r: np.ndarray
     probe: float
 
 
@@ -250,7 +219,8 @@ def _next_column(q, j):
 
 def _check_pivot(hn, pivot_max, j):
     if hn < _RANK_TOL * pivot_max:
-        raise RankDeficientError(f"Gram matrix numerically rank-deficient at degree {j + 1}")
+        raise RankDeficientError(f"measure supports no polynomial of degree {j + 1}: "
+                                 f"recurrence norm {hn:.3e} below {_RANK_TOL:g} of the largest")
     return max(pivot_max, hn)
 
 
@@ -259,13 +229,13 @@ def _arnoldi(z, row_scale, n, window=None, store_q=True):
     discrete inner product.  row_scale = sqrt(w) * exp(-k phi).
 
     Returns a _Build in the dtype of z: Q has orthonormal columns (poly
-    values times row_scale), H = Q* Z Q, h0 the norm of the constant, r the
-    residual past n.  Breakdown of the subdiagonal below the relative
-    threshold: the measure cannot support the requested degree.
+    values times row_scale), H = Q* Z Q, h0 the norm of the constant, |r|^2
+    of the residual r past n.  Breakdown of the subdiagonal below the
+    relative threshold: the measure cannot support the requested degree.
 
     window=None projects each new column on all earlier ones (O(m n^2)),
-    and fills H whole.  window=w projects on the last w only, Q*(z r) too,
-    and keeps the n projections of w coefficients each, O(n w): on real
+    and fills H whole.  window=w projects on the last w only, and keeps
+    the n projections of w coefficients each, O(n w): on real
     nodes H is tridiagonal, so window=2 is the Lanczos/Stieltjes procedure,
     O(m n).  With store_q False, window=2 holds the last two columns only,
     O(m) memory, and keeps them; the columns are the same either way.
@@ -301,9 +271,7 @@ def _arnoldi(z, row_scale, n, window=None, store_q=True):
         col = _next_column(q, j)
         probe.add(np.divide(v, hn, out=col))
     # the step past n: r = v
-    z_r = np.zeros(n, dtype=z.dtype)
-    z_r[lo:] = ((z * v).conj() @ q[:, lo - base :]).conj()
-    return _Build(q, sub, hess, band, None, h0, float(np.vdot(v, v).real), z_r, probe.defect)
+    return _Build(q, sub, hess, band, None, h0, float(np.vdot(v, v).real), probe.defect)
 
 
 def _szego(z, row_scale, n, store_q=True):
@@ -313,14 +281,12 @@ def _szego(z, row_scale, n, store_q=True):
     orthogonal to z*P_{j-1}, and one projection, on the reversed
     polynomial phi_j^*, finishes the step:
         c = <phi_j^*, z phi_j> = conj(alpha_j),   v = z phi_j - c phi_j^*.
-    With s_j the coordinates of phi_j^* in phi_0..phi_j, the Hessenberg
-    column is H[:j+1, j] = c * s_j.  Returns a _Build with all n c_j
-    (c_{n-1} that of the step past n) and the n - 1 rho_j = H[j+1, j], and
-    the breakdown test of _arnoldi; O(m n).  A step reads q_j only; with
-    store_q False the build holds and keeps the last two columns, O(m)
-    memory.  Past n, z r = |r| (rho_n phi_{n+1} + c_n phi_n^*) with
-    phi_n^* = |r| phi_{n-1}^* - conj(c) r / |r|, so Q*(z r) takes O(m):
-        Q*(z r) = <|r|^2 phi_{n-1}^* - conj(c) r, z r> s_{n-1}.
+    Returns a _Build with the n + 1 c_j and the n - 1 rho_j = H[j+1, j],
+    and the breakdown test of _arnoldi; O(m n).  A step reads q_j only;
+    with store_q False the build holds and keeps the last two columns, O(m)
+    memory.  c_{n-1} is that of the step past n, and c_n that of phi_n =
+    r / |r|: with phi_n^* = |r| phi_{n-1}^* - conj(c) r / |r|, in O(m),
+        |r|^2 c_n = <|r|^2 phi_{n-1}^* - conj(c) r, z r>.
     """
     q, h0 = _start(row_scale, n, np.complex128, store_q)
     m = q.shape[0]
@@ -328,7 +294,7 @@ def _szego(z, row_scale, n, store_q=True):
     probe.add(q[:, 0])
     rev = q[:, 0].copy()            # phi_0^* = phi_0, a positive constant
     zq, v, tmp = (np.empty(m, dtype=np.complex128) for _ in range(3))
-    coef = np.empty(n, dtype=np.complex128)
+    coef = np.empty(n + 1, dtype=np.complex128)
     sub = np.empty(n - 1)
     pivot_max = h0
     for j in range(n):
@@ -347,15 +313,9 @@ def _szego(z, row_scale, n, store_q=True):
         rev *= hn
         rev -= np.multiply(np.conj(c), col, out=tmp)
     r_sq = float(np.vdot(v, v).real)
-    # s_{n-1}: s_0 = e_0 and s_{j+1} = (rho_j s_j, -conj(c_j)), the
-    # coordinates of phi_{j+1}^* = rho_j phi_j^* - conj(c_j) phi_{j+1}
-    s = np.zeros(n, dtype=np.complex128)
-    s[0] = 1.0
-    for j in range(n - 1):
-        s[: j + 1] *= sub[j]
-        s[j + 1] = -np.conj(coef[j])
-    z_r = np.vdot(r_sq * rev - np.conj(c) * v, z * v) * s
-    return _Build(q, sub, None, None, coef, h0, r_sq, z_r, probe.defect)
+    # where r = 0, rho_{n-1} = 0 decouples C, and c_n is never read
+    coef[n] = np.vdot(r_sq * rev - np.conj(c) * v, z * v) / r_sq if r_sq else 0.0
+    return _Build(q, sub, None, None, coef, h0, r_sq, probe.defect)
 
 
 def _probe_tol(n):
@@ -502,7 +462,7 @@ def orthonormalize(mu, space):
         nodes=np.asarray(mu.nodes),
         node_weights=np.asarray(mu.weights),
         route=route, h_sub=built.sub, h_band=built.band, szego_c=built.coef,
-        h_full=built.hess, residual_sq=built.r_sq, z_residual=built.z_r,
+        h_full=built.hess, residual_sq=built.r_sq,
     )
 
 
@@ -548,8 +508,7 @@ def weighted_rows(basis, mu):
     """Q[a, i] = sqrt(w_a) * p_i(x_a) * exp(-k * phi(x_a)) on mu's nodes:
     the node values on the measure the basis was built on (read-only, and
     built on first read when the basis kept only its last two columns), the
-    recurrence on any other.  sqrt(w_a w_b) K(x_a, x_b) = (Q Q^*)[a, b]
-    and T(f) = Q^* F Q.
+    recurrence on any other.  sqrt(w_a w_b) K(x_a, x_b) = (Q Q^*)[a, b].
     """
     if basis.defined_on(mu):
         return basis.node_values
@@ -558,41 +517,90 @@ def weighted_rows(basis, mu):
     return rows
 
 
+def operator_frame(basis, mu):
+    """The id of the frame of the basis's operators on mu: its basis_id,
+    tagged "cmv" for a Szego basis on its own measure (see operator_rows)."""
+    cmv = basis.route == "szego" and basis.defined_on(mu)
+    return basis.basis_id + ("-cmv" if cmv else "")
+
+
+def operator_rows(basis, mu):
+    """The weighted rows Q of that frame, T(f) = Q* F Q: weighted_rows, or
+    the CMV chi_{2k} = z^-k phi_{2k}^* and chi_{2k+1} = z^-k phi_{2k+1}, on
+    |z| = 1 the columns z^k conj(q_{2k}) and conj(z^k conj(q_{2k+1}))."""
+    if operator_frame(basis, mu) == basis.basis_id:
+        return weighted_rows(basis, mu)
+    rows = np.conjugate(basis.node_values)
+    power = np.ones_like(basis.nodes)
+    for j in range(2, basis.dimension, 2):
+        power *= basis.nodes
+        rows[:, j : j + 2] *= power[:, None]
+    np.conjugate(rows[:, 1::2], out=rows[:, 1::2])
+    return rows
+
+
 def recurrence_toeplitz(basis, terms):
     """Q* F Q for the polynomial symbol sum c u^a v^b (u = Re z, v = Im z,
-    a + b <= 2) on the measure the basis was built on, from the recurrence
-    run one step past n: Z Q = Q T(z) + r e_n^T on the nodes, whence
-    T(z^2) = T(z)^2 + Q*(z r) e_n^T.  u and v follow from (z +- conj(z))/2.
+    a + b <= 2) on the basis's own measure, in the frame of operator_rows,
+    as (rows, asymmetry) in O(n): rows[i, w + d] = T[i, i + d], zero off
+    the matrix.  None on the "hessenberg" route (full Arnoldi).
 
-    Three-term route: v = 0 and conj(z) = z on real nodes, T(x) = J is the
-    tridiagonal H, and T(x^2) = J^2 + |r|^2 e_n e_n^T, so T(f) has
-    bandwidth w = deg f.  Returns (rows, asymmetry), in O(n): rows, (n,
-    2w + 1) float64, holds T(f) by rows, rows[i, w + d] = T[i, i + d] (zero
-    off the matrix), each off-diagonal pair set to (raw_ij + raw_ji) / 2,
-    and asymmetry = max |raw_ij - raw_ji|.  Szego route: |z| = 1 on the
-    nodes (the certificate checks it to working precision), so
-    T(conj(z) z) = I and T(f) = P + P* + (c_1 + (c_uu + c_vv)/2) I with
-    P = (c_u - i c_v)/2 T(z) + (c_uu - c_vv - i c_uv)/4 T(z^2): the dense
-    T(f), Hermitian bit for bit, O(n^2) plus O(n^3) for T(z^2).  None on
-    the "hessenberg" route (full Arnoldi), which has no recurrence form.
+    Three-term: T(x) = J, the tridiagonal H, and T(x^2) = J^2 + |r|^2 e_n
+    e_n^T, so w = deg f; each pair is set to (raw_ij + raw_ji) / 2, and
+    asymmetry = max |raw_ij - raw_ji|.  Szego: T(z) and T(z^2) are the
+    leading blocks of C and C^2 (_cmv_band); |z| = 1 (certified), so
+    T(conj(z) z) = I and T(f) = P + P* + (c_1 + (c_uu + c_vv)/2) I, with
+    P = (c_u - i c_v)/2 T(z) + (c_uu - c_vv - i c_uv)/4 T(z^2): w = 2 deg f.
     """
     if basis.route == "three_term":
         return _three_term_toeplitz(basis, terms)
     if basis.route != "szego":
         return None
     c = {ab: terms.get(ab, 0.0) for ab in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
-    t_z = basis.hessenberg
-    half = (c[1, 0] - 1j * c[0, 1]) / 2 * t_z
+    c_z = (c[1, 0] - 1j * c[0, 1]) / 2
     c_z2 = (c[2, 0] - c[0, 2] - 1j * c[1, 1]) / 4
+    n, w = basis.dimension, 4 if c_z2 else 2 if c_z else 0
+    half = np.zeros((n, 2 * w + 1), dtype=np.complex128)
+    if w:
+        cmv = _cmv_band(basis)
+        half[:, w - 2 : w + 3] = c_z * _leading_block(cmv, n)
     if c_z2:
-        t_z2 = t_z @ t_z
-        t_z2[:, -1] += basis.z_residual
-        half += c_z2 * t_z2
-    # P* + P, conjugating into a C-ordered buffer: no conjugate copy of P
-    raw = np.conjugate(half.T, out=np.empty_like(half, order="C"))
-    raw += half
-    raw[np.diag_indices(basis.dimension)] += c[0, 0] + (c[2, 0] + c[0, 2]) / 2
-    return raw
+        half += c_z2 * _leading_block(_backend.band_product(cmv, cmv), n)
+    raw = half + _band_adjoint(half)
+    raw[:, w] += c[0, 0] + (c[2, 0] + c[0, 2]) / 2
+    return raw, 0.0
+
+
+def _cmv_band(basis):
+    """The CMV matrix C = L M (Cantero, Moral and Velazquez, 2003; Simon,
+    OPUC Part 1, 2005, 4.2) to n + 1 rows, by rows: L = Theta_0 + Theta_2 +
+    ..., M = 1 + Theta_1 + ..., Theta_j = [[c_j, rho_j], [rho_j, -conj(c_j)]].
+    The leading n x n block of C^2 reads c_n and rho_{n-1} = |r|, no more."""
+    n, c = basis.dimension, basis.szego_c
+    rho = np.append(basis.h_sub, math.sqrt(basis.residual_sq))
+    factors = np.zeros((2, n + 1, 3), dtype=np.complex128)
+    for first, band in enumerate(factors):
+        top = np.arange(first, n + 1, 2)
+        band[top, 1] = c[top]
+        top = top[top < n]
+        band[top, 2] = band[top + 1, 0] = rho[top]
+        band[top + 1, 1] = -np.conj(c[top])
+    factors[1, 0, 1] = 1.0
+    return _backend.band_product(*factors)
+
+
+def _leading_block(rows, n):
+    """The leading n x n block of the band held by rows."""
+    w = rows.shape[1] // 2
+    return np.where(np.arange(n)[:, None] + np.arange(-w, w + 1) < n, rows[:n], 0.0)
+
+
+def _band_adjoint(rows):
+    """A* by rows, from A by rows: A*[i, i + d] = conj(A[i + d, i])."""
+    n, w = rows.shape[0], rows.shape[1] // 2
+    padded = np.pad(rows, ((w, w), (0, 0)))
+    adj = np.stack([padded[w + d : w + d + n, w - d] for d in range(-w, w + 1)], axis=1)
+    return np.conjugate(adj, out=adj)
 
 
 def _three_term_toeplitz(basis, terms):
@@ -614,17 +622,10 @@ def _three_term_toeplitz(basis, terms):
         h2[-1, 2] += basis.residual_sq
         raw = np.pad(c[1] * h, ((0, 0), (1, 1)))
         raw += c[2] * h2
-    w = raw.shape[1] // 2
-    raw[:, w] += c[0]
-    asym = 0.0
-    for d in range(1, min(w, n - 1) + 1):
-        upper, lower = raw[: n - d, w + d], raw[d:, w - d]
-        # np.maximum, unlike max(), propagates a NaN
-        asym = np.maximum(asym, np.max(np.abs(upper - lower)))
-        upper += lower
-        upper *= 0.5
-        lower[...] = upper
-    return raw, float(asym)
+    raw[:, raw.shape[1] // 2] += c[0]
+    adj = _band_adjoint(raw)
+    # np.max, unlike max(), propagates a NaN
+    return (raw + adj) * 0.5, float(np.max(np.abs(raw - adj)))
 
 
 def cd_factors(basis):

@@ -8,11 +8,11 @@ class CdlabError(Exception):
 class RankDeficientError(CdlabError):
     """The measure cannot carry the requested weighted polynomial space.
 
-    Raised when the Gram matrix is not numerically positive definite: the
-    measure's support is too small for the requested polynomial degree
-    (too few atoms, or atoms in degenerate position).  Also raised when
-    the measure has no mass under the metric weight, and when the metric
-    scale exp(-k phi) leaves the double range at a node.
+    Raised when the measure supports no polynomial of the requested
+    degree, a recurrence norm below 1e-13 of the largest: too few atoms,
+    or atoms in degenerate position.  Also raised when the measure has no
+    mass under the metric weight, and when the metric scale exp(-k phi)
+    leaves the double range at a node.
     """
 
 

@@ -9,7 +9,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _backend, symbols
-from .basis import WeightedSpace, orthonormalize, recurrence_toeplitz, weighted_rows
+from .basis import (WeightedSpace, operator_frame, operator_rows, orthonormalize,
+                    recurrence_toeplitz, weighted_rows)
 from .errors import NotHermitianError
 from .measure import _real_values, _require_count, interval_lebesgue
 
@@ -22,12 +23,12 @@ class ToeplitzMatrix:
     """Hermitian matrix of the compressed multiplication operator, real
     symmetric on a real basis.
 
-    Read off a three-term recurrence, the matrix is held as its band only,
-    by rows (see basis.recurrence_toeplitz), and entries is formed on first
-    read; otherwise entries is the matrix.  Both are read-only.  asymmetry
-    records the max entry deviation from Hermitian symmetry seen before
-    the final symmetrization (quadrature noise diagnostic), 0.0 on the
-    Szego route, whose matrix is Hermitian by construction.
+    Read off a basis recurrence, the matrix is held as its band only, by
+    rows (see basis.recurrence_toeplitz), and entries is formed on first
+    read; otherwise entries is the matrix.  Both are read-only.  basis_id
+    names its frame (basis.operator_frame).  asymmetry records the max
+    entry deviation from Hermitian symmetry seen before the final
+    symmetrization (quadrature noise diagnostic), 0.0 on the Szego route.
     """
 
     def __init__(self, entries, symbol_desc, k, basis_id, asymmetry=0.0):
@@ -129,27 +130,23 @@ def toeplitz(basis, mu, f, symbol_desc=None):
     """Matrix of the compressed multiplication by the real symbol f:
     entries[i,j] = sum_a f(x_a) p_j(x_a) conj(p_i(x_a)) e^{-2k phi} w_a.
 
-    A PolynomialSymbol (degree <= 2 in Re z, Im z) on the measure the basis
-    was built on is read off the basis recurrence: on a three-term basis
-    as its band, O(n), which is all the matrix holds until entries is read;
-    on a Szego basis as a dense matrix, Hermitian by construction.  Any
-    other symbol, a basis used on another measure, or a full-Arnoldi basis
-    takes the quadrature product Q* F Q, O(m n^2), made Hermitian in place.
+    The p_i are those of the frame of basis.operator_frame.  A
+    PolynomialSymbol (degree <= 2 in Re z, Im z) on the measure the basis
+    was built on is read off the recurrence as its band, O(n), all the
+    matrix holds until entries is read.  Any other symbol, a basis used on
+    another measure, or a full-Arnoldi basis takes the quadrature product
+    Q* F Q, O(m n^2), made Hermitian in place.
     """
     fvals = _symbol_values(mu, f)
     name, k = _symbol_name(f, symbol_desc), basis.space.tensor_power
-    raw = None
+    frame = operator_frame(basis, mu)
     if isinstance(f, symbols.PolynomialSymbol) and basis.defined_on(mu):
-        raw = recurrence_toeplitz(basis, f.terms)
-    if isinstance(raw, tuple):
-        rows, asym = raw
-        return ToeplitzMatrix._banded(rows, name, k, basis.basis_id, asym)
-    asym = 0.0
-    if raw is None:
-        raw = _quadrature_raw(weighted_rows(basis, mu), fvals)
-        asym = _hermitian_part_inplace(raw)
-    return ToeplitzMatrix(entries=raw, symbol_desc=name, k=k, basis_id=basis.basis_id,
-                          asymmetry=asym)
+        band = recurrence_toeplitz(basis, f.terms)
+        if band is not None:
+            return ToeplitzMatrix._banded(band[0], name, k, frame, band[1])
+    raw = _quadrature_raw(operator_rows(basis, mu), fvals)
+    asym = _hermitian_part_inplace(raw)
+    return ToeplitzMatrix(entries=raw, symbol_desc=name, k=k, basis_id=frame, asymmetry=asym)
 
 
 def legendre_toeplitz(f, k, m=None, symbol_desc=None):
@@ -263,7 +260,7 @@ def spectral_statistic(a, g):
 
 
 def _band_trace_power(rows, p):
-    """(1/n) tr A^p, p = 1, 2 or 3, of the real symmetric band held by rows
+    """(1/n) tr A^p, p = 1, 2 or 3, of the Hermitian band held by rows
     (rows[i, w + d] = A[i, i + d], zero off the matrix), in O(n): every
     entry of A is in rows once, so tr A^2 = ||rows||^2, and tr A^3 =
     <A, A^2>_F reads the band of A^2 that A covers."""
@@ -276,7 +273,7 @@ def _band_trace_power(rows, p):
         trace = np.vdot(rows, rows)
     else:
         trace = np.vdot(rows, _backend.band_product(rows, rows)[:, w : 3 * w + 1])
-    return float(trace / rows.shape[0])
+    return float(trace.real / rows.shape[0])
 
 
 def functional_calculus(a, h):

@@ -32,7 +32,8 @@ from cdlab import (
 from cdlab import symbols
 from cdlab._backend import eval_recurrence
 from cdlab import basis as basis_module
-from cdlab.basis import _arnoldi, _Probe, _probe_tol, _step_inputs, _szego, diagonal_kernel
+from cdlab.basis import _arnoldi, _Probe, _probe_tol, _step_inputs, _szego
+from recurrence_forms import hessenberg
 
 SQRT_HALF = 0.7071067811865476      # 1/sqrt(2), hand Gram-Schmidt on {1, x}
 SQRT_3_OVER_2 = 1.224744871391589   # sqrt(3/2)
@@ -92,17 +93,17 @@ class TestOrthonormalize:
         # p_j has degree j and leading coefficient 1 / (h0 * H[1,0] ... H[j,j-1]):
         # positive when the constant's norm and the subdiagonal are
         bs = orthonormalize(interval_lebesgue(64), WeightedSpace(9))
-        sub = np.diag(bs.hessenberg, -1)
+        sub = np.diag(hessenberg(bs), -1)
         assert np.all(sub.imag == 0)
         assert np.all(sub.real > 0)
         assert bs.const_norm > 0
-        assert np.all(np.tril(bs.hessenberg, -2) == 0)
+        assert np.all(np.tril(hessenberg(bs), -2) == 0)
 
     def test_basis_independent_of_tensor_power_without_weight(self):
         mu = interval_lebesgue(32)
         b1 = orthonormalize(mu, WeightedSpace(6, tensor_power=1))
         b7 = orthonormalize(mu, WeightedSpace(6, tensor_power=7))
-        np.testing.assert_allclose(b1.hessenberg, b7.hessenberg, rtol=1e-14)
+        np.testing.assert_allclose(hessenberg(b1), hessenberg(b7), rtol=1e-14)
         np.testing.assert_allclose(b1.node_values, b7.node_values, rtol=1e-14)
 
 
@@ -195,7 +196,7 @@ class TestHighDegreeStability:
     def test_recurrence_matches_legendre_coefficients(self):
         mu = interval_lebesgue(512)
         bs = orthonormalize(mu, WeightedSpace(63, tensor_power=64))
-        sub = np.real(np.diag(bs.hessenberg, -1))
+        sub = np.real(np.diag(hessenberg(bs), -1))
         i = np.arange(1, 64)
         np.testing.assert_allclose(sub, i / np.sqrt(4.0 * i * i - 1), atol=1e-13)
 
@@ -228,7 +229,7 @@ class TestStructuredRoutes:
         bs = orthonormalize(mu, space)
         full = _arnoldi(mu.nodes, row_scale, n, window=None)
         np.testing.assert_allclose(bs.node_values, full.q, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(bs.hessenberg, full.hess, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(hessenberg(bs), full.hess, rtol=0, atol=1e-12)
         assert bs.const_norm == pytest.approx(full.h0, rel=1e-14)
         # the structured route's result was kept, not the full fallback;
         # on real nodes that route runs on the real parts
@@ -241,9 +242,13 @@ class TestStructuredRoutes:
             np.testing.assert_array_equal(kept, built)
 
     @pytest.mark.parametrize("make_mu", [interval_lebesgue, arcsine])
-    def test_gauss_rule_bases_are_exactly_tridiagonal(self, make_mu):
-        bs = orthonormalize(make_mu(256), WeightedSpace(63, tensor_power=64))
-        assert np.all(np.triu(bs.hessenberg, 2) == 0)
+    def test_gauss_rule_bases_are_tridiagonal(self, make_mu):
+        # the basis keeps the band only; Q* X Q vanishes above it
+        mu = make_mu(256)
+        bs = orthonormalize(mu, WeightedSpace(63, tensor_power=64))
+        q = bs.node_values
+        assert bs.route == "three_term" and bs.h_full is None
+        assert np.max(np.abs(np.triu(q.T @ (mu.nodes.real[:, None] * q), 2))) <= 1e-14
 
     def test_lanczos_loss_of_orthogonality_falls_back(self):
         mu = random_atoms(0, 128)
@@ -292,7 +297,7 @@ def case_route(case, d=63):
 
 
 def probe_accepts(route):
-    return route.probe <= _probe_tol(route.z_r.shape[0])
+    return route.probe <= _probe_tol(route.sub.shape[0] + 1)
 
 
 def gram_accepts(route):
@@ -351,14 +356,13 @@ def kept_on_one_build(builds, bs):
 def closed_form_defect(name, bs):
     """max |kept number - closed form| of a basis on the rule's nodes.
 
-    Szego: h0 = 1, the n c_j = 0 (H's upper triangle is c_j s_j), rho_j = 1,
-    and the step past n |r|^2 = 1 and Q*(z r) = 0.  Lanczos: h0, a_j =
+    Szego: h0 = 1, the n + 1 c_j = 0 (c_{n-1} and c_n those of the step
+    past n), rho_j = 1, and the step past n |r|^2 = 1.  Lanczos: h0, a_j =
     diag(H), b_j on both off-diagonals of H (the norms, and the projections
-    above), |r|^2 = b_n^2 and Q*(z r) = b_n^2 e_n.
+    above), and |r|^2 = b_n^2.
     """
     if name == "circle":
-        devs = (bs.szego_c, bs.h_sub - 1.0, (bs.const_norm - 1.0, bs.residual_sq - 1.0),
-                bs.z_residual)
+        devs = (bs.szego_c, bs.h_sub - 1.0, (bs.const_norm - 1.0, bs.residual_sq - 1.0))
     else:
         j = np.arange(1.0, bs.dimension + 1)
         if name == "interval":
@@ -367,8 +371,7 @@ def closed_form_defect(name, bs):
             h0, b = 1.0, np.where(j == 1.0, np.sqrt(0.5), 0.5)
         tail = b[-1] ** 2
         devs = (bs.h_band[1], bs.h_sub - b[:-1], bs.h_band[0, 1:] - b[:-1],
-                (bs.const_norm - h0, bs.residual_sq - tail), bs.z_residual[:-1],
-                (bs.z_residual[-1] - tail,))
+                (bs.const_norm - h0, bs.residual_sq - tail))
     # np.max propagates a NaN, unlike max()
     return float(np.max([np.max(np.abs(d), initial=0.0) for d in devs]))
 
@@ -695,7 +698,7 @@ class TestKeptColumns:
         stored = run(route, mu.nodes, row_scale, n, store_q=True)
         assert window.q.shape == (len(mu), min(n, 2)) and stored.q.shape == (len(mu), n)
         assert window.q.tobytes() == stored.q[:, -2:].tobytes()
-        for name in ("sub", "z_r") + (("coef",) if route == "szego" else ("band",)):
+        for name in ("sub", "coef" if route == "szego" else "band"):
             assert getattr(window, name).tobytes() == getattr(stored, name).tobytes(), name
         assert (window.h0, window.r_sq, window.probe) == (stored.h0, stored.r_sq, stored.probe)
         # the probe inside the build is the probe fed the columns in order
@@ -736,7 +739,7 @@ class TestKeptColumns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert bs.columns.shape == (16384, 2) and "hessenberg" not in vars(bs)
+        assert bs.columns.shape == (16384, 2)
         assert peak < 6 * 2**20, peak / 2**20
 
     def test_tilted_circle_build_holds_no_q(self, monkeypatch):
@@ -753,47 +756,6 @@ class TestKeptColumns:
             tracemalloc.stop()
         assert kept_on_one_build(builds, bs) and bs.columns.shape == (4096, 2)
         assert peak < 6 * 2**20, peak / 2**20
-
-    @pytest.mark.parametrize("case", sorted(STRUCTURED_CASES))
-    def test_hessenberg_is_formed_on_first_read(self, case):
-        # the H a dense build filled: column j of a Szego H is c_j s_j,
-        # s_j the coordinates of phi_j^* as the build multiplies them
-        mu, space, _ = structured_setup(case, 63)
-        bs = orthonormalize(mu, space)
-        assert "hessenberg" not in vars(bs)
-        h = bs.hessenberg
-        assert h is bs.hessenberg and not h.flags.writeable and h.flags.c_contiguous
-        want = np.zeros((64, 64), dtype=h.dtype)
-        np.fill_diagonal(want[1:], bs.h_sub)
-        if bs.route == "szego":
-            assert h.dtype == np.complex128
-            s = np.zeros(64, dtype=np.complex128)
-            s[0] = 1.0
-            for j, c in enumerate(bs.szego_c):
-                want[: j + 1, j] = c * s[: j + 1]
-                if j < 63:
-                    s[: j + 1] *= bs.h_sub[j]
-                    s[j + 1] = -np.conj(c)
-        else:
-            assert bs.route == "three_term" and h.dtype == np.float64
-            np.fill_diagonal(want, bs.h_band[1])
-            np.fill_diagonal(want[:, 1:], bs.h_band[0, 1:])
-        assert h.tobytes() == want.tobytes()
-
-    def test_circle_consumers_never_form_hessenberg(self, monkeypatch):
-        mu = circle_lebesgue(512)
-        bs = orthonormalize(mu, WeightedSpace(127, tensor_power=128))
-
-        def formed(self):
-            raise AssertionError("H was formed")
-
-        monkeypatch.setattr(basis_module.OrthonormalBasis, "hessenberg", property(formed))
-        ia, ib = arc_indices(mu, 0.0, np.pi / 2), arc_indices(mu, np.pi, 1.5 * np.pi)
-        assert 0.0 < bergman_mass(bs, mu, ia, ib) < 1.0
-        assert bm_constant(bs, default_eval_grid(mu)) > 0.0
-        assert bm_constant(bs, 1.05 * default_eval_grid(mu)) > 0.0
-        evaluate_basis(bs, mu.nodes[:7])
-        diagonal_kernel(bs, mu.nodes[:7])
 
     @pytest.mark.parametrize("name", ["circle", "interval"])
     def test_recurrence_consumers_never_build_q(self, name, monkeypatch):
@@ -847,19 +809,25 @@ def step_past_n_case(name, m, n):
 
 def q_based_step(bs, mu):
     """The oracle: the step past n from Q and the nodes, O(m n) each.
-    T(z)[:, n-1] = Q*(z q_{n-1}), r = z q_{n-1} - Q T(z)[:, n-1], |r|^2 and
-    Q*(z r)."""
+    T(z)[:, n-1] = Q*(z q_{n-1}), r = z q_{n-1} - Q T(z)[:, n-1], |r|^2,
+    and on circle nodes |r|^2 c_n, c_n = <phi_n^*, z phi_n> the Szego
+    coefficient of phi_n = r / |r|: with phi_n^*(z) = z^n conj(phi_n(z)) on
+    |z| = 1, and the row scale real, |r|^2 c_n = sum_a conj(z_a)^n z_a r_a^2
+    (None off the circle)."""
     q = bs.node_values
     z = mu.nodes if np.iscomplexobj(q) else mu.nodes.real
     zq = z * q[:, -1]
     last = q.conj().T @ zq
     r = zq - q @ last
-    return last, np.vdot(r, r).real, q.conj().T @ (z * r)
+    n = q.shape[1]
+    scaled_c_n = np.sum(np.conj(z) ** n * z * r * r) if mu.support_tag == "circle" else None
+    return last, np.vdot(r, r).real, scaled_c_n
 
 
 class TestStepPastN:
     """Each route runs one step past n: H is the whole T(z), and the basis
-    keeps |r|^2 and Q*(z r) of the unnormalized residual r."""
+    keeps |r|^2 of the unnormalized residual r; a Szego basis keeps the
+    c_n of phi_n = r / |r| too, which the CMV T(z^2) reads."""
 
     @pytest.mark.parametrize("n", [1, 8, 64])
     @pytest.mark.parametrize("extra", [0, 1, "4n"])
@@ -871,12 +839,15 @@ class TestStepPastN:
         m = 4 * n if extra == "4n" else n + extra
         bs, mu = step_past_n_case(name, m, n)
         if name == "points-disk":
-            assert bs.szego_c is None and np.iscomplexobj(bs.hessenberg)
-        last, r_sq, z_r = q_based_step(bs, mu)
-        scale = max(1.0, float(np.max(np.abs(bs.hessenberg))))
-        assert np.max(np.abs(bs.hessenberg[:, -1] - last)) <= 1e-14 * scale
+            assert bs.szego_c is None and np.iscomplexobj(bs.h_full)
+        last, r_sq, scaled_c_n = q_based_step(bs, mu)
+        h = hessenberg(bs)
+        scale = max(1.0, float(np.max(np.abs(h))))
+        assert np.max(np.abs(h[:, -1] - last)) <= 1e-14 * scale
         assert abs(bs.residual_sq - r_sq) <= 1e-14 * scale ** 2
-        assert np.max(np.abs(bs.z_residual - z_r)) <= 1e-14 * scale ** 2
+        if bs.route == "szego":
+            assert bs.szego_c.shape == (n + 1,)
+            assert abs(bs.residual_sq * bs.szego_c[n] - scaled_c_n) <= 1e-14 * scale ** 2
         if m == n:
             # r = 0: n nodes support no degree n, and that is no breakdown
             assert bs.residual_sq <= 1e-28
@@ -886,7 +857,7 @@ class TestStepPastN:
         bs, mu = step_past_n_case(name, 64, 16)
         q = bs.node_values
         z = mu.nodes if np.iscomplexobj(q) else mu.nodes.real
-        np.testing.assert_allclose(bs.hessenberg, q.conj().T @ (z[:, None] * q), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(hessenberg(bs), q.conj().T @ (z[:, None] * q), rtol=0, atol=1e-14)
 
 
 def eval_recurrence_reference(z, scale, const_norm, hess):
@@ -915,10 +886,10 @@ class TestBandedEvaluation:
         # the full Hessenberg step
         route = bs.route if case == "interval" else "hessenberg"
         assert bs.route == ("three_term" if case == "interval" else "szego")
-        args = _step_inputs(bs) if route == "three_term" else (route, bs.hessenberg, bs.h_sub)
+        args = _step_inputs(bs) if route == "three_term" else (route, hessenberg(bs), bs.h_sub)
         np.testing.assert_array_equal(
             eval_recurrence(pts, scale, bs.const_norm, *args),
-            eval_recurrence_reference(pts, scale, bs.const_norm, bs.hessenberg))
+            eval_recurrence_reference(pts, scale, bs.const_norm, hessenberg(bs)))
 
 
 CIRCLE_CASES = ["circle", "circle-metric-weight", "tilted-circle"]
@@ -931,10 +902,10 @@ class TestSzegoEvaluation:
     def test_equals_hessenberg_evaluation(self, case, d, radius):
         mu, space, _ = structured_setup(case, d)
         bs = orthonormalize(mu, space)
-        assert bs.szego_c.shape == (d + 1,)
+        assert bs.szego_c.shape == (d + 2,)
         pts = off_node_circle(radius)
         ref = eval_recurrence_reference(pts, space.weight_scale(pts), bs.const_norm,
-                                        bs.hessenberg)
+                                        hessenberg(bs))
         assert max_relative_gap(evaluate_basis(bs, pts), ref) <= 1e-12
 
     @pytest.mark.parametrize("case", CIRCLE_CASES)
@@ -986,7 +957,7 @@ class TestRoute:
     def test_full_arnoldi_builds(self, make_mu, d):
         bs = orthonormalize(make_mu(), WeightedSpace(d, tensor_power=d + 1))
         assert bs.route == "hessenberg" and bs.szego_c is None
-        assert np.any(np.triu(bs.hessenberg, 2))
+        assert np.any(np.triu(hessenberg(bs), 2))
 
     @pytest.mark.parametrize("diagonal", [False, True])
     def test_three_term_step_reads_only_the_band(self, diagonal):
@@ -1009,7 +980,7 @@ class TestRoute:
         assert bs.route == route
         pts = off_node_circle(0.9)
         scale = np.ones(pts.size)
-        full = eval_recurrence(pts, scale, bs.const_norm, "hessenberg", bs.hessenberg, bs.h_sub)
+        full = eval_recurrence(pts, scale, bs.const_norm, "hessenberg", hessenberg(bs), bs.h_sub)
         short = eval_recurrence(pts, scale, bs.const_norm, *_step_inputs(bs))
         assert max_relative_gap(short, full) <= 1e-12
 
@@ -1034,14 +1005,14 @@ class TestDtype:
         mu, space, _ = structured_setup(case, 15)
         bs = orthonormalize(mu, space)
         assert bs.node_values.dtype == dtype
-        assert bs.hessenberg.dtype == dtype
+        assert _step_inputs(bs)[1].dtype == dtype
 
     @pytest.mark.parametrize("make_mu, dtype", [(real_atoms, np.float64),
                                                 (complex_atoms, np.complex128)])
     def test_atom_bases(self, make_mu, dtype):
         bs = orthonormalize(make_mu(), WeightedSpace(30))
         assert bs.node_values.dtype == dtype
-        assert bs.hessenberg.dtype == dtype
+        assert _step_inputs(bs)[1].dtype == dtype
 
     def test_evaluation_of_a_real_basis(self):
         bs = orthonormalize(interval_lebesgue(64), WeightedSpace(15))
@@ -1126,7 +1097,7 @@ class TestBasisId:
         bs = orthonormalize(circle_lebesgue(32), WeightedSpace(3, tensor_power=4))
         h = hashlib.sha1(b"szego")
         for part in (np.int64(4), np.int64(4), np.float64(bs.const_norm), bs.szego_c,
-                     np.diagonal(bs.hessenberg, -1)):
+                     bs.h_sub):
             h.update(part.tobytes())
         assert bs.basis_id == h.hexdigest()[:16]
 
@@ -1134,7 +1105,8 @@ class TestBasisId:
     def test_every_entry_of_the_route_moves_the_id(self, case):
         # the entries that determine H on the route: the three diagonals of
         # a three-term H, every Szego c_j (c_{n-1} is in H's last column
-        # only) and rho_j, every entry of a Hessenberg H
+        # only, c_n in the CMV T(z^2) only) and rho_j, every entry of a
+        # Hessenberg H
         n = 8
         mu = {"interval": interval_lebesgue(32), "circle": circle_lebesgue(32),
               "points": complex_atoms()}[case]
@@ -1145,10 +1117,10 @@ class TestBasisId:
                                                                for i in (0, 1) if i or j]
         elif bs.route == "szego":
             sites = [("h_sub", (j,)) for j in range(n - 1)] + [("szego_c", (j,))
-                                                               for j in range(n)]
+                                                               for j in range(n + 1)]
         else:
             sites = [("h_full", (i, j)) for j in range(n) for i in range(j + 2)]
-        sites = [(name, at) for name, at in sites if max(at) < n]
+        sites = [(name, at) for name, at in sites if max(at) < getattr(bs, name).shape[-1]]
         ids = {bs.basis_id}
         for name, at in sites:
             arr = getattr(bs, name).copy()

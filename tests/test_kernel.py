@@ -364,7 +364,7 @@ class TestChristoffelDarbouxRoute:
         mu = from_points(rng.uniform(-1.0, 1.0, 4 * k), np.full(4 * k, 1.0 / (4 * k)))
         bs = orthonormalize(mu, WeightedSpace(k - 1, tensor_power=k))
         # Lanczos lost orthogonality on these atoms, and full Arnoldi filled H
-        assert bs.szego_c is None and np.any(np.triu(bs.hessenberg, 2))
+        assert bs.szego_c is None and np.any(np.triu(bs.h_full, 2))
         self.check_q(bs, mu, np.arange(0, 200), np.arange(300, 512), pair_mass_calls)
 
     @pytest.mark.parametrize("case", ["interval", "arcsine", "circle", "tilted-circle",
@@ -607,7 +607,7 @@ def _bm_case(name, k, m=None):
         radius, angle = np.sqrt(rng.uniform(0.0, 1.0, 300)), rng.uniform(0.0, 2 * np.pi, 300)
         bs = orthonormalize(from_points(radius * np.exp(1j * angle),
                                         rng.uniform(0.5, 1.5, 300) / 300), space)
-        assert bs.szego_c is None and np.count_nonzero(bs.hessenberg[0]) > 3
+        assert bs.szego_c is None and np.count_nonzero(bs.h_full[0]) > 3
         grid = 1.1 * np.sqrt(rng.uniform(0.0, 1.0, 8 * 300)) * np.exp(
             1j * rng.uniform(0.0, 2 * np.pi, 8 * 300))
         return bs, grid, 1e-13

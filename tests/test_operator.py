@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -30,10 +31,12 @@ from cdlab import (
     symbols,
     toeplitz,
 )
+from cdlab.basis import operator_rows, weighted_rows
 from cdlab.operator import ToeplitzMatrix
-from cdlab.symbols import (PolynomialSymbol, resolve_symbol, spectral_cube,
+from cdlab.symbols import (PolynomialSymbol, resolve_symbol, spectral_abs, spectral_cube,
                            spectral_identity, spectral_square, sym_cos, sym_one,
                            sym_sin, sym_x, sym_x2)
+from recurrence_forms import cmv_rows, hessenberg
 
 
 def circle_basis(k, m=None):
@@ -75,12 +78,19 @@ class TestToeplitzAssembly:
         t = toeplitz(bs, mu, sym_one)
         np.testing.assert_allclose(t.entries, np.eye(12), atol=1e-12)
 
-    def test_circle_cosine_is_tridiagonal(self):
-        k = 8
+    @pytest.mark.parametrize("k", [1, 2, 7, 8])
+    def test_circle_cosine_is_the_cmv_shift(self, k):
+        # the CMV functions of the roots of unity are 1, z, 1/z, z^2, 1/z^2,
+        # ...: z sends chi_0 to chi_1, chi_j to chi_{j+2} for odd j and to
+        # chi_{j-2} for even j >= 2, so T(cos) = (S + S^T)/2 with S that shift
         mu, bs = circle_basis(k)
         t = toeplitz(bs, mu, sym_cos)
-        want = 0.5 * (np.eye(k, k, 1) + np.eye(k, k, -1))
-        np.testing.assert_allclose(t.entries, want, atol=1e-12)
+        shift = np.zeros((k + 2, k + 2))
+        shift[1, 0] = 1.0
+        for j in range(1, k):
+            shift[j + 2 if j % 2 else j - 2, j] = 1.0
+        shift = shift[:k, :k]
+        np.testing.assert_allclose(t.entries, 0.5 * (shift + shift.T), atol=1e-12)
 
     def test_interval_coordinate_gives_jacobi_matrix(self):
         k = 10
@@ -240,14 +250,17 @@ class TestCompose:
                                    b.entries.conj().T @ a.entries.conj().T,
                                    atol=1e-12)
 
-    def test_cosine_square_defect_is_corner_matrix(self):
-        k = 4
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_cosine_square_defect_is_corner_matrix(self, k):
+        # in the CMV basis of the roots of unity, 1, z, 1/z, z^2, ..., cos
+        # moves only the last two functions (the highest powers of z and
+        # 1/z) out of the space
         mu, bs = circle_basis(k)
         t_cos = toeplitz(bs, mu, sym_cos)
         t_cos2 = toeplitz(bs, mu, lambda z: sym_cos(z) ** 2)
         diff = compose(t_cos, t_cos) - t_cos2.entries
         want = np.zeros((k, k))
-        want[0, 0] = want[k - 1, k - 1] = -0.25
+        want[k - 2, k - 2] = want[k - 1, k - 1] = -0.25
         np.testing.assert_allclose(diff, want, atol=1e-12)
 
     def test_mismatched_spaces_rejected(self):
@@ -256,6 +269,20 @@ class TestCompose:
         t_other = legendre_toeplitz(sym_x, 4)
         with pytest.raises(ValueError):
             compose(t, t_other)
+
+    @pytest.mark.parametrize("f", [sym_cos, lambda z: np.cos(np.angle(z))],
+                             ids=["band", "quadrature"])
+    def test_mismatched_frames_rejected(self, f):
+        # a Szego basis writes its own measure's operators in its CMV basis,
+        # and another measure's in its polynomial basis: the same basis_id,
+        # tagged apart
+        mu, bs = circle_basis(8)
+        mu2 = scale_by(mu, lambda z: 0.5 * np.real(z))
+        t, t_other = toeplitz(bs, mu, f), toeplitz(bs, mu2, f)
+        assert t.basis_id == bs.basis_id + "-cmv" and t_other.basis_id == bs.basis_id
+        with pytest.raises(ValueError, match="different spaces"):
+            compose(t, t_other)
+        assert compose(t, t).shape == (8, 8)
 
 
 class TestSchattenNorms:
@@ -544,6 +571,15 @@ class TestSpectralRadiusBounds:
         assert 0.99 < lam[-1] <= 1.0
         assert abs(lam[-1] - np.cos(np.pi / (k + 1))) <= 1e-10
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 16, 255, 256])
+    def test_circle_cosine_spectrum_closed_form(self, k):
+        # T(cos) on the roots of unity is unitarily similar to the free
+        # Jacobi matrix (1/2)(S + S^T), whose eigenvalues are cos(pi j/(n+1))
+        mu, bs = circle_basis(k)
+        lam = spectrum(toeplitz(bs, mu, sym_cos)).eigenvalues
+        want = np.sort(np.cos(np.pi * np.arange(1, k + 1) / (k + 1)))
+        assert np.max(np.abs(lam - want)) <= 1e-14
+
     def test_interval_coordinate_confined(self):
         mu, bs = interval_basis(32)
         lam = spectrum(toeplitz(bs, mu, sym_x)).eigenvalues
@@ -552,12 +588,15 @@ class TestSpectralRadiusBounds:
         assert lam[-1] <= x.max() + 1e-9
 
 
-def quadrature_oracle(bs, mu, f):
+def quadrature_oracle(bs, mu, f, frame="operator"):
     """T(f) as the dense sum Q* F Q, symmetrized, with Q = sqrt(w) Phi the
     weighted basis values on mu's nodes: the cached node values on the
-    basis's own measure, the recurrence on any other."""
+    basis's own measure, the recurrence on any other.  In the operator
+    frame a Szego basis on its own measure takes its CMV functions instead,
+    as toeplitz does; frame="polynomial" keeps the node values there."""
     if bs.defined_on(mu):
-        phi = bs.node_values
+        cmv = frame == "operator" and bs.route == "szego"
+        phi = cmv_rows(bs) if cmv else bs.node_values
     else:
         phi = evaluate_basis(bs, mu.nodes) * np.sqrt(mu.weights)[:, None]
     fvals = np.asarray(f(mu.nodes), dtype=complex).real
@@ -581,6 +620,9 @@ def polynomial_symbols():
     return named
 
 
+POISSON_R = 0.5
+
+
 def recurrence_case(name, n, m=None):
     """(basis, measure) with the basis built on that measure, of m nodes,
     by default max(4 n, 16)."""
@@ -594,6 +636,8 @@ def recurrence_case(name, n, m=None):
         mu = arcsine(m)
     elif name == "tilted-circle":
         mu = scale_by(circle_lebesgue(m), lambda z: np.cos(np.angle(z) - 0.4))
+    elif name == "poisson-circle":
+        mu = scale_by(circle_lebesgue(m), poisson_tilt)
     elif name == "tilted-interval":
         mu = scale_by(interval_lebesgue(m), lambda z: 1.5 * z.real)
     elif name.startswith("points"):
@@ -613,8 +657,16 @@ def recurrence_case(name, n, m=None):
     return orthonormalize(mu, space), mu
 
 
+def poisson_tilt(z, r=POISSON_R):
+    """The tilt g of the Poisson weight exp(-g) = (1 - r^2) / |1 - r z|^2,
+    whose Szego c_j vanish but c_0 = r (Geronimus; Simon, OPUC Part 1,
+    2005, 1.6)."""
+    return np.log(np.abs(1.0 - r * z) ** 2 / (1.0 - r * r))
+
+
 RECURRENCE_CASES = ["circle", "interval", "arcsine", "tilted-circle", "tilted-interval",
-                    "metric-circle", "metric-interval", "points-real", "points-disk"]
+                    "metric-circle", "metric-interval", "points-real", "points-disk",
+                    "poisson-circle"]
 
 
 class TestRecurrenceRoute:
@@ -690,6 +742,13 @@ class TestRecurrenceRoute:
         with pytest.raises(ValueError, match="finite"):
             toeplitz(bs, mu, bad)
 
+    def test_poisson_weight_has_one_coefficient(self):
+        # on 64 roots of unity the rule's aliasing moves c_0 by r^63 only
+        bs, _ = recurrence_case("poisson-circle", 16)
+        assert bs.route == "szego"
+        assert abs(abs(bs.szego_c[0]) - POISSON_R) <= 1e-15
+        assert np.max(np.abs(bs.szego_c[1:])) <= 1e-14
+
     def test_symmetrized_and_asymmetry_recorded(self):
         bs, mu = recurrence_case("interval", 64)
         t = toeplitz(bs, mu, sym_x)
@@ -706,7 +765,7 @@ def radially_perturbed_circle(n, delta):
                              support_tag="circle")
 
 
-SZEGO_CASES = ["circle", "tilted-circle", "metric-circle"]
+SZEGO_CASES = ["circle", "tilted-circle", "metric-circle", "poisson-circle"]
 
 
 class TestSzegoOperator:
@@ -728,33 +787,91 @@ class TestSzegoOperator:
             assert np.array_equal(t.entries, t.entries.conj().T), name
             assert t.asymmetry == 0.0, name
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_what_the_bands_read(self, n):
+        # T(z) reads c_0..c_{n-1} and rho_0..rho_{n-2}; T(z^2) reads c_n
+        # and rho_{n-1} = |r| too, of the step past n
+        bs, mu = recurrence_case("tilted-circle", n)
+        sites = [("szego_c", j) for j in range(n + 1)] + [("h_sub", j) for j in range(n - 1)]
+        for name, j in sites + [("residual_sq", None)]:
+            if j is None:
+                moved = dataclasses.replace(bs, residual_sq=1.01 * bs.residual_sq)
+            else:
+                arr = getattr(bs, name).copy()
+                arr[j] += 1e-3
+                moved = dataclasses.replace(bs, **{name: arr})
+            past_n = (name, j) in (("szego_c", n), ("residual_sq", None))
+            for f, reads in ((sym_cos, not past_n), (sym_x2, True)):
+                same = np.array_equal(toeplitz(moved, mu, f).entries, toeplitz(bs, mu, f).entries)
+                assert same != reads, (name, j, f.__name__)
+
     def test_memory(self):
-        # n = 1024: one complex n x n array is 16 MiB; T(cos) takes P and
-        # the result, T(x^2) also T(z^2)
+        # n = 1024: one complex n x n array is 16 MiB; T(cos) and T(x^2),
+        # and their trace powers, are bands of 5 and 9 diagonals
         mu = circle_lebesgue(4096)
         bs = orthonormalize(mu, WeightedSpace(1023, tensor_power=1024))
-        assert bs.hessenberg.shape == (1024, 1024)
-        for f, limit in ((sym_cos, 40), (sym_x2, 64)):
+        for f, width in ((sym_cos, 5), (sym_x2, 9)):
             tracemalloc.start()
             try:
                 t = toeplitz(bs, mu, f)
+                stat = spectral_statistic(t, spectral_cube)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert t.asymmetry == 0.0
-            assert peak < limit * 2**20, (f.__name__, peak / 2**20)
+            assert t.asymmetry == 0.0 and t._rows.shape == (1024, width) and stat > -1.0
+            assert peak < 2**20, (f.__name__, peak / 2**20)
 
-    # Szego is kept up to delta = 1e-15, and at 1e-14 for n = 8 only; the
-    # other bases run full Arnoldi
+    # Szego is kept up to delta = 1e-15; at 1e-14 every n runs full Arnoldi
     @pytest.mark.parametrize("delta", [1e-16, 1e-15, 1e-14])
     @pytest.mark.parametrize("n", [8, 64, 256, 1024])
     def test_radially_perturbed_circle(self, n, delta):
-        # T(conj(z) z) = I is used only where the probe certified |z| = 1
+        # T(conj(z) z) = I is used only where the probe certified |z| = 1.
+        # A kept Szego basis writes T(f) in its CMV basis, the oracle in the
+        # polynomial one: the traces (1/n) tr T^p are those of either frame
         mu = radially_perturbed_circle(n, delta)
         bs = orthonormalize(mu, WeightedSpace(n - 1, tensor_power=n))
+        assert bs.route == ("szego" if delta < 1e-14 else "hessenberg")
         for f in (sym_x2, sym_cos, sym_sin, symbols.product(sym_cos, sym_cos)):
-            gap = max_relative_gap(toeplitz(bs, mu, f).entries, quadrature_oracle(bs, mu, f))
-            assert gap <= 1e-13, (bs.route, gap)
+            got = toeplitz(bs, mu, f).entries
+            want = quadrature_oracle(bs, mu, f, frame="polynomial")
+            for p in (1, 2, 3):
+                traces = [np.trace(np.linalg.matrix_power(a, p)).real / n for a in (got, want)]
+                assert abs(traces[0] - traces[1]) <= 1e-13 * max(1.0, abs(traces[1])), (bs.route, p)
+
+
+class TestCmvFrame:
+    """A Szego basis writes its own measure's operators in its CMV basis,
+    bands and quadrature products alike, so their products and
+    differences are those of the polynomial frame, and so is every
+    quantity read from them."""
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    @pytest.mark.parametrize("case", ["circle", "tilted-circle", "poisson-circle"])
+    def test_quantities_match_the_polynomial_frame(self, case, n):
+        bs, mu = recurrence_case(case, n)
+        assert bs.route == "szego"
+
+        def dense(f):
+            return quadrature_oracle(bs, mu, f, frame="polynomial")
+
+        # x^3 and x + x^3 have no band; T(x^2) T(x) - T(x^3) mixes the two
+        x3, x_x3 = resolve_symbol("poly:0,0,0,1")[1], resolve_symbol("poly:0,1,0,1")[1]
+        got = (algebra_defect(bs, mu, sym_x2, sym_x, 2),
+               symbol_distance(bs, mu, sym_cos, x3),
+               spectral_statistic(toeplitz(bs, mu, x_x3), spectral_abs))
+        want = (schatten_norm(dense(sym_x2) @ dense(sym_x) - dense(symbols.product(sym_x2, sym_x)), 2),
+                np.mean(np.abs(np.linalg.eigvalsh(dense(sym_cos) - dense(x3)))),
+                np.mean(np.abs(np.linalg.eigvalsh(dense(x_x3)))))
+        for name, a, b in zip(("algebra", "symbol_distance", "szego"), got, want):
+            assert abs(a - b) <= 1e-13 * max(1.0, abs(b)), (name, a, b)
+
+    @pytest.mark.parametrize("case", ["circle", "tilted-circle"])
+    def test_quadrature_route_takes_the_cmv_rows(self, case):
+        # on another measure the basis's own polynomial rows
+        bs, mu = recurrence_case(case, 16)
+        assert np.max(np.abs(operator_rows(bs, mu) - cmv_rows(bs))) <= 1e-15
+        other = scale_by(mu, lambda z: 0.5 * z.real)
+        np.testing.assert_array_equal(operator_rows(bs, other), weighted_rows(bs, other))
 
 
 class TestSymmetrize:
@@ -881,7 +998,7 @@ class TestBandedRoute:
         for spec in ("one", "x", "const:-1.25", "poly:0.5,-2"):
             f = resolve_symbol(spec)[1]
             c0, c1 = f.terms.get((0, 0), 0.0), f.terms.get((1, 0), 0.0)
-            raw = c1 * bs.hessenberg
+            raw = c1 * hessenberg(bs)
             raw[np.diag_indices(k)] += c0
             t = toeplitz(bs, mu, f)
             np.testing.assert_array_equal(t.entries, (raw + raw.T) * 0.5)
@@ -935,7 +1052,7 @@ class TestBandedRoute:
             # builds a real H; in the disk it builds a complex one
             bs, mu = recurrence_case(case, 64)
             assert bs.route == "hessenberg"
-            assert np.iscomplexobj(bs.hessenberg) == (case == "points-disk")
+            assert np.iscomplexobj(bs.h_full) == (case == "points-disk")
         else:
             bs, _ = banded_case("gauss-legendre", 32)
             mu = scale_by(interval_lebesgue(128), lambda z: 0.7 * np.real(z) + 0.2)
