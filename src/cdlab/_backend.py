@@ -1,5 +1,5 @@
-"""The hot inner loops: basis recurrence evaluation, products of banded
-matrices and pairwise kernel-mass reductions, in vectorized numpy.
+"""The hot inner loops: basis recurrence evaluation and pairwise
+kernel-mass reductions, in vectorized numpy.
 
 Callers use them as module attributes (`_backend.pair_mass(...)`), so the
 benchmark's tracer can wrap each loop in one place.  Every reduction has a
@@ -150,21 +150,6 @@ def _diagonal(z, scale, const_norm, route, coef, sub):
             else:
                 acc[...] = sq
     return sums
-
-
-def band_product(a, b):
-    """A B from banded A and B held by rows: a[i, wa + d] = A[i, i + d] for
-    |d| <= wa, zero where i + d is off the matrix, and b likewise.  Returns
-    A B by rows, (n, 2 (wa + wb) + 1), in O(n wa wb); each entry sums its
-    products in the order of d."""
-    n, wa, wb = a.shape[0], a.shape[1] // 2, b.shape[1] // 2
-    padded = np.zeros((n + 2 * wa, b.shape[1]), dtype=b.dtype)
-    padded[wa : wa + n] = b
-    out = np.zeros((n, 2 * (wa + wb) + 1), dtype=np.result_type(a, b))
-    # A[i, i + d] B[i + d, i + d + e] adds to row i at offset d + e
-    for p in range(2 * wa + 1):
-        out[:, p : p + 2 * wb + 1] += a[:, p, None] * padded[p : p + n]
-    return out
 
 
 def _abs2_blocks(q, idx_a, idx_b):

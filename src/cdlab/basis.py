@@ -545,38 +545,55 @@ def recurrence_toeplitz(basis, terms):
     as (rows, asymmetry) in O(n): rows[i, w + d] = T[i, i + d], zero off
     the matrix.  None on the "hessenberg" route (full Arnoldi).
 
-    Three-term: T(x) = J, the tridiagonal H, and T(x^2) = J^2 + |r|^2 e_n
-    e_n^T, so w = deg f; each pair is set to (raw_ij + raw_ji) / 2, and
-    asymmetry = max |raw_ij - raw_ji|.  Szego: T(z) and T(z^2) are the
-    leading blocks of C and C^2 (_cmv_band); |z| = 1 (certified), so
-    T(conj(z) z) = I and T(f) = P + P* + (c_1 + (c_uu + c_vv)/2) I, with
-    P = (c_u - i c_v)/2 T(z) + (c_uu - c_vv - i c_uv)/4 T(z^2): w = 2 deg f.
+    On the support f = gamma + P + P*, P = a_1 z + a_2 z^2, and T(z^k) is
+    the leading block of Z^k (Z = _z_band), so T(f) = P + P* + gamma I.
+    Real nodes: u = z and v = 0, so a_k = c_{u^k} / 2, gamma = c_1, and
+    asymmetry = max |2P - 2P*|.  Szego: |z| = 1 (certified), so a_1 =
+    (c_u - i c_v)/2, a_2 = (c_uu - c_vv - i c_uv)/4, gamma = c_1 +
+    (c_uu + c_vv)/2, and asymmetry = 0.0.
     """
-    if basis.route == "three_term":
-        return _three_term_toeplitz(basis, terms)
-    if basis.route != "szego":
+    if basis.route not in ("three_term", "szego"):
         return None
     c = {ab: terms.get(ab, 0.0) for ab in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
-    c_z = (c[1, 0] - 1j * c[0, 1]) / 2
-    c_z2 = (c[2, 0] - c[0, 2] - 1j * c[1, 1]) / 4
-    n, w = basis.dimension, 4 if c_z2 else 2 if c_z else 0
-    half = np.zeros((n, 2 * w + 1), dtype=np.complex128)
+    if basis.route == "szego":
+        a_1, a_2 = (c[1, 0] - 1j * c[0, 1]) / 2, (c[2, 0] - c[0, 2] - 1j * c[1, 1]) / 4
+        gamma = c[0, 0] + (c[2, 0] + c[0, 2]) / 2
+    else:
+        a_1, a_2, gamma = c[1, 0] / 2, c[2, 0] / 2, c[0, 0]
+    z, n = _z_band(basis), basis.dimension
+    wz = z.shape[1] // 2
+    w = 2 * wz if a_2 else wz if a_1 else 0
+    band = np.zeros((n, 2 * w + 1), dtype=z.dtype)     # P, then T(f) in place
     if w:
-        cmv = _cmv_band(basis)
-        half[:, w - 2 : w + 3] = c_z * _leading_block(cmv, n)
-    if c_z2:
-        half += c_z2 * _leading_block(_backend.band_product(cmv, cmv), n)
-    raw = half + _band_adjoint(half)
-    raw[:, w] += c[0, 0] + (c[2, 0] + c[0, 2]) / 2
-    return raw, 0.0
+        band[:, w - wz : w + wz + 1] = a_1 * _leading_block(z, n)
+    if a_2:
+        band += a_2 * _leading_block(band_product(z, z), n)
+    adj = _band_adjoint(band)
+    # np.max, unlike max(), propagates a NaN
+    asym = 0.0 if basis.route == "szego" else 2 * float(np.max(np.abs(band - adj)))
+    band += adj
+    band[:, w] += gamma
+    return band, asym
 
 
-def _cmv_band(basis):
-    """The CMV matrix C = L M (Cantero, Moral and Velazquez, 2003; Simon,
-    OPUC Part 1, 2005, 4.2) to n + 1 rows, by rows: L = Theta_0 + Theta_2 +
-    ..., M = 1 + Theta_1 + ..., Theta_j = [[c_j, rho_j], [rho_j, -conj(c_j)]].
-    The leading n x n block of C^2 reads c_n and rho_{n-1} = |r|, no more."""
-    n, c = basis.dimension, basis.szego_c
+def _z_band(basis):
+    """Multiplication by z to n + 1 rows, held by rows.  Three-term: H, the
+    norms below the diagonal and the projections on and above it, with the
+    step past n as H[n-1, n] = 1 and H[n, n-1] = |r|^2 (H[n, n] is never
+    read), a diagonal similarity of the last row and column: the leading
+    block of H^2 keeps its value and its last entry reads |r|^2 exactly.
+    Szego: the CMV matrix C = L M (Cantero, Moral and Velazquez, 2003;
+    Simon, OPUC Part 1, 2005, 4.2), L = Theta_0 + Theta_2 + ..., M = 1 +
+    Theta_1 + ..., Theta_j = [[c_j, rho_j], [rho_j, -conj(c_j)]]; the
+    leading block of C^2 reads c_n and rho_{n-1} = |r|, no more."""
+    n = basis.dimension
+    if basis.route == "three_term":
+        h = np.zeros((n + 1, 3))
+        h[1:, 0] = np.append(basis.h_sub, basis.residual_sq)
+        h[:n, 1] = basis.h_band[1]
+        h[:n, 2] = np.append(basis.h_band[0, 1:], 1.0)
+        return h
+    c = basis.szego_c
     rho = np.append(basis.h_sub, math.sqrt(basis.residual_sq))
     factors = np.zeros((2, n + 1, 3), dtype=np.complex128)
     for first, band in enumerate(factors):
@@ -586,7 +603,22 @@ def _cmv_band(basis):
         band[top, 2] = band[top + 1, 0] = rho[top]
         band[top + 1, 1] = -np.conj(c[top])
     factors[1, 0, 1] = 1.0
-    return _backend.band_product(*factors)
+    return band_product(*factors)
+
+
+def band_product(a, b):
+    """A B from banded A and B held by rows: a[i, wa + d] = A[i, i + d] for
+    |d| <= wa, zero where i + d is off the matrix, and b likewise.  Returns
+    A B by rows, (n, 2 (wa + wb) + 1), in O(n wa wb); each entry sums its
+    products in the order of d."""
+    n, wa, wb = a.shape[0], a.shape[1] // 2, b.shape[1] // 2
+    padded = np.zeros((n + 2 * wa, b.shape[1]), dtype=b.dtype)
+    padded[wa : wa + n] = b
+    out = np.zeros((n, 2 * (wa + wb) + 1), dtype=np.result_type(a, b))
+    # A[i, i + d] B[i + d, i + d + e] adds to row i at offset d + e
+    for p in range(2 * wa + 1):
+        out[:, p : p + 2 * wb + 1] += a[:, p, None] * padded[p : p + n]
+    return out
 
 
 def _leading_block(rows, n):
@@ -601,31 +633,6 @@ def _band_adjoint(rows):
     padded = np.pad(rows, ((w, w), (0, 0)))
     adj = np.stack([padded[w + d : w + d + n, w - d] for d in range(-w, w + 1)], axis=1)
     return np.conjugate(adj, out=adj)
-
-
-def _three_term_toeplitz(basis, terms):
-    """recurrence_toeplitz on the three-term route: (rows, asymmetry)."""
-    c = [terms.get((a, 0), 0.0) for a in range(3)]
-    degree = max((a for a, b in terms if b == 0), default=0)
-    n = basis.dimension
-    # H by rows: the norms below the diagonal, the projections on and above
-    h = np.zeros((n, 3))
-    h[1:, 0] = basis.h_sub
-    h[:, 1] = basis.h_band[1]
-    h[:-1, 2] = basis.h_band[0, 1:]
-    if degree == 0:
-        raw = np.zeros((n, 1))
-    elif degree == 1:
-        raw = c[1] * h
-    else:
-        h2 = _backend.band_product(h, h)
-        h2[-1, 2] += basis.residual_sq
-        raw = np.pad(c[1] * h, ((0, 0), (1, 1)))
-        raw += c[2] * h2
-    raw[:, raw.shape[1] // 2] += c[0]
-    adj = _band_adjoint(raw)
-    # np.max, unlike max(), propagates a NaN
-    return (raw + adj) * 0.5, float(np.max(np.abs(raw - adj)))
 
 
 def cd_factors(basis):

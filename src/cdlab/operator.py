@@ -9,8 +9,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _backend, symbols
-from .basis import (WeightedSpace, operator_frame, operator_rows, orthonormalize,
-                    recurrence_toeplitz, weighted_rows)
+from .basis import (WeightedSpace, band_product, operator_frame, operator_rows,
+                    orthonormalize, recurrence_toeplitz, weighted_rows)
 from .errors import NotHermitianError
 from .measure import _real_values, _require_count, interval_lebesgue
 
@@ -31,38 +31,36 @@ class ToeplitzMatrix:
     symmetrization (quadrature noise diagnostic), 0.0 on the Szego route.
     """
 
-    def __init__(self, entries, symbol_desc, k, basis_id, asymmetry=0.0):
+    def __init__(self, entries, symbol_desc, k, basis_id, asymmetry=0.0, rows=None):
+        for arr in (entries, rows):
+            if arr is not None:
+                arr.setflags(write=False)
         if entries is not None:
-            entries.setflags(write=False)
             self.__dict__["entries"] = entries
-        self._rows = None
-        self.symbol_desc = symbol_desc
-        self.k = k
-        self.basis_id = basis_id
-        self.asymmetry = asymmetry
-
-    @classmethod
-    def _banded(cls, rows, symbol_desc, k, basis_id, asymmetry):
-        """The matrix held by rows: rows[i, w + d] = T[i, i + d]."""
-        t = cls(None, symbol_desc, k, basis_id, asymmetry)
-        rows.setflags(write=False)
-        t._rows = rows
-        return t
+        self._rows, self.symbol_desc, self.k = rows, symbol_desc, k
+        self.basis_id, self.asymmetry = basis_id, asymmetry
 
     @cached_property
     def entries(self):
-        rows = self._rows
-        n, w = rows.shape[0], rows.shape[1] // 2
-        mat = np.zeros((n, n), dtype=rows.dtype)
-        for d in range(-min(w, n - 1), min(w, n - 1) + 1):
-            below, above = max(-d, 0), max(d, 0)
-            np.fill_diagonal(mat[below:, above:], rows[below : n - above, w + d])
+        mat = _dense(self._rows)
         mat.setflags(write=False)
         return mat
 
     @property
     def dimension(self):
         return self.entries.shape[0] if self._rows is None else self._rows.shape[0]
+
+
+def _dense(rows, out=None):
+    """The band held by rows as a new square array, or subtracted in place
+    from the square array out."""
+    n, w = rows.shape[0], rows.shape[1] // 2
+    mat = np.zeros((n, n), dtype=rows.dtype) if out is None else out
+    for d in range(-min(w, n - 1), min(w, n - 1) + 1):
+        below, above = max(-d, 0), max(d, 0)
+        block, band = mat[below:, above:], rows[below : n - above, w + d]
+        np.fill_diagonal(block, band if out is None else block.diagonal() - band)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -72,16 +70,6 @@ class SpectralMeasure:
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
-
-
-def _symbol_values(mu, f):
-    return _real_values("symbol", f, mu.nodes)
-
-
-def _symbol_name(f, override=None):
-    if override is not None:
-        return override
-    return getattr(f, "__name__", "custom")
 
 
 def _block_pairs(v):
@@ -137,13 +125,14 @@ def toeplitz(basis, mu, f, symbol_desc=None):
     another measure, or a full-Arnoldi basis takes the quadrature product
     Q* F Q, O(m n^2), made Hermitian in place.
     """
-    fvals = _symbol_values(mu, f)
-    name, k = _symbol_name(f, symbol_desc), basis.space.tensor_power
+    fvals = _real_values("symbol", f, mu.nodes)
+    name = getattr(f, "__name__", "custom") if symbol_desc is None else symbol_desc
+    k = basis.space.tensor_power
     frame = operator_frame(basis, mu)
     if isinstance(f, symbols.PolynomialSymbol) and basis.defined_on(mu):
         band = recurrence_toeplitz(basis, f.terms)
         if band is not None:
-            return ToeplitzMatrix._banded(band[0], name, k, frame, band[1])
+            return ToeplitzMatrix(None, name, k, frame, band[1], rows=band[0])
     raw = _quadrature_raw(operator_rows(basis, mu), fvals)
     asym = _hermitian_part_inplace(raw)
     return ToeplitzMatrix(entries=raw, symbol_desc=name, k=k, basis_id=frame, asymmetry=asym)
@@ -167,10 +156,13 @@ def legendre_toeplitz(f, k, m=None, symbol_desc=None):
 
 
 def compose(a, b):
-    """Operator product A @ B (generally non-Hermitian)."""
+    """Operator product A @ B (generally non-Hermitian), a new array.  Two
+    bands multiply as bands, and only their product is formed dense."""
     if a.k != b.k or a.basis_id != b.basis_id:
         raise ValueError("operands live in different spaces "
                          f"(k={a.k}/{b.k}, basis {a.basis_id}/{b.basis_id})")
+    if a._rows is not None and b._rows is not None:
+        return _dense(band_product(a._rows, b._rows))
     return a.entries @ b.entries
 
 
@@ -246,9 +238,8 @@ def spectral_statistic(a, g):
     if power is None:
         eig = spectrum(a).eigenvalues
         return float(np.mean(np.asarray(g(eig), dtype=float)))
-    rows = a._rows if isinstance(a, ToeplitzMatrix) else None
-    if rows is not None:
-        return _band_trace_power(rows, power)
+    if isinstance(a, ToeplitzMatrix) and a._rows is not None:
+        return _band_trace_power(a._rows, power)
     mat = _as_hermitian(a)
     if power == 1:
         trace = np.trace(mat)
@@ -272,7 +263,7 @@ def _band_trace_power(rows, p):
     elif p == 2:
         trace = np.vdot(rows, rows)
     else:
-        trace = np.vdot(rows, _backend.band_product(rows, rows)[:, w : 3 * w + 1])
+        trace = np.vdot(rows, band_product(rows, rows)[:, w : 3 * w + 1])
     return float(trace.real / rows.shape[0])
 
 
@@ -284,12 +275,18 @@ def functional_calculus(a, h):
 
 
 def algebra_defect(basis, mu, f, g, p):
-    """Schatten-p norm of T(f) T(g) - T(f*g), the algebra closure defect."""
+    """Schatten-p norm of T(f) T(g) - T(f*g), the algebra closure defect;
+    T(f*g) is subtracted in place from the product, the one dense array."""
     t_f = toeplitz(basis, mu, f)
     t_g = toeplitz(basis, mu, g)
     t_fg = toeplitz(basis, mu, symbols.product(f, g),
                     symbol_desc=f"{t_f.symbol_desc}*{t_g.symbol_desc}")
-    return schatten_norm(compose(t_f, t_g) - t_fg.entries, p)
+    defect = compose(t_f, t_g)
+    if t_fg._rows is None:
+        defect -= t_fg.entries
+    else:
+        _dense(t_fg._rows, out=defect)
+    return schatten_norm(defect, p)
 
 
 def defect_kernel_bound(basis, mu, f, g):
@@ -298,16 +295,15 @@ def defect_kernel_bound(basis, mu, f, g):
     sqrt((1/n_k) sum_{a,b} f(x_a)^2 (g(x_a)-g(x_b))^2 |K[a,b]|^2 w_a w_b),
     summed from the weighted basis rows on mu.
     """
-    fv = _symbol_values(mu, f)
-    gv = _symbol_values(mu, g)
+    fv = _real_values("symbol", f, mu.nodes)
+    gv = _real_values("symbol", g, mu.nodes)
     total = _backend.defect_pair_sum(weighted_rows(basis, mu), fv, gv)
     return float(np.sqrt(total / basis.dimension))
 
 
 def symbol_distance(basis, mu, f, g):
     """Schatten-1 distance (1/n_k) Tr |T(f) - T(g)| between two symbols:
-    T(f) - T(g) is Hermitian, so its singular values are its |eigenvalues|.
-    """
-    t_f = toeplitz(basis, mu, f)
-    t_g = toeplitz(basis, mu, g)
-    return float(np.mean(np.abs(np.linalg.eigvalsh(t_f.entries - t_g.entries))))
+    T(f) - T(g) = T(f - g) is Hermitian, so its singular values are its
+    |eigenvalues|, taken through spectrum and its Hermitian check."""
+    return spectral_statistic(toeplitz(basis, mu, symbols.difference(f, g)),
+                              symbols.spectral_abs)

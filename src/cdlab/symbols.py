@@ -86,6 +86,18 @@ def product(f, g):
     return PolynomialSymbol(fg, terms)
 
 
+def difference(f, g):
+    """The symbol f - g, a PolynomialSymbol when f and g are."""
+
+    def f_g(z):
+        return np.asarray(f(z)) - np.asarray(g(z))
+
+    if not (isinstance(f, PolynomialSymbol) and isinstance(g, PolynomialSymbol)):
+        return f_g
+    terms = {ab: f.terms.get(ab, 0.0) - g.terms.get(ab, 0.0) for ab in {**f.terms, **g.terms}}
+    return PolynomialSymbol(f_g, terms)
+
+
 def _finite(value, spec):
     if not math.isfinite(value):
         raise ValueError(f"symbol coefficients must be finite, got {spec!r}")

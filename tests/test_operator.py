@@ -755,6 +755,20 @@ class TestRecurrenceRoute:
         assert 0.0 <= t.asymmetry <= 1e-13
         assert np.array_equal(t.entries, t.entries.conj().T)
 
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("case", ["circle", "tilted-circle", "poisson-circle", "interval",
+                                      "arcsine", "tilted-interval"])
+    def test_band_dtype_follows_the_route(self, case, n):
+        # a constant's band too: complex128 on the circle, as the quadrature
+        # route's matrix is there, and float64 on real nodes
+        bs, mu = recurrence_case(case, n)
+        want = np.complex128 if "circle" in case else np.float64
+        assert bs.route == ("szego" if "circle" in case else "three_term")
+        for name, f in polynomial_symbols().items():
+            t = toeplitz(bs, mu, f)
+            assert t._rows.dtype == want and t.entries.dtype == want, name
+            assert toeplitz(bs, mu, f.fn).entries.dtype == want, name
+
 
 def radially_perturbed_circle(n, delta):
     """circle_lebesgue(4 n) with each node moved out or in by a factor
@@ -1015,6 +1029,24 @@ class TestBandedRoute:
                 want = spectral_statistic(dense_copy(t), g)
                 assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (spec, g.__name__)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_what_the_bands_read(self, n):
+        # T(x) reads the norms h_sub and the projections h_band; T(x^2) reads
+        # |r|^2 too, of the step past n, as the last entry of its diagonal
+        bs, mu = banded_case("tilted-interval", n)
+        sites = ([("h_sub", (j,)) for j in range(n - 1)] + [("h_band", (1, j)) for j in range(n)]
+                 + [("h_band", (0, j)) for j in range(1, n)])
+        for name, at in sites + [("residual_sq", None)]:
+            if at is None:
+                moved = dataclasses.replace(bs, residual_sq=1.01 * bs.residual_sq)
+            else:
+                arr = getattr(bs, name).copy()
+                arr[at] += 1e-3
+                moved = dataclasses.replace(bs, **{name: arr})
+            for f, reads in ((sym_x, at is not None), (sym_x2, True)):
+                same = np.array_equal(toeplitz(moved, mu, f).entries, toeplitz(bs, mu, f).entries)
+                assert same != reads, (name, at, f.__name__)
+
     def test_legendre_square_trace_closed_form(self):
         # (1/n) tr J^2 = (2/n) sum_{j<n} j^2 / (4 j^2 - 1) = (n - 1) / (2n - 1)
         k = 2048
@@ -1040,7 +1072,7 @@ class TestBandedRoute:
         t = toeplitz(bs, mu, sym_x)
         rows = t._rows.copy()
         rows[3, 0] = np.nan
-        bad = ToeplitzMatrix._banded(rows, "bad", 16, "test", 0.0)
+        bad = ToeplitzMatrix(None, "bad", 16, "test", rows=rows)
         for g in (spectral_identity, spectral_square, spectral_cube):
             with pytest.raises(ValueError, match="matrix entries must be finite"):
                 spectral_statistic(bad, g)
@@ -1066,6 +1098,77 @@ class TestBandedRoute:
             assert "entries" in vars(t)
             assert max_relative_gap(t.entries, quadrature_oracle(bs, mu, f)) <= 1e-13
         assert len(calls) == len(BANDED_SPECS)
+
+
+@pytest.fixture(scope="class")
+def circle_1024():
+    """A Szego basis at n = 1024 on 4096 roots of unity, and its measure:
+    one complex n x n array there is 16 MiB."""
+    mu = circle_lebesgue(4096)
+    return orthonormalize(mu, WeightedSpace(1023, tensor_power=1024)), mu
+
+
+class TestBandsStayBands:
+    """compose multiplies two bands as bands, algebra_defect forms only
+    their product dense, and symbol_distance reads one operator, T(f - g)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    @pytest.mark.parametrize("case", ["circle", "tilted-circle", "interval", "tilted-interval"])
+    def test_compose_of_bands(self, case, n):
+        bs, mu = recurrence_case(case, n)
+        named = polynomial_symbols()
+        for fa, fb in (("cos", "sin"), ("x2", "cos*sin"), ("poly:1,0.5,-3", "x"),
+                       ("one", "x*x"), ("x2", "x2")):
+            a, b = toeplitz(bs, mu, named[fa]), toeplitz(bs, mu, named[fb])
+            got = compose(a, b)
+            assert "entries" not in a.__dict__ and "entries" not in b.__dict__, (fa, fb)
+            assert got.shape == (n, n) and got.flags.writeable
+            assert max_relative_gap(got, a.entries @ b.entries) <= 1e-15, (fa, fb)
+
+    @pytest.mark.parametrize("p", [2, 1])
+    def test_algebra_defect_memory(self, circle_1024, p):
+        # the product, 16 MiB, is the one dense array; on the roots of unity
+        # the defect has two singular values of 1/4, so it is (1/4) (2/n)^(1/p)
+        bs, mu = circle_1024
+        tracemalloc.start()
+        try:
+            got = algebra_defect(bs, mu, sym_cos, sym_sin, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20, peak / 2**20
+        assert abs(got - 0.25 * (2 / 1024) ** (1 / p)) <= 1e-12 * got
+
+    def test_symbol_distance_builds_one_operator(self, circle_1024, monkeypatch):
+        # spec(T(cos) - I) = {cos(pi j / (n + 1)) - 1} on the roots of unity,
+        # so the distance is 1; its one eigensolve is that of spectrum
+        bs, mu = circle_1024
+        calls = {"toeplitz": 0, "spectrum": 0}
+        for name in calls:
+            real = getattr(operator, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(operator, name, counted)
+        tracemalloc.start()
+        try:
+            got = symbol_distance(bs, mu, sym_cos, sym_one)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == {"toeplitz": 1, "spectrum": 1}
+        assert peak <= 24 * 2**20, peak / 2**20
+        assert abs(got - 1.0) <= 1e-12
+
+    def test_difference_terms(self):
+        d = symbols.difference(resolve_symbol("poly:1,2,3")[1], sym_x2)
+        assert d.terms == {(0, 0): 1.0, (1, 0): 2.0, (2, 0): 2.0}
+        assert symbols.difference(sym_cos, sym_cos).terms == {}
+        assert not isinstance(symbols.difference(sym_cos, lambda z: np.real(z)), PolynomialSymbol)
+        z = np.exp(1j * np.linspace(0.0, 6.0, 17))
+        np.testing.assert_array_equal(symbols.difference(sym_cos, sym_sin)(z), z.real - z.imag)
 
 
 class TestQuadratureRouteKept:
