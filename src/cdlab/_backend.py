@@ -13,11 +13,6 @@ import numpy as np
 _MASS_BLOCK = 1024
 
 
-# the columns one step reads on each route: q_j and q_j^* (Szego), q_{j-1}
-# and q_j (three-term); a Hessenberg step reads all n
-_STEP_COLUMNS = {"szego": 1, "three_term": 2}
-
-
 def eval_recurrence(z, scale, const_norm, route, coef, sub, *, diagonal=False):
     """Evaluate the orthonormal-polynomial columns at the points z.
 
@@ -27,12 +22,12 @@ def eval_recurrence(z, scale, const_norm, route, coef, sub, *, diagonal=False):
     points z are real.  sub holds the n - 1 norms h_j = H[j+1, j] of H =
     T(z), on every route; coef holds what else a step reads of it.
 
-    Route "hessenberg" runs q_{j+1} = (z*q_j - sum_i H[i,j]*q_i) / h_j
-    over every column, O(n^2) per point, coef the whole H.  "three_term"
-    runs it over columns max(0, j-1)..j, O(n), coef H's band on and above
-    the diagonal, (2, n), column j = (H[j-1, j], H[j, j]).  "szego" runs
-    the coupled Szego step on coef, the c_j of the route (see
-    basis._szego), O(n) per point:
+    Routes "three_term" and "hessenberg" run q_{j+1} = (z*q_j - sum_i
+    H[i,j]*q_i) / h_j over columns max(0, j+1-w)..j, coef H on and above
+    its diagonal in band storage, (w, n), column j = H[j+1-w : j+1, j]:
+    O(n) per point for the three-term w = 2, O(n^2) for full Arnoldi's
+    w = n.  "szego" runs the coupled Szego step on coef, the c_j of the
+    route (see basis._szego), O(n) per point:
         q_{j+1} = (z*q_j - c_j*q_j^*) / rho_j,
         q_{j+1}^* = rho_j*q_j^* - conj(c_j)*q_{j+1},
     with rho_j = h_j and q_0^* = q_0.  H[:j+1, j] = c_j*s_j, where s_j
@@ -56,13 +51,18 @@ def eval_recurrence(z, scale, const_norm, route, coef, sub, *, diagonal=False):
     return out
 
 
+def _step_columns(route, coef):
+    """The columns one step reads: q_j and q_j^* (Szego), or the band
+    width w of coef, q_{j+1-w}..q_j (w = 2 three-term, n Hessenberg)."""
+    return 1 if route == "szego" else coef.shape[0]
+
+
 def _columns(z, win, route, coef, sub):
     """Run the route's recurrence at the points z in the window win, whose
     column 0 holds q_0, and yield the columns q_0, ..., q_{n-1} in turn,
     each a view of win that the next step may overwrite.  A step reads the
-    norm sub[j] and coef: the c_j (Szego), or column j of the band
-    (three-term) or of H (Hessenberg), over the last `band` columns (see
-    _STEP_COLUMNS).
+    norm sub[j] and coef, the c_j (Szego) or column j of the band, over the
+    last `band` columns (see _step_columns).
 
     win holds consecutive columns, the oldest in win[:, 0].  When it is
     full, the last `band` columns (all that the next step reads) move to
@@ -70,7 +70,7 @@ def _columns(z, win, route, coef, sub):
     (len(z), n) matrix.
     """
     n, width = sub.shape[0] + 1, win.shape[1]
-    band = _STEP_COLUMNS.get(route, n)
+    band = _step_columns(route, coef)
     base = 0            # the column held in win[:, 0]
     tmp = np.empty_like(win[:, 0])
     # every route builds a real, positive subdiagonal h.  numpy divides a
@@ -94,7 +94,7 @@ def _columns(z, win, route, coef, sub):
             # coef is C-ordered, so h is a strided vector: OpenBLAS's gemv
             # then adds the products one column at a time, where for a
             # contiguous h it fuses two, and the columns would round apart
-            h = coef[lo : j + 1, j] if route == "hessenberg" else coef[lo - j - 1 :, j]
+            h = coef[lo - j - 1 :, j]
             col -= np.matmul(win[:, lo - base : j + 1 - base], h, out=tmp)
             parts *= inv_sub[j]
         else:
@@ -128,7 +128,7 @@ def _diagonal(z, scale, const_norm, route, coef, sub):
     """
     n = sub.shape[0] + 1
     real = not np.iscomplexobj(z)
-    width = min(n, _STEP_COLUMNS.get(route, n) + _SLACK)
+    width = min(n, _step_columns(route, coef) + _SLACK)
     block = max(1, _WINDOW_ENTRIES // width)
     sums = np.empty(z.shape[0])
     # one window and its squares serve every block, so they are allocated

@@ -24,10 +24,12 @@ recurrence, run one step past n (Z Q = Q T(z) + r e_n^T, the residual r
 unnormalized, 0 on n nodes; the basis keeps |r|^2), plus the columns of Q
 its build kept: the last two, which the Christoffel-Darboux masses read, or
 all n on full Arnoldi.  Of the recurrence it keeps what its route's step
-reads, O(n) on the structured routes: the n - 1 norms H[j+1, j] on every
-route, and the two other diagonals of a three-term H, the Szego c_j (with
-c_n of the step past n), or a Hessenberg H whole.  Its node values Q are
-built on first read when it kept two columns, and cached read-only.
+reads, in two fields on every route: h_sub, the n - 1 norms H[j+1, j], and
+coef, the rest: H on and above its diagonal in the band storage of a window
+of w columns, (w, n), column j = H[j+1-w : j+1, j] (w = 2 on the three-term
+route, w = n on the Hessenberg one), or the n + 1 Szego c_j (c_n that of
+the step past n).  Both are O(n) on the structured routes.  Its node values
+Q are built on first read when it kept two columns, and cached read-only.
 `orthonormalize` is its only constructor.  No other module but `_backend`
 reads how the recurrence is stored: the operator and kernel modules take
 what they need from `recurrence_toeplitz`, `operator_frame`, `operator_rows`
@@ -103,20 +105,17 @@ class OrthonormalBasis:
     nodes: np.ndarray = field(repr=False)
     node_weights: np.ndarray = field(repr=False)
     # the step evaluation runs: "szego" (the coupled step on the c_j in
-    # szego_c), "three_term" or "hessenberg"
+    # coef), "three_term" or "hessenberg"
     route: str = field(repr=False)
-    # the recurrence, as the route's step reads it (see _step_inputs): the
+    # the recurrence, as _backend.eval_recurrence reads it with route: the
     # n - 1 norms H[j+1, j], on every route (the Szego rho_j)
     h_sub: np.ndarray = field(repr=False)
-    # three-term: H on and above its diagonal in band storage, (2, n),
-    # column j = (H[j-1, j], H[j, j]) with H[-1, 0] = 0, the projections of
-    # step j; None on the other routes
-    h_band: np.ndarray = field(repr=False)
-    # the n + 1 Szego c_j, c_{n-1} that of the step past n and c_n that of
-    # phi_n = r / |r| (0 where r = 0); None off that route
-    szego_c: np.ndarray = field(repr=False)
-    # the whole H of the "hessenberg" route (full Arnoldi); None off it
-    h_full: np.ndarray = field(repr=False)
+    # and the rest of it: H on and above its diagonal in band storage, (w,
+    # n), column j = H[j+1-w : j+1, j], the projections of step j (zero
+    # above row 0), with w = 2 on the three-term route and w = n on the
+    # Hessenberg one; or the n + 1 Szego c_j, c_{n-1} that of the step past
+    # n and c_n that of phi_n = r / |r| (0 where r = 0)
+    coef: np.ndarray = field(repr=False)
     # |r|^2 of the step past n
     residual_sq: float = field(repr=False)
 
@@ -143,22 +142,15 @@ class OrthonormalBasis:
 
     @cached_property
     def basis_id(self):
-        """Hash of the O(n) data that determine H on the route, taken once:
-        the three diagonals of a three-term H, the c_j (c_n too) and rho_j
-        of a Szego one, a Hessenberg H whole.  All of them are read-only."""
+        """Hash of the data that determine H on the route, coef and h_sub,
+        taken once.  Both are read-only."""
         h = hashlib.sha1()
         h.update(self.route.encode())
         h.update(np.int64(self.dimension).tobytes())
         h.update(np.int64(self.space.tensor_power).tobytes())
         h.update(np.float64(self.const_norm).tobytes())
-        if self.route == "three_term":
-            parts = [self.h_sub, self.h_band[1], self.h_band[0, 1:]]
-        elif self.route == "szego":
-            parts = [self.szego_c, self.h_sub]
-        else:
-            parts = [self.h_full]
-        for part in parts:
-            h.update(part.tobytes())
+        h.update(self.coef.tobytes())
+        h.update(self.h_sub.tobytes())
         return h.hexdigest()[:16]
 
     def defined_on(self, mu):
@@ -171,17 +163,14 @@ class OrthonormalBasis:
 class _Build(NamedTuple):
     """What a recurrence build returns: the columns it kept (all n of Q,
     column-major, or the last two), the n - 1 norms H[j+1, j], the rest of
-    H as the build holds it (a full Arnoldi H whole; with a window w the
-    projections in band storage, (w, n), column j = H[j+1-w : j+1, j]; the
-    n + 1 Szego c_j), the norm h0 of the constant, |r|^2 of the step past
-    n, and the streamed probe of its columns (see _Probe).  Each of hess,
-    band and coef is None where the build does not hold it."""
+    the recurrence as OrthonormalBasis.coef keeps it (the projections of a
+    window of w columns in band storage, (w, n), or the n + 1 Szego c_j),
+    the norm h0 of the constant, |r|^2 of the step past n, and the streamed
+    probe of its columns (see _Probe)."""
 
     q: np.ndarray
     sub: np.ndarray
-    hess: object
-    band: object
-    coef: object
+    coef: np.ndarray
     h0: float
     r_sq: float
     probe: float
@@ -224,7 +213,7 @@ def _check_pivot(hn, pivot_max, j):
     return max(pivot_max, hn)
 
 
-def _arnoldi(z, row_scale, n, window=None, store_q=True):
+def _arnoldi(z, row_scale, n, window, store_q=True):
     """Modified Gram-Schmidt Arnoldi on {1, z, z^2, ...} in the weighted
     discrete inner product.  row_scale = sqrt(w) * exp(-k phi).
 
@@ -233,28 +222,28 @@ def _arnoldi(z, row_scale, n, window=None, store_q=True):
     of the residual r past n.  Breakdown of the subdiagonal below the
     relative threshold: the measure cannot support the requested degree.
 
-    window=None projects each new column on all earlier ones (O(m n^2)),
-    and fills H whole.  window=w projects on the last w only, and keeps
-    the n projections of w coefficients each, O(n w): on real
+    Each new column is projected on the last `window` columns, and the n
+    projections, of `window` coefficients each, are kept in band storage:
+    H on and above its diagonal, (window, n), column j = H[j+1-window :
+    j+1, j].  window=n is full Arnoldi, O(m n^2), with H whole; on real
     nodes H is tridiagonal, so window=2 is the Lanczos/Stieltjes procedure,
     O(m n).  With store_q False, window=2 holds the last two columns only,
     O(m) memory, and keeps them; the columns are the same either way.
     """
-    q, h0 = _start(row_scale, n, z.dtype, store_q or window is None)
+    q, h0 = _start(row_scale, n, z.dtype, store_q or window > 2)
     m = q.shape[0]
     real = not np.iscomplexobj(z)
     probe = _Probe(m, n, z.dtype)
     probe.add(q[:, 0])
-    hess = np.zeros((n, n), dtype=z.dtype) if window is None else None
-    band = None if window is None else np.zeros((window, n), dtype=z.dtype)
+    band = np.zeros((window, n), dtype=z.dtype)
     sub = np.empty(n - 1)
     v, tmp = np.empty(m, dtype=z.dtype), np.empty(m, dtype=z.dtype)
     pivot_max = h0
     for j in range(n):
         base = max(j + 1 - q.shape[1], 0)      # the column q[:, 0] holds
-        lo = 0 if window is None else max(j + 1 - window, 0)
+        lo = max(j + 1 - window, 0)
         block = q[:, lo - base : j + 1 - base]
-        h_col = hess[lo : j + 1, j] if band is None else band[lo - j - 1 :, j]
+        h_col = band[lo - j - 1 :, j]
         np.multiply(z, block[:, -1], out=v)
         # two Gram-Schmidt passes keep the columns orthonormal to ~eps;
         # Q*v is taken as conj(v* Q), which conjugates v instead of Q
@@ -266,12 +255,10 @@ def _arnoldi(z, row_scale, n, window=None, store_q=True):
             break
         hn = sub[j] = _norm(v)
         pivot_max = _check_pivot(hn, pivot_max, j)
-        if hess is not None:
-            hess[j + 1, j] = hn
         col = _next_column(q, j)
         probe.add(np.divide(v, hn, out=col))
     # the step past n: r = v
-    return _Build(q, sub, hess, band, None, h0, float(np.vdot(v, v).real), probe.defect)
+    return _Build(q, sub, band, h0, float(np.vdot(v, v).real), probe.defect)
 
 
 def _szego(z, row_scale, n, store_q=True):
@@ -315,7 +302,7 @@ def _szego(z, row_scale, n, store_q=True):
     r_sq = float(np.vdot(v, v).real)
     # where r = 0, rho_{n-1} = 0 decouples C, and c_n is never read
     coef[n] = np.vdot(r_sq * rev - np.conj(c) * v, z * v) / r_sq if r_sq else 0.0
-    return _Build(q, sub, None, None, coef, h0, r_sq, probe.defect)
+    return _Build(q, sub, coef, h0, r_sq, probe.defect)
 
 
 def _probe_tol(n):
@@ -422,7 +409,7 @@ def _structured_arnoldi(mu, row_scale, n):
                     return route, built
     if real:
         z = np.ascontiguousarray(z.real)
-    return "hessenberg", _arnoldi(z, row_scale, n)
+    return "hessenberg", _arnoldi(z, row_scale, n, window=n)
 
 
 def _check_scale_range(space, mu, scale):
@@ -461,8 +448,7 @@ def orthonormalize(mu, space):
         space=space, const_norm=built.h0, columns=built.q,
         nodes=np.asarray(mu.nodes),
         node_weights=np.asarray(mu.weights),
-        route=route, h_sub=built.sub, h_band=built.band, szego_c=built.coef,
-        h_full=built.hess, residual_sq=built.r_sq,
+        route=route, h_sub=built.sub, coef=built.coef, residual_sq=built.r_sq,
     )
 
 
@@ -489,19 +475,11 @@ def diagonal_kernel(basis, points):
     return _run_recurrence(basis, points, diagonal=True)
 
 
-def _step_inputs(basis):
-    """(route, coef, sub), the recurrence as _backend.eval_recurrence reads
-    it: coef is the (2, n) band of a three-term step, the Szego c_j, or the
-    whole H of a Hessenberg step, and sub the n - 1 norms."""
-    coef = {"three_term": basis.h_band, "szego": basis.szego_c}.get(basis.route, basis.h_full)
-    return basis.route, coef, basis.h_sub
-
-
 def _run_recurrence(basis, points, diagonal):
     pts = np.ascontiguousarray(np.atleast_1d(np.asarray(points, dtype=complex)))
     scale = np.ascontiguousarray(basis.space.weight_scale(pts))
-    return _backend.eval_recurrence(pts, scale, basis.const_norm, *_step_inputs(basis),
-                                    diagonal=diagonal)
+    return _backend.eval_recurrence(pts, scale, basis.const_norm, basis.route, basis.coef,
+                                    basis.h_sub, diagonal=diagonal)
 
 
 def weighted_rows(basis, mu):
@@ -590,10 +568,10 @@ def _z_band(basis):
     if basis.route == "three_term":
         h = np.zeros((n + 1, 3))
         h[1:, 0] = np.append(basis.h_sub, basis.residual_sq)
-        h[:n, 1] = basis.h_band[1]
-        h[:n, 2] = np.append(basis.h_band[0, 1:], 1.0)
+        h[:n, 1] = basis.coef[1]
+        h[:n, 2] = np.append(basis.coef[0, 1:], 1.0)
         return h
-    c = basis.szego_c
+    c = basis.coef
     rho = np.append(basis.h_sub, math.sqrt(basis.residual_sq))
     factors = np.zeros((2, n + 1, 3), dtype=np.complex128)
     for first, band in enumerate(factors):

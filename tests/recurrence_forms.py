@@ -1,28 +1,28 @@
-"""Dense forms of what a basis keeps as O(n) numbers, for the tests: its
-Hessenberg matrix H = T(z) in the polynomial basis, and its weighted rows
-in the CMV basis."""
+"""Dense forms of what a basis keeps of its recurrence, for the tests: its
+Hessenberg matrix H = T(z) in the polynomial basis and back, and its
+weighted rows in the CMV basis."""
 
 import numpy as np
 
 
 def hessenberg(bs):
-    """H = T(z), (n, n): kept whole on the "hessenberg" route (full
-    Arnoldi), formed from the O(n) recurrence on the others.  A Szego H is
-    c_j s_j on and above its diagonal, with s_j the coordinates of
-    phi_j^* in phi_0..phi_j: s_0 = e_0 and s_{j+1} = (rho_j s_j, -conj(c_j)).
+    """H = T(z), (n, n), formed from the recurrence the basis keeps.  On
+    the "three_term" and "hessenberg" routes coef holds H on and above its
+    diagonal in band storage, (w, n), column j = H[j+1-w : j+1, j], and
+    h_sub the norms below it.  A Szego H is c_j s_j on and above its
+    diagonal, with s_j the coordinates of phi_j^* in phi_0..phi_j: s_0 =
+    e_0 and s_{j+1} = (rho_j s_j, -conj(c_j)).
     """
-    if bs.h_full is not None:
-        return bs.h_full
-    n = bs.dimension
-    if bs.route == "three_term":
-        h = np.zeros((n, n))
-        np.fill_diagonal(h, bs.h_band[1])
-        np.fill_diagonal(h[:, 1:], bs.h_band[0, 1:])
+    n, c = bs.dimension, bs.coef
+    h = np.zeros((n, n), dtype=c.dtype)
+    if bs.route != "szego":
+        w = c.shape[0]
+        for j in range(n):
+            lo = max(j + 1 - w, 0)
+            h[lo : j + 1, j] = c[lo - j - 1 :, j]
     else:
         # row by row: H[i, j] = c_j s_j[i] for j >= i, where s_j[i] is
         # s_i[i] = -conj(c_{i-1}) (1 for i = 0) times rho_i, ..., rho_{j-1}
-        c = bs.szego_c
-        h = np.zeros((n, n), dtype=np.complex128)
         chain = np.empty(n, dtype=np.complex128)
         chain[1:] = bs.h_sub
         for i in range(n):
@@ -30,6 +30,17 @@ def hessenberg(bs):
             np.multiply(c[i:n], np.multiply.accumulate(chain[i:]), out=h[i, i:])
     np.fill_diagonal(h[1:], bs.h_sub)
     return h
+
+
+def full_band(h):
+    """The coef of the "hessenberg" route that holds the (n, n) H on and
+    above its diagonal: band storage of width n, column j = H[:j+1, j] in
+    its last j + 1 rows."""
+    n = h.shape[0]
+    band = np.zeros_like(h)
+    for j in range(n):
+        band[n - 1 - j :, j] = h[: j + 1, j]
+    return band
 
 
 def cmv_rows(bs):

@@ -32,8 +32,8 @@ from cdlab import (
 from cdlab import symbols
 from cdlab._backend import eval_recurrence
 from cdlab import basis as basis_module
-from cdlab.basis import _arnoldi, _Probe, _probe_tol, _step_inputs, _szego
-from recurrence_forms import hessenberg
+from cdlab.basis import _arnoldi, _Probe, _probe_tol, _szego
+from recurrence_forms import full_band, hessenberg
 
 SQRT_HALF = 0.7071067811865476      # 1/sqrt(2), hand Gram-Schmidt on {1, x}
 SQRT_3_OVER_2 = 1.224744871391589   # sqrt(3/2)
@@ -227,9 +227,10 @@ class TestStructuredRoutes:
         mu, space, row_scale = structured_setup(case, d)
         n = space.dimension
         bs = orthonormalize(mu, space)
-        full = _arnoldi(mu.nodes, row_scale, n, window=None)
+        full = _arnoldi(mu.nodes, row_scale, n, window=n)
         np.testing.assert_allclose(bs.node_values, full.q, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(hessenberg(bs), full.hess, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(full_band(hessenberg(bs)), full.coef, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bs.h_sub, full.sub, rtol=0, atol=1e-12)
         assert bs.const_norm == pytest.approx(full.h0, rel=1e-14)
         # the structured route's result was kept, not the full fallback;
         # on real nodes that route runs on the real parts
@@ -237,8 +238,7 @@ class TestStructuredRoutes:
             route = _szego(mu.nodes, row_scale, n)
         else:
             route = _arnoldi(np.ascontiguousarray(mu.nodes.real), row_scale, n, window=2)
-        for kept, built in ((bs.h_sub, route.sub), (bs.h_band, route.band),
-                            (bs.szego_c, route.coef)):
+        for kept, built in ((bs.h_sub, route.sub), (bs.coef, route.coef)):
             np.testing.assert_array_equal(kept, built)
 
     @pytest.mark.parametrize("make_mu", [interval_lebesgue, arcsine])
@@ -247,7 +247,7 @@ class TestStructuredRoutes:
         mu = make_mu(256)
         bs = orthonormalize(mu, WeightedSpace(63, tensor_power=64))
         q = bs.node_values
-        assert bs.route == "three_term" and bs.h_full is None
+        assert bs.route == "three_term" and bs.coef.shape == (2, 64)
         assert np.max(np.abs(np.triu(q.T @ (mu.nodes.real[:, None] * q), 2))) <= 1e-14
 
     def test_lanczos_loss_of_orthogonality_falls_back(self):
@@ -273,7 +273,7 @@ class TestStructuredRoutes:
             q = _szego(mu.nodes, row_scale, 256)[0]
         assert not np.all(np.isfinite(q))
         bs = orthonormalize(mu, space)
-        assert bs.szego_c is None
+        assert bs.route == "hessenberg"
         assert node_defect(bs.node_values) <= 1e-14
 
     def test_circle_breakdown_is_rank_deficient(self):
@@ -362,7 +362,7 @@ def closed_form_defect(name, bs):
     above), and |r|^2 = b_n^2.
     """
     if name == "circle":
-        devs = (bs.szego_c, bs.h_sub - 1.0, (bs.const_norm - 1.0, bs.residual_sq - 1.0))
+        devs = (bs.coef, bs.h_sub - 1.0, (bs.const_norm - 1.0, bs.residual_sq - 1.0))
     else:
         j = np.arange(1.0, bs.dimension + 1)
         if name == "interval":
@@ -370,7 +370,7 @@ def closed_form_defect(name, bs):
         else:
             h0, b = 1.0, np.where(j == 1.0, np.sqrt(0.5), 0.5)
         tail = b[-1] ** 2
-        devs = (bs.h_band[1], bs.h_sub - b[:-1], bs.h_band[0, 1:] - b[:-1],
+        devs = (bs.coef[1], bs.h_sub - b[:-1], bs.coef[0, 1:] - b[:-1],
                 (bs.const_norm - h0, bs.residual_sq - tail))
     # np.max propagates a NaN, unlike max()
     return float(np.max([np.max(np.abs(d), initial=0.0) for d in devs]))
@@ -556,7 +556,7 @@ class TestProbeCertificate:
         mu, space, _ = structured_setup(case, 63)
         bs = orthonormalize(mu, space)
         assert len(probes) == 1 and probes[0] > _probe_tol(64)
-        assert bs.route == "hessenberg" and bs.szego_c is None
+        assert bs.route == "hessenberg" and bs.coef.shape == (64, 64)
         assert node_defect(bs.node_values) <= 1e-14
 
     @pytest.mark.parametrize("case", sorted(PROBE_CASES))
@@ -666,7 +666,7 @@ class TestProbeCertificate:
             mu = from_points(mu.nodes, mu.weights)
         bs = orthonormalize(mu, WeightedSpace(30))
         assert kept_on_one_build(builds, bs) and bs.columns.shape == (m, 2)
-        assert (bs.szego_c is not None) == (name == "circle")
+        assert (bs.coef.ndim == 1) == (name == "circle")
 
     @pytest.mark.parametrize("name, ks, per_k", KBENCH_SIZES)
     def test_rule_bases_need_no_gram_product(self, name, ks, per_k, monkeypatch):
@@ -676,7 +676,7 @@ class TestProbeCertificate:
             builds.clear()
             bs = orthonormalize(RULES[name](m), WeightedSpace(k - 1, tensor_power=k))
             assert kept_on_one_build(builds, bs)
-            assert (bs.szego_c is not None) == (name == "circle")
+            assert (bs.coef.ndim == 1) == (name == "circle")
             assert bs.columns.shape == (m, 2)
 
 
@@ -698,7 +698,7 @@ class TestKeptColumns:
         stored = run(route, mu.nodes, row_scale, n, store_q=True)
         assert window.q.shape == (len(mu), min(n, 2)) and stored.q.shape == (len(mu), n)
         assert window.q.tobytes() == stored.q[:, -2:].tobytes()
-        for name in ("sub", "coef" if route == "szego" else "band"):
+        for name in ("sub", "coef"):
             assert getattr(window, name).tobytes() == getattr(stored, name).tobytes(), name
         assert (window.h0, window.r_sq, window.probe) == (stored.h0, stored.r_sq, stored.probe)
         # the probe inside the build is the probe fed the columns in order
@@ -839,15 +839,15 @@ class TestStepPastN:
         m = 4 * n if extra == "4n" else n + extra
         bs, mu = step_past_n_case(name, m, n)
         if name == "points-disk":
-            assert bs.szego_c is None and np.iscomplexobj(bs.h_full)
+            assert bs.route == "hessenberg" and np.iscomplexobj(bs.coef)
         last, r_sq, scaled_c_n = q_based_step(bs, mu)
         h = hessenberg(bs)
         scale = max(1.0, float(np.max(np.abs(h))))
         assert np.max(np.abs(h[:, -1] - last)) <= 1e-14 * scale
         assert abs(bs.residual_sq - r_sq) <= 1e-14 * scale ** 2
         if bs.route == "szego":
-            assert bs.szego_c.shape == (n + 1,)
-            assert abs(bs.residual_sq * bs.szego_c[n] - scaled_c_n) <= 1e-14 * scale ** 2
+            assert bs.coef.shape == (n + 1,)
+            assert abs(bs.residual_sq * bs.coef[n] - scaled_c_n) <= 1e-14 * scale ** 2
         if m == n:
             # r = 0: n nodes support no degree n, and that is no breakdown
             assert bs.residual_sq <= 1e-28
@@ -886,7 +886,8 @@ class TestBandedEvaluation:
         # the full Hessenberg step
         route = bs.route if case == "interval" else "hessenberg"
         assert bs.route == ("three_term" if case == "interval" else "szego")
-        args = _step_inputs(bs) if route == "three_term" else (route, hessenberg(bs), bs.h_sub)
+        coef = bs.coef if route == "three_term" else full_band(hessenberg(bs))
+        args = (route, coef, bs.h_sub)
         np.testing.assert_array_equal(
             eval_recurrence(pts, scale, bs.const_norm, *args),
             eval_recurrence_reference(pts, scale, bs.const_norm, hessenberg(bs)))
@@ -902,7 +903,7 @@ class TestSzegoEvaluation:
     def test_equals_hessenberg_evaluation(self, case, d, radius):
         mu, space, _ = structured_setup(case, d)
         bs = orthonormalize(mu, space)
-        assert bs.szego_c.shape == (d + 2,)
+        assert bs.coef.shape == (d + 2,)
         pts = off_node_circle(radius)
         ref = eval_recurrence_reference(pts, space.weight_scale(pts), bs.const_norm,
                                         hessenberg(bs))
@@ -912,16 +913,17 @@ class TestSzegoEvaluation:
     def test_reproduces_node_values(self, case):
         mu, space, _ = structured_setup(case, 63)
         bs = orthonormalize(mu, space)
-        assert bs.szego_c is not None
+        assert bs.route == "szego"
         np.testing.assert_allclose(evaluate_basis(bs, mu.nodes),
                                    bs.node_values / np.sqrt(mu.weights)[:, None],
                                    rtol=0, atol=1e-12)
 
     def test_other_routes_keep_no_szego_coefficients(self):
-        assert orthonormalize(interval_lebesgue(64), WeightedSpace(15)).szego_c is None
+        # coef holds H's band, (w, n), not the n + 1 c_j
+        assert orthonormalize(interval_lebesgue(64), WeightedSpace(15)).coef.shape == (2, 16)
         # nodes 1e-13 off the circle: the certificate rejects Szego, full
         # Arnoldi builds the basis
-        assert orthonormalize(off_circle_measure(), WeightedSpace(40)).szego_c is None
+        assert orthonormalize(off_circle_measure(), WeightedSpace(40)).coef.shape == (41, 41)
 
 
 def lanczos_fallback_measure():
@@ -949,26 +951,31 @@ class TestRoute:
         mu, space, _ = structured_setup(case, 31)
         bs = orthonormalize(mu, space)
         assert bs.route == route
-        assert (bs.szego_c is not None) == (route == "szego")
+        assert (bs.coef.ndim == 1) == (route == "szego")
 
     @pytest.mark.parametrize("make_mu,d", [(lanczos_fallback_measure, 127),
                                            (complex_points_measure, 20)],
                              ids=["lanczos-fallback", "complex-points"])
     def test_full_arnoldi_builds(self, make_mu, d):
         bs = orthonormalize(make_mu(), WeightedSpace(d, tensor_power=d + 1))
-        assert bs.route == "hessenberg" and bs.szego_c is None
+        assert bs.route == "hessenberg" and bs.coef.shape == (d + 1, d + 1)
         assert np.any(np.triu(hessenberg(bs), 2))
 
     @pytest.mark.parametrize("diagonal", [False, True])
-    def test_three_term_step_reads_only_the_band(self, diagonal):
-        # the route, not H, decides which columns a step reads: entries
-        # above the band of a "three_term" H are never read
+    @pytest.mark.parametrize("route", ["three_term", "hessenberg"])
+    def test_step_reads_only_the_band(self, route, diagonal):
+        # column j of the band storage holds H[j+1-w : j+1, j]: the entries
+        # it holds above H's row 0 are never read
         bs = orthonormalize(interval_lebesgue(128), WeightedSpace(31, tensor_power=32))
-        junk = np.vstack([np.full((1, 32), 1e3), bs.h_band])
+        coef = bs.coef if route == "three_term" else full_band(hessenberg(bs))
+        junk = coef.copy()
+        w = coef.shape[0]
+        junk[np.arange(w)[:, None] < w - 1 - np.arange(32)] = 1e3
         pts = np.linspace(-1.0, 1.0, 101).astype(complex)
         args = (pts, np.ones(pts.size), bs.const_norm)
-        want = eval_recurrence(*args, "three_term", bs.h_band, bs.h_sub, diagonal=diagonal)
-        got = eval_recurrence(*args, "three_term", junk, bs.h_sub, diagonal=diagonal)
+        want = eval_recurrence(*args, route, coef, bs.h_sub, diagonal=diagonal)
+        got = eval_recurrence(*args, route, junk, bs.h_sub, diagonal=diagonal)
+        assert np.count_nonzero(junk != coef) == w * (w - 1) // 2
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("route", ["three_term", "szego"])
@@ -980,8 +987,9 @@ class TestRoute:
         assert bs.route == route
         pts = off_node_circle(0.9)
         scale = np.ones(pts.size)
-        full = eval_recurrence(pts, scale, bs.const_norm, "hessenberg", hessenberg(bs), bs.h_sub)
-        short = eval_recurrence(pts, scale, bs.const_norm, *_step_inputs(bs))
+        full = eval_recurrence(pts, scale, bs.const_norm, "hessenberg", full_band(hessenberg(bs)),
+                               bs.h_sub)
+        short = eval_recurrence(pts, scale, bs.const_norm, bs.route, bs.coef, bs.h_sub)
         assert max_relative_gap(short, full) <= 1e-12
 
 
@@ -1005,14 +1013,14 @@ class TestDtype:
         mu, space, _ = structured_setup(case, 15)
         bs = orthonormalize(mu, space)
         assert bs.node_values.dtype == dtype
-        assert _step_inputs(bs)[1].dtype == dtype
+        assert bs.coef.dtype == dtype
 
     @pytest.mark.parametrize("make_mu, dtype", [(real_atoms, np.float64),
                                                 (complex_atoms, np.complex128)])
     def test_atom_bases(self, make_mu, dtype):
         bs = orthonormalize(make_mu(), WeightedSpace(30))
         assert bs.node_values.dtype == dtype
-        assert _step_inputs(bs)[1].dtype == dtype
+        assert bs.coef.dtype == dtype
 
     def test_evaluation_of_a_real_basis(self):
         bs = orthonormalize(interval_lebesgue(64), WeightedSpace(15))
@@ -1096,31 +1104,27 @@ class TestBasisId:
     def test_value_is_the_recurrence_hash(self):
         bs = orthonormalize(circle_lebesgue(32), WeightedSpace(3, tensor_power=4))
         h = hashlib.sha1(b"szego")
-        for part in (np.int64(4), np.int64(4), np.float64(bs.const_norm), bs.szego_c,
-                     bs.h_sub):
+        for part in (np.int64(4), np.int64(4), np.float64(bs.const_norm), bs.coef, bs.h_sub):
             h.update(part.tobytes())
         assert bs.basis_id == h.hexdigest()[:16]
 
     @pytest.mark.parametrize("case", ["interval", "circle", "points"])
     def test_every_entry_of_the_route_moves_the_id(self, case):
-        # the entries that determine H on the route: the three diagonals of
-        # a three-term H, every Szego c_j (c_{n-1} is in H's last column
-        # only, c_n in the CMV T(z^2) only) and rho_j, every entry of a
-        # Hessenberg H
+        # the entries that determine H on the route: the norms h_sub below
+        # its diagonal, and every entry of H in the band of a three-term or
+        # Hessenberg coef, or every Szego c_j (c_{n-1} is in H's last column
+        # only, c_n in the CMV T(z^2) only)
         n = 8
         mu = {"interval": interval_lebesgue(32), "circle": circle_lebesgue(32),
               "points": complex_atoms()}[case]
         bs = orthonormalize(mu, WeightedSpace(n - 1))
         assert bs.route == {"interval": "three_term", "circle": "szego"}.get(case, "hessenberg")
-        if bs.route == "three_term":
-            sites = [("h_sub", (j,)) for j in range(n - 1)] + [("h_band", (i, j)) for j in range(n)
-                                                               for i in (0, 1) if i or j]
-        elif bs.route == "szego":
-            sites = [("h_sub", (j,)) for j in range(n - 1)] + [("szego_c", (j,))
-                                                               for j in range(n + 1)]
+        sites = [("h_sub", (j,)) for j in range(n - 1)]
+        if bs.route == "szego":
+            sites += [("coef", (j,)) for j in range(n + 1)]
         else:
-            sites = [("h_full", (i, j)) for j in range(n) for i in range(j + 2)]
-        sites = [(name, at) for name, at in sites if max(at) < getattr(bs, name).shape[-1]]
+            w = bs.coef.shape[0]
+            sites += [("coef", (i, j)) for j in range(n) for i in range(max(w - 1 - j, 0), w)]
         ids = {bs.basis_id}
         for name, at in sites:
             arr = getattr(bs, name).copy()
@@ -1131,7 +1135,7 @@ class TestBasisId:
 
 # how a basis stores its recurrence, which only cdlab.basis and
 # cdlab._backend read
-RECURRENCE_FIELDS = {"hessenberg", "h_sub", "h_band", "h_full", "szego_c", "columns",
+RECURRENCE_FIELDS = {"hessenberg", "h_sub", "coef", "h_band", "h_full", "szego_c", "columns",
                      "residual_sq", "z_residual", "route"}
 
 

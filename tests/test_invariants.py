@@ -19,7 +19,7 @@ from cdlab import (
     toeplitz,
 )
 from cdlab.basis import _arnoldi
-from recurrence_forms import hessenberg
+from recurrence_forms import full_band, hessenberg
 
 SEEDS = [0, 1, 2]
 KINDS = ["disk", "real"]
@@ -70,6 +70,7 @@ class TestRandomMeasures:
 
     def test_route_matches_full_arnoldi(self, kind, seed):
         _, mu, bs = random_setup(kind, seed)
-        full = _arnoldi(mu.nodes, np.sqrt(mu.weights), bs.dimension)
+        full = _arnoldi(mu.nodes, np.sqrt(mu.weights), bs.dimension, window=bs.dimension)
         np.testing.assert_allclose(bs.node_values, full.q, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(hessenberg(bs), full.hess, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(full_band(hessenberg(bs)), full.coef, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bs.h_sub, full.sub, rtol=0, atol=1e-12)

@@ -31,8 +31,9 @@ from cdlab import (
 )
 import cdlab
 from cdlab import _backend, kernel
-from cdlab.basis import _step_inputs, diagonal_kernel, weighted_rows
+from cdlab.basis import diagonal_kernel, weighted_rows
 from cdlab.symbols import sym_one
+from recurrence_forms import full_band, hessenberg
 
 
 def circle_setup(k, m=None):
@@ -364,7 +365,7 @@ class TestChristoffelDarbouxRoute:
         mu = from_points(rng.uniform(-1.0, 1.0, 4 * k), np.full(4 * k, 1.0 / (4 * k)))
         bs = orthonormalize(mu, WeightedSpace(k - 1, tensor_power=k))
         # Lanczos lost orthogonality on these atoms, and full Arnoldi filled H
-        assert bs.szego_c is None and np.any(np.triu(bs.h_full, 2))
+        assert bs.route == "hessenberg" and np.any(np.triu(hessenberg(bs), 2))
         self.check_q(bs, mu, np.arange(0, 200), np.arange(300, 512), pair_mass_calls)
 
     @pytest.mark.parametrize("case", ["interval", "arcsine", "circle", "tilted-circle",
@@ -399,7 +400,8 @@ class TestChristoffelDarbouxRoute:
         # mass is not read off H's band
         mu = _MEASURES[name](256)
         bs = orthonormalize(mu, WeightedSpace(31, tensor_power=32))
-        bs = replace(bs, route="hessenberg", szego_c=None, columns=bs.node_values)
+        bs = replace(bs, route="hessenberg", coef=full_band(hessenberg(bs)),
+                     columns=bs.node_values)
         self.check_q(bs, mu, np.arange(0, 64), np.arange(128, 192), pair_mass_calls)
 
     def test_basis_on_another_measure(self, pair_mass_calls):
@@ -539,7 +541,7 @@ class TestBmConstant:
         # 1023, the last of the first block, and pushed 5% off the support
         # so that it stands out of the flat circle kernel
         bs, grid, rtol = _bm_case(name, 40, m=320)
-        band = _backend._STEP_COLUMNS.get(bs.route, bs.dimension)
+        band = _backend._step_columns(bs.route, bs.coef)
         monkeypatch.setattr(_backend, "_WINDOW_ENTRIES", 1024 * min(40, band + _backend._SLACK))
         peak = int(np.argmax(_dense_bm_sums(bs, grid)))
         grid[[peak, 1023]] = grid[[1023, peak]]
@@ -607,7 +609,7 @@ def _bm_case(name, k, m=None):
         radius, angle = np.sqrt(rng.uniform(0.0, 1.0, 300)), rng.uniform(0.0, 2 * np.pi, 300)
         bs = orthonormalize(from_points(radius * np.exp(1j * angle),
                                         rng.uniform(0.5, 1.5, 300) / 300), space)
-        assert bs.szego_c is None and np.count_nonzero(bs.h_full[0]) > 3
+        assert bs.route == "hessenberg" and np.count_nonzero(hessenberg(bs)[0]) > 3
         grid = 1.1 * np.sqrt(rng.uniform(0.0, 1.0, 8 * 300)) * np.exp(
             1j * rng.uniform(0.0, 2 * np.pi, 8 * 300))
         return bs, grid, 1e-13
@@ -636,7 +638,7 @@ class TestBmRunningSum:
         want = _dense_bm_sums(bs, grid)
         got = _backend.eval_recurrence(np.ascontiguousarray(grid, dtype=complex),
                                        bs.space.weight_scale(grid), bs.const_norm,
-                                       *_step_inputs(bs), diagonal=True)
+                                       bs.route, bs.coef, bs.h_sub, diagonal=True)
         assert np.max(np.abs(got - want) / want) <= rtol
         assert abs(bm_constant(bs, grid) - np.max(want)) <= rtol * np.max(want)
 
@@ -646,7 +648,7 @@ class TestBmRunningSum:
         bs, grid, _ = _bm_case(name, 21)
         pts = np.ascontiguousarray(grid, dtype=complex)
         want = _backend.eval_recurrence(pts, bs.space.weight_scale(pts), bs.const_norm,
-                                        *_step_inputs(bs), diagonal=True)
+                                        bs.route, bs.coef, bs.h_sub, diagonal=True)
         sums = diagonal_kernel(bs, grid)
         assert sums.tobytes() == want.tobytes()
         if name in ("circle", "hessenberg-circle"):

@@ -392,6 +392,22 @@ class TestSpectrum:
         want = np.sort(np.cos(np.arange(1, k + 1) * np.pi / (k + 1)))
         np.testing.assert_allclose(spectrum(t).eigenvalues, want, atol=1e-10)
 
+    # T(x) is the Jacobi matrix of the first n orthonormal polynomials, and
+    # its eigenvalues are the zeros of p_n, the nodes of the n-point Gauss
+    # rule of the weight (Golub and Welsch, 1969): Gauss-Legendre, and the
+    # Chebyshev zeros for the arcsine weight
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 256, 1024])
+    @pytest.mark.parametrize("name", ["interval", "arcsine"])
+    def test_jacobi_spectrum_is_the_gauss_rule(self, name, n):
+        mu = (interval_lebesgue if name == "interval" else arcsine)(max(4 * n, 256))
+        bs = orthonormalize(mu, WeightedSpace(n - 1, tensor_power=n))
+        lam = spectrum(toeplitz(bs, mu, sym_x)).eigenvalues
+        if name == "interval":
+            want = np.sort(interval_lebesgue(n).nodes.real)
+        else:
+            want = np.sort(np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)))
+        assert np.max(np.abs(lam - want)) <= 1e-14
+
     def test_eigenvalue_sum_is_trace(self):
         mu, bs = interval_basis(13)
         t = toeplitz(bs, mu, sym_x2)
@@ -535,6 +551,20 @@ class TestSymbolDistance:
     def test_equal_symbols(self):
         mu, bs = circle_basis(8)
         assert symbol_distance(bs, mu, sym_cos, sym_cos) == 0.0
+
+    # where f - g has one sign, so has every eigenvalue of T(f - g), and
+    # (1/n) tr |T(f - g)| is |(1/n) tr T(f - g)|
+    @pytest.mark.parametrize("n", [1, 2, 16, 256])
+    @pytest.mark.parametrize("name", ["circle", "interval", "arcsine"])
+    @pytest.mark.parametrize("f, g", [("cos", "one"), ("x2", "one"), ("const:2", "cos")])
+    def test_one_signed_difference_is_its_trace(self, f, g, name, n):
+        make = {"circle": circle_lebesgue, "interval": interval_lebesgue, "arcsine": arcsine}
+        mu = make[name](max(4 * n, 256))
+        bs = orthonormalize(mu, WeightedSpace(n - 1, tensor_power=n))
+        f, g = resolve_symbol(f)[1], resolve_symbol(g)[1]
+        t = toeplitz(bs, mu, symbols.difference(f, g))
+        want = abs(spectral_statistic(t, spectral_identity))
+        assert abs(symbol_distance(bs, mu, f, g) - want) <= 1e-14 * want
 
     def test_circle_cosine_distance_approaches_two_over_pi(self):
         gaps = []
@@ -746,8 +776,8 @@ class TestRecurrenceRoute:
         # on 64 roots of unity the rule's aliasing moves c_0 by r^63 only
         bs, _ = recurrence_case("poisson-circle", 16)
         assert bs.route == "szego"
-        assert abs(abs(bs.szego_c[0]) - POISSON_R) <= 1e-15
-        assert np.max(np.abs(bs.szego_c[1:])) <= 1e-14
+        assert abs(abs(bs.coef[0]) - POISSON_R) <= 1e-15
+        assert np.max(np.abs(bs.coef[1:])) <= 1e-14
 
     def test_symmetrized_and_asymmetry_recorded(self):
         bs, mu = recurrence_case("interval", 64)
@@ -806,7 +836,7 @@ class TestSzegoOperator:
         # T(z) reads c_0..c_{n-1} and rho_0..rho_{n-2}; T(z^2) reads c_n
         # and rho_{n-1} = |r| too, of the step past n
         bs, mu = recurrence_case("tilted-circle", n)
-        sites = [("szego_c", j) for j in range(n + 1)] + [("h_sub", j) for j in range(n - 1)]
+        sites = [("coef", j) for j in range(n + 1)] + [("h_sub", j) for j in range(n - 1)]
         for name, j in sites + [("residual_sq", None)]:
             if j is None:
                 moved = dataclasses.replace(bs, residual_sq=1.01 * bs.residual_sq)
@@ -814,7 +844,7 @@ class TestSzegoOperator:
                 arr = getattr(bs, name).copy()
                 arr[j] += 1e-3
                 moved = dataclasses.replace(bs, **{name: arr})
-            past_n = (name, j) in (("szego_c", n), ("residual_sq", None))
+            past_n = (name, j) in (("coef", n), ("residual_sq", None))
             for f, reads in ((sym_cos, not past_n), (sym_x2, True)):
                 same = np.array_equal(toeplitz(moved, mu, f).entries, toeplitz(bs, mu, f).entries)
                 assert same != reads, (name, j, f.__name__)
@@ -848,9 +878,11 @@ class TestSzegoOperator:
         for f in (sym_x2, sym_cos, sym_sin, symbols.product(sym_cos, sym_cos)):
             got = toeplitz(bs, mu, f).entries
             want = quadrature_oracle(bs, mu, f, frame="polynomial")
-            for p in (1, 2, 3):
-                traces = [np.trace(np.linalg.matrix_power(a, p)).real / n for a in (got, want)]
-                assert abs(traces[0] - traces[1]) <= 1e-13 * max(1.0, abs(traces[1])), (bs.route, p)
+            # tr A^2 = sum A o A^T and tr A^3 = sum (A A) o A^T: one product
+            traces = [[np.trace(a).real / n, np.sum(a * a.T).real / n,
+                       np.sum((a @ a) * a.T).real / n] for a in (got, want)]
+            for p, (t_got, t_want) in enumerate(zip(*traces), start=1):
+                assert abs(t_got - t_want) <= 1e-13 * max(1.0, abs(t_want)), (bs.route, p)
 
 
 class TestCmvFrame:
@@ -1031,11 +1063,11 @@ class TestBandedRoute:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_what_the_bands_read(self, n):
-        # T(x) reads the norms h_sub and the projections h_band; T(x^2) reads
+        # T(x) reads the norms h_sub and the projections coef; T(x^2) reads
         # |r|^2 too, of the step past n, as the last entry of its diagonal
         bs, mu = banded_case("tilted-interval", n)
-        sites = ([("h_sub", (j,)) for j in range(n - 1)] + [("h_band", (1, j)) for j in range(n)]
-                 + [("h_band", (0, j)) for j in range(1, n)])
+        sites = ([("h_sub", (j,)) for j in range(n - 1)] + [("coef", (1, j)) for j in range(n)]
+                 + [("coef", (0, j)) for j in range(1, n)])
         for name, at in sites + [("residual_sq", None)]:
             if at is None:
                 moved = dataclasses.replace(bs, residual_sq=1.01 * bs.residual_sq)
@@ -1084,7 +1116,7 @@ class TestBandedRoute:
             # builds a real H; in the disk it builds a complex one
             bs, mu = recurrence_case(case, 64)
             assert bs.route == "hessenberg"
-            assert np.iscomplexobj(bs.h_full) == (case == "points-disk")
+            assert np.iscomplexobj(bs.coef) == (case == "points-disk")
         else:
             bs, _ = banded_case("gauss-legendre", 32)
             mu = scale_by(interval_lebesgue(128), lambda z: 0.7 * np.real(z) + 0.2)
