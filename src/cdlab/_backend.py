@@ -1,6 +1,10 @@
 """The hot inner loops: basis recurrence evaluation and pairwise
 kernel-mass reductions, in vectorized numpy.
 
+A mass over an index set A against itself, with |A| > n, is read off the
+n x n Gram matrix Q_A^* Q_A; every other mass and reduction sums blocks of
+the |A| x |B| product Q_A Q_B^*.
+
 Callers use them as module attributes (`_backend.pair_mass(...)`), so the
 benchmark's tracer can wrap each loop in one place.  Every reduction has a
 fixed shape for a fixed input, so the results are deterministic.
@@ -11,6 +15,10 @@ import numpy as np
 # rows of A per block of the kernel-mass reductions: at m = 8192 a block's
 # product with Q_B is at most 128 MiB, and the loop overhead stays small
 _MASS_BLOCK = 1024
+# entries of Q gathered per block of the Gram matrix, 4 MiB of complex128:
+# at n = 1024 a block is 256 rows, and the Gram matrix and its block
+# product are the two n x n arrays
+_GRAM_BLOCK_ENTRIES = 1 << 18
 
 
 def eval_recurrence(z, scale, const_norm, route, coef, sub, *, diagonal=False):
@@ -176,9 +184,40 @@ def _abs2_blocks(q, idx_a, idx_b):
 
 
 def pair_mass(q, idx_a, idx_b):
-    """sum_{a in A, b in B} |K[a,b]|^2 * w[a] * w[b], from the weighted node
-    values q."""
+    """sum_{a in A, b in B} |K[a,b]|^2 * w[a] * w[b] = ||Q_A Q_B^*||_F^2,
+    from the weighted node values q.
+
+    Two routes, each a sum of nonnegative terms:
+
+    - Gram, O(|A| n^2) time and O(n^2) memory: when idx_a and idx_b are
+      equal, repeats and order included, and |A| > n.  ||Q_A Q_A^*||_F^2 =
+      ||Q_A^* Q_A||_F^2, so the sum runs over the n x n Gram matrix, which
+      is accumulated over blocks of A rows (see _gram).
+    - Pairs, O(|A| |B| n): the blocks of _abs2_blocks, on every other pair
+      of sets, and the reference the first is tested against.
+    """
+    if idx_a.shape[0] > q.shape[1] and np.array_equal(idx_a, idx_b):
+        g = _gram(q, idx_a).view(np.float64)
+        return float(np.square(g, out=g).sum())
     return float(sum(block.sum() for _, block in _abs2_blocks(q, idx_a, idx_b)))
+
+
+def _gram(q, idx):
+    """conj(Q_A^* Q_A), (n, n), with A = idx, summed over blocks of
+    _GRAM_BLOCK_ENTRIES / n rows of A: no |A| x n gather is made.
+
+    Each block X is gathered by fancy indexing (np.take with out= is ~20x
+    slower on the F-ordered Q the builds give), and X^T conj(X) =
+    conj(X^* X) has the moduli of X^* X.  A float64 Q gives the real
+    X^T X.
+    """
+    n = q.shape[1]
+    rows = max(1, _GRAM_BLOCK_ENTRIES // n)
+    gram, prod = np.zeros((n, n), dtype=q.dtype), np.empty((n, n), dtype=q.dtype)
+    for lo in range(0, idx.shape[0], rows):
+        x = q[idx[lo : lo + rows]]
+        gram += np.matmul(x.T, np.conjugate(x) if np.iscomplexobj(x) else x, out=prod)
+    return gram
 
 
 def defect_pair_sum(q, f, g):

@@ -3,12 +3,14 @@ product-space masses and pushforward residuals, read off the basis rows in
 O(m n) memory, sup/L2 growth constants, and the dense kernel table, its
 diagonal densities and CSV exports for the heatmap.
 
-A mass over disjoint node sets A, B of a structured basis's own measure
-(the Szego or the three-term route; n >= 2) takes the Christoffel-Darboux
-formula: O(1) per entry from the last two columns of Q, which every basis
-keeps, O(|A| |B|) in all.
-Every other mass is ||Q_A Q_B^*||_F^2, O(|A| |B| n), which is also the
-reference the formula is tested against.
+A mass over node sets A, B has three routes.  Over disjoint sets of a
+structured basis's own measure (the Szego or the three-term route;
+n >= 2) it takes the Christoffel-Darboux formula: O(1) per entry from the
+last two columns of Q, which every basis keeps, O(|A| |B|) in all.  A set
+against itself, |A| > n, takes the n x n Gram matrix, ||Q_A^* Q_A||_F^2,
+O(|A| n^2), as heatmap's all-node mass does.  Every other mass sums the
+blocked pairs of ||Q_A Q_B^*||_F^2, O(|A| |B| n), the reference both
+others are tested against.
 
 The sup of the diagonal kernel over an evaluation grid of M points
 (bm_constant) also has two routes.  On the M roots of unity of the circle
@@ -83,21 +85,25 @@ def bergman_mass(basis, mu, idx_a, idx_b):
     idx_a and idx_b are sequences of node indices, integers in [0, m);
     anything else raises ValueError, and an empty sequence gives 0.0.
 
-    Two routes, the same mass:
+    Three routes, the same mass:
 
     - Christoffel-Darboux, O(|A| |B|): when A and B are disjoint, the basis
       was built on mu, n >= 2, and its route is "szego" (the circle) or
       "three_term" (Lanczos on real nodes).  Each entry then comes from the
       last columns of Q alone (Szego, Orthogonal Polynomials, 1939,
       Thm 3.2.2; Simon, OPUC Part 1, 2005, Thm 2.2.7); see basis.cd_factors.
-    - Q, O(|A| |B| n): ||Q_A Q_B^*||_F^2 summed by _backend.pair_mass, for
-      every other case (overlapping sets, full Arnoldi, another measure,
-      n = 1, coincident nodes), and the reference the first is tested
-      against.
+    - Equal-set Gram, O(|A| n^2): when idx_a and idx_b are equal, repeats
+      and order included, and |A| > n, ||Q_A Q_A^*||_F^2 =
+      ||Q_A^* Q_A||_F^2 is summed over the n x n Gram matrix by
+      _backend.pair_mass.  The heatmap's all-node mass takes it.
+    - Blocked pairs, O(|A| |B| n): ||Q_A Q_B^*||_F^2 summed by
+      _backend.pair_mass for every other case (overlapping unequal sets;
+      disjoint sets on full Arnoldi, another measure, n = 1 or coincident
+      nodes), and the reference the others are tested against.
 
-    Both sum blocks of A rows.  The first reads the basis's kept columns
-    and holds O(|B|) memory beyond them; the second reads the node values
-    and holds O(|B| n) beyond them.
+    Each sums blocks of A rows.  The first reads the basis's kept columns
+    and holds O(|B|) memory beyond them; the second and third read the node
+    values and hold O(n^2) and O(|B| n) beyond them.
     """
     m, n = len(mu), basis.dimension
     ia, ib = _node_indices(idx_a, m), _node_indices(idx_b, m)

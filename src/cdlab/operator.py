@@ -15,8 +15,9 @@ from .errors import NotHermitianError
 from .measure import _real_values, _require_count, interval_lebesgue
 
 _HERM_TOL = 1e-8
-# rows per block of a Hermitian pass: its temporaries are two blocks
-_HERM_BLOCK = 256
+# rows per block of a Hermitian pass: its temporaries are two blocks, of
+# 256 KiB in complex128
+_HERM_BLOCK = 128
 
 
 class ToeplitzMatrix:

@@ -111,7 +111,7 @@ def assert_same_bits(got, want):
 
 
 class TestInPlaceSymmetrization:
-    # 1536 is six whole blocks of 256 rows, 1100 ends in a partial one
+    # 1536 is twelve whole blocks of 128 rows, 1100 ends in a partial one
     @pytest.mark.parametrize("m", [1536, 1100])
     def test_table_equals_two_temporary_formula(self, m):
         mu = scale_by(circle_lebesgue(m), lambda z: np.cos(np.angle(z) - 0.4))
@@ -437,6 +437,121 @@ class TestChristoffelDarbouxRoute:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+def _pair_route(q, ia, ib):
+    """||Q_A Q_B^*||_F^2 by the blocked pair sum, whatever the sets."""
+    return float(sum(block.sum() for _, block in _backend._abs2_blocks(q, ia, ib)))
+
+
+def _gram_case(name):
+    """(basis, measure) of each kind of Q: complex on the circle and the
+    tilted circle, float64 on the interval, and full Arnoldi on real atoms
+    (float64) and in the disk (complex)."""
+    rng = np.random.default_rng(5)
+    if name == "circle":
+        mu = circle_lebesgue(512)
+    elif name == "interval":
+        mu = interval_lebesgue(512)
+    elif name == "tilted-circle":
+        mu = scale_by(circle_lebesgue(512), lambda z: np.cos(np.angle(z) - 0.4))
+    elif name == "real-atoms":
+        mu = from_points(rng.uniform(-1.0, 1.0, 512), np.full(512, 1.0 / 512))
+    else:
+        nodes = np.sqrt(rng.uniform(0.0, 1.0, 512)) * np.exp(2j * np.pi * rng.uniform(size=512))
+        mu = from_points(nodes, np.full(512, 1.0 / 512))
+    k = 128 if name == "real-atoms" else 64
+    return orthonormalize(mu, WeightedSpace(k - 1, tensor_power=k)), mu
+
+
+@pytest.fixture
+def mass_routes(monkeypatch):
+    """The routes _backend.pair_mass took while a test runs, in order."""
+    routes, gram, blocks = [], _backend._gram, _backend._abs2_blocks
+
+    def spy(name, fn):
+        def wrapped(*args):
+            routes.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(_backend, "_gram", spy("gram", gram))
+    monkeypatch.setattr(_backend, "_abs2_blocks", spy("pairs", blocks))
+    return routes
+
+
+class TestGramRoute:
+    """A mass of an index set against itself, with |A| > n, is summed over
+    the n x n Gram matrix Q_A^* Q_A, and must match the blocked pair sum to
+    1e-13 relative; every other pair of sets keeps the pair route."""
+
+    # the default block, and blocks of 40 rows that leave a partial last one
+    @pytest.mark.parametrize("entries", [None, 40 * 64])
+    @pytest.mark.parametrize("name", ["circle", "interval", "tilted-circle", "real-atoms",
+                                      "disk-atoms"])
+    def test_equals_the_pair_sum(self, name, entries, monkeypatch, mass_routes):
+        bs, mu = _gram_case(name)
+        want_route = {"real-atoms": "hessenberg", "disk-atoms": "hessenberg",
+                      "interval": "three_term"}.get(name, "szego")
+        assert bs.route == want_route
+        q = weighted_rows(bs, mu)
+        assert np.iscomplexobj(q) == (name not in ("interval", "real-atoms"))
+        if entries is not None:
+            monkeypatch.setattr(_backend, "_GRAM_BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(len(mu))
+        every = np.arange(len(mu))
+        # every node, then with repeats (a node twice counts its row twice)
+        # in a shuffled order, then a subset just larger than n
+        for idx in (every, rng.permutation(np.concatenate([every, rng.choice(512, 100)])),
+                    rng.choice(512, bs.dimension + 1, replace=False)):
+            got = _backend.pair_mass(q, idx, idx.copy())
+            assert mass_routes == ["gram"]
+            want = _pair_route(q, idx, idx)
+            assert abs(got - want) <= 1e-13 * want
+            mass_routes.clear()
+
+    @pytest.mark.parametrize("name", ["circle", "interval"])
+    def test_total_mass_takes_the_gram_route(self, name, mass_routes):
+        # the heatmap row's quantity: every node against every node
+        bs, mu = _gram_case(name)
+        every = np.arange(len(mu))
+        got = bergman_mass(bs, mu, every, every)
+        assert mass_routes == ["gram"]
+        assert abs(got - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["circle", "interval"])
+    def test_other_sets_keep_the_pair_route(self, name, mass_routes):
+        bs, mu = _gram_case(name)
+        q, n = weighted_rows(bs, mu), bs.dimension
+        every = np.arange(len(mu))
+        cases = [
+            (every[:n], every[:n]),                 # |A| = n
+            (every[:10], every[:10]),               # |A| < n
+            (every[:300], every[100:400]),          # overlapping, unequal
+            (every, every[::-1]),                   # the same nodes, reordered
+            (every, np.append(every, 7)),           # one more repeat in B
+        ]
+        for ia, ib in cases:
+            _backend.pair_mass(q, ia, ib)
+            assert mass_routes == ["pairs"], (ia.size, ib.size)
+            mass_routes.clear()
+
+    def test_total_mass_at_k_1024_takes_under_48_mib(self):
+        # beyond the node values, the pair route holds a gathered 4096 x 1024
+        # Q_B, a 1024 x 4096 block product and its moduli (240 MiB in all);
+        # the Gram route holds two 1024 x 1024 arrays and two row blocks
+        mu = circle_lebesgue(4096)
+        bs = orthonormalize(mu, WeightedSpace(1023, tensor_power=1024))
+        every = np.arange(4096)
+        assert weighted_rows(bs, mu).shape == (4096, 1024)
+        tracemalloc.start()
+        try:
+            got = bergman_mass(bs, mu, every, every)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(got - 1.0) <= 1e-12
+        assert peak < 48 * 2 ** 20
 
 
 class TestMassIndexValidation:
